@@ -60,10 +60,25 @@ void ShardPool::Run(const std::function<void(int)>& fn) {
     ++generation_;
   }
   start_cv_.notify_all();
-  fn(0);
+  // Helpers hold a pointer to `fn`: even when fn(0) throws, wait for all of
+  // them before the caller's frame (and `fn`) can unwind.
+  std::exception_ptr error;
+  try {
+    fn(0);
+  } catch (...) {
+    error = std::current_exception();
+  }
   std::unique_lock<std::mutex> lock(mutex_);
   done_cv_.wait(lock, [this]() { return outstanding_ == 0; });
   job_ = nullptr;
+  if (error == nullptr) {
+    error = helper_error_;
+  }
+  helper_error_ = nullptr;
+  lock.unlock();
+  if (error != nullptr) {
+    std::rethrow_exception(error);
+  }
 }
 
 void ShardPool::WorkerLoop(int worker) {
@@ -79,9 +94,20 @@ void ShardPool::WorkerLoop(int worker) {
       seen = generation_;
       job = job_;
     }
-    (*job)(worker);
+    std::exception_ptr error;
+    try {
+      (*job)(worker);
+    } catch (...) {
+      error = std::current_exception();
+    }
     {
       const std::lock_guard<std::mutex> lock(mutex_);
+      // Keep the lowest-numbered helper's exception, so which one the
+      // caller sees does not depend on scheduling.
+      if (error != nullptr && (helper_error_ == nullptr || worker < helper_error_worker_)) {
+        helper_error_ = error;
+        helper_error_worker_ = worker;
+      }
       --outstanding_;
     }
     done_cv_.notify_one();

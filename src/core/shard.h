@@ -9,6 +9,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -136,7 +137,10 @@ class ShardPool {
 
   // Invokes fn(worker) for worker in [0, shards); fn(0) runs on the calling
   // thread. Returns after every invocation has finished (the apply phase
-  // needs a barrier: it reads what the workers wrote).
+  // needs a barrier: it reads what the workers wrote) — also when some
+  // invocation throws: Run still waits for every worker, then rethrows on
+  // the caller (fn(0)'s exception first, else the lowest-numbered helper's).
+  // The pool stays usable afterwards.
   void Run(const std::function<void(int)>& fn);
 
  private:
@@ -148,6 +152,8 @@ class ShardPool {
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
   const std::function<void(int)>* job_ = nullptr;
+  std::exception_ptr helper_error_;  // lowest-numbered failing helper's
+  int helper_error_worker_ = 0;      // ... and that helper's index
   std::uint64_t generation_ = 0;
   int outstanding_ = 0;
   bool stop_ = false;

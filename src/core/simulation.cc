@@ -368,6 +368,23 @@ bool Simulation::ProcessSlice(ShardContext& ctx, const WorkloadAccess* accesses,
   return true;
 }
 
+void Simulation::FillBatches() {
+  const std::size_t accesses = sim_.accesses_per_thread_per_epoch;
+  const int cores = topo_.num_cores();
+  const auto fill = [&](int first, int step) {
+    for (int t = first; t < cores; t += step) {
+      auto& batch = shard_ctx_[static_cast<std::size_t>(CoreOfThread(t))].batch;
+      workload_->FillBatch(t, accesses, batch);
+    }
+  };
+  if (shard_pool_ == nullptr) {
+    fill(0, 1);
+    return;
+  }
+  const int shards = shard_pool_->shards();
+  shard_pool_->Run([&](int worker) { fill(worker, shards); });
+}
+
 void Simulation::ExecuteEpochAccesses(bool epoch_in_setup) {
   const std::size_t accesses = sim_.accesses_per_thread_per_epoch;
   const std::size_t num_rounds = (accesses + kSliceAccesses - 1) / kSliceAccesses;
@@ -960,9 +977,8 @@ RunResult Simulation::Run() {
     // threads run concurrently on the real machine, so first-touch races
     // (which thread faults a shared 2MB window first) must interleave at a
     // fine grain rather than letting thread 0 win everything (see
-    // kSliceAccesses). Batch generation stays serial — the workload mutates
-    // shared setup bookkeeping — and thread t's batch lands in the context
-    // of its pinned core.
+    // kSliceAccesses). Thread t's batch lands in the context of its pinned
+    // core.
     workload_->BeginEpoch();
     // Mid-epoch RegionMap events (mmap churn — trace sources only): the
     // source performed the MmapAnon itself inside BeginEpoch; here the new
@@ -975,20 +991,18 @@ RunResult Simulation::Run() {
       region_mlp_.push_back(region.mlp);
       region_intensity_.push_back(region.dram_intensity);
     }
+    FillBatches();
     if (capture_ != nullptr) {
-      // The serial capture point: batch generation below is single-threaded
-      // at every shard count and in both engines, so the recorded stream is
-      // invariant across jobs × shards × engine (DESIGN.md §14).
+      // The serial capture point: every batch is filled by now, and each
+      // thread's stream depends only on its own generator state, so the
+      // recorded stream is invariant across jobs × shards × engine
+      // (DESIGN.md §14).
       capture_->BeginEpoch(epoch_in_setup);
       for (const auto& event : map_events) {
         capture_->RegionMap(event);
       }
-    }
-    for (int t = 0; t < topo_.num_cores(); ++t) {
-      auto& batch = shard_ctx_[static_cast<std::size_t>(CoreOfThread(t))].batch;
-      workload_->FillBatch(t, sim_.accesses_per_thread_per_epoch, batch);
-      if (capture_ != nullptr) {
-        capture_->Batch(t, batch);
+      for (int t = 0; t < topo_.num_cores(); ++t) {
+        capture_->Batch(t, shard_ctx_[static_cast<std::size_t>(CoreOfThread(t))].batch);
       }
     }
     ExecuteEpochAccesses(epoch_in_setup);

@@ -196,6 +196,11 @@ class Simulation {
   template <bool kSpeculative>
   bool ProcessSlice(ShardContext& ctx, const WorkloadAccess* accesses, std::size_t count,
                     std::size_t base_index);
+  // Fills every thread's epoch batch into its core's context: on the shard
+  // pool when there is one (worker w fills threads t ≡ w mod S, the threads
+  // whose slices it runs), serially otherwise. Exact at any shard count by
+  // the AccessSource::FillBatch concurrency contract.
+  void FillBatches();
   // Runs every thread's epoch batch in round-robin kSliceAccesses slices —
   // serially when shard_count() == 1 or during the setup fault storm,
   // otherwise as speculative parallel windows with serial fallback.

@@ -65,6 +65,13 @@ class AccessSource {
   virtual void BeginEpoch() = 0;
 
   // Appends up to `n` accesses for `thread` to `out` (cleared first).
+  //
+  // Concurrency contract: between BeginEpoch and the epoch's end, calls for
+  // *distinct* threads may run concurrently (the sharded engine fills each
+  // thread on the shard worker that runs its slices). A call may mutate
+  // only `thread`'s own state, and that thread's stream must depend only on
+  // that state, so the batch is the same whichever host thread builds it.
+  // Every other member is called from one thread, outside the fill.
   virtual void FillBatch(int thread, std::size_t n, std::vector<WorkloadAccess>& out) = 0;
 
   // True once the stream is exhausted (checked after each epoch).

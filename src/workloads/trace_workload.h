@@ -30,6 +30,8 @@ class TraceWorkload : public AccessSource {
   TraceWorkload(const std::string& path, AddressSpace& address_space, int num_threads);
 
   void BeginEpoch() override;
+  // Copies the recorded batch out of the decoded epoch; reads `current_`
+  // only, so concurrent fills for distinct threads are safe.
   void FillBatch(int thread, std::size_t n, std::vector<WorkloadAccess>& out) override;
   bool Done() const override;
   bool SetupDone() const override;

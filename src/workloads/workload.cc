@@ -144,7 +144,6 @@ Workload::Workload(const WorkloadSpec& spec, AddressSpace& address_space, int nu
                   queue.end());
     }
   }
-  setup_remaining_threads_ = num_threads_;
 
   // Steady-state region selection CDF.
   const double total_share = spec_.TotalShare();
@@ -162,7 +161,16 @@ Addr Workload::PageVa(const RegionRt& region, std::uint64_t page, Rng& rng) cons
   return region.base + page * kBytes4K + rng.Uniform(kBytes4K / 64) * 64;
 }
 
-void Workload::BeginEpoch() { barrier_this_epoch_ = setup_remaining_threads_ > 0; }
+void Workload::BeginEpoch() { barrier_this_epoch_ = !SetupDone(); }
+
+bool Workload::SetupDone() const {
+  for (const auto& thread : threads_) {
+    if (thread.setup_cursor < thread.setup.size()) {
+      return false;
+    }
+  }
+  return true;
+}
 
 void Workload::FillBatch(int thread, std::size_t n, std::vector<WorkloadAccess>& out) {
   out.clear();
@@ -179,9 +187,6 @@ void Workload::FillBatch(int thread, std::size_t n, std::vector<WorkloadAccess>&
     access.write = true;  // initialization writes
     out.push_back(access);
     ++produced;
-    if (state.setup_cursor == state.setup.size()) {
-      --setup_remaining_threads_;
-    }
   }
   // Barrier: for the whole epoch in which any thread still initializes,
   // finished threads spin on their scratch page instead of racing ahead and

@@ -35,14 +35,17 @@ class Workload : public AccessSource {
   void BeginEpoch() override;
 
   // Appends `n` accesses for `thread` to `out` (cleared first). Consumes the
-  // thread's setup queue before switching to steady-state draws.
+  // thread's setup queue before switching to steady-state draws. Touches
+  // only `threads_[thread]` (plus read-only tables), so distinct threads
+  // may fill concurrently.
   void FillBatch(int thread, std::size_t n, std::vector<WorkloadAccess>& out) override;
 
   // True once every thread has issued its steady-state budget.
   bool Done() const override;
 
   // True once every thread has drained its setup (first-touch) queue.
-  bool SetupDone() const override { return setup_remaining_threads_ == 0; }
+  // Read from the per-thread cursors, so concurrent fills share no counter.
+  bool SetupDone() const override;
 
   // DRAM intensity of region index `region` (the engine's cache model).
   double dram_intensity(int region) const {
@@ -116,7 +119,6 @@ class Workload : public AccessSource {
   std::vector<double> share_cdf_;
   Addr scratch_base_ = 0;
   int scratch_region_ = 0;
-  int setup_remaining_threads_ = 0;
   bool barrier_this_epoch_ = true;
 };
 

@@ -1,20 +1,34 @@
 // Unit tests for the intra-cell sharding plumbing (DESIGN.md Section 10):
 // the oversubscription guard that keeps runner jobs x shards bounded by the
-// host, the NUMALP_SHARDS / --shards configuration surface, and the worker
-// pool's dispatch protocol. Whole-engine bit-identity across shard counts
-// lives in perf_structures_test.cc and runner_test.cc.
+// host, the NUMALP_SHARDS / --shards configuration surface, the worker
+// pool's dispatch protocol and exception safety, and the AccessSource
+// FillBatch concurrency contract the pool-parallel batch fill relies on.
+// Whole-engine bit-identity across shard counts lives in
+// perf_structures_test.cc and runner_test.cc.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/core/config.h"
 #include "src/core/shard.h"
 #include "src/core/simulation.h"
+#include "src/mem/phys_mem.h"
 #include "src/topo/topology.h"
+#include "src/trace/tracegen.h"
+#include "src/vm/address_space.h"
+#include "src/vm/thp.h"
 #include "src/workloads/spec.h"
+#include "src/workloads/trace_workload.h"
+#include "src/workloads/workload.h"
 
 namespace numalp {
 namespace {
@@ -111,6 +125,160 @@ TEST(ShardPoolTest, SingleShardRunsInline) {
     ++calls;
   });
   EXPECT_EQ(calls, 1);
+}
+
+// A throwing worker must not let Run return while helpers still execute a
+// job that points into the caller's frame: Run waits for every worker, then
+// rethrows on the caller (the caller's own exception first, else the
+// lowest-numbered helper's), and the pool stays usable.
+TEST(ShardPoolTest, RunRethrowsAfterEveryWorkerFinishedAndStaysUsable) {
+  ShardPool pool(4);
+  const std::vector<std::vector<int>> thrower_sets = {{0}, {2}, {1, 3}, {0, 2}};
+  for (const std::vector<int>& throwers : thrower_sets) {
+    const auto throws = [&](int worker) {
+      return std::find(throwers.begin(), throwers.end(), worker) != throwers.end();
+    };
+    std::vector<std::atomic<int>> finished(4);
+    for (auto& f : finished) {
+      f.store(0);
+    }
+    std::string caught;
+    try {
+      pool.Run([&](int worker) {
+        if (throws(worker)) {
+          throw std::runtime_error("worker " + std::to_string(worker));
+        }
+        // Outlast the throwers, so a Run that returned early would be seen.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        finished[static_cast<std::size_t>(worker)].store(1);
+      });
+    } catch (const std::runtime_error& e) {
+      caught = e.what();
+    }
+    EXPECT_EQ(caught, "worker " + std::to_string(throwers.front()));
+    for (int w = 0; w < 4; ++w) {
+      EXPECT_EQ(finished[static_cast<std::size_t>(w)].load(), throws(w) ? 0 : 1)
+          << "worker " << w << " (first thrower " << throwers.front() << ")";
+    }
+
+    std::vector<std::atomic<int>> hits(4);
+    for (auto& h : hits) {
+      h.store(0);
+    }
+    pool.Run([&](int worker) { hits[static_cast<std::size_t>(worker)].fetch_add(1); });
+    for (int w = 0; w < 4; ++w) {
+      EXPECT_EQ(hits[static_cast<std::size_t>(w)].load(), 1) << "worker " << w;
+    }
+  }
+}
+
+// --- The FillBatch concurrency contract (access_source.h) ------------------
+
+bool SameBatch(const std::vector<WorkloadAccess>& a, const std::vector<WorkloadAccess>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].va != b[i].va || a[i].region != b[i].region || a[i].write != b[i].write) {
+      return false;
+    }
+  }
+  return true;
+}
+
+constexpr int kFillers = 4;
+
+// Fills every thread's batch epoch by epoch: `serial` on this thread in
+// thread order, `parallel` from kFillers std::threads with filler w taking
+// threads t ≡ w (mod kFillers) — the split the sharded engine uses. Batches,
+// SetupDone() and Done() must agree after every epoch. Returns the number
+// of setup epochs seen.
+int ExpectConcurrentFillMatchesSerial(AccessSource& serial, AccessSource& parallel,
+                                      std::size_t n, int max_epochs, const std::string& label) {
+  const auto threads = static_cast<std::size_t>(serial.num_threads());
+  std::vector<std::vector<WorkloadAccess>> want(threads);
+  std::vector<std::vector<WorkloadAccess>> got(threads);
+  int setup_epochs = 0;
+  for (int epoch = 0; epoch < max_epochs && !serial.Done(); ++epoch) {
+    setup_epochs += serial.SetupDone() ? 0 : 1;
+    serial.BeginEpoch();
+    parallel.BeginEpoch();
+    for (std::size_t t = 0; t < threads; ++t) {
+      serial.FillBatch(static_cast<int>(t), n, want[t]);
+    }
+    std::vector<std::thread> fillers;
+    for (int w = 0; w < kFillers; ++w) {
+      fillers.emplace_back([&, w]() {
+        for (std::size_t t = static_cast<std::size_t>(w); t < threads; t += kFillers) {
+          parallel.FillBatch(static_cast<int>(t), n, got[t]);
+        }
+      });
+    }
+    for (std::thread& filler : fillers) {
+      filler.join();
+    }
+    for (std::size_t t = 0; t < threads; ++t) {
+      EXPECT_TRUE(SameBatch(want[t], got[t])) << label << " epoch " << epoch << " thread " << t;
+    }
+    EXPECT_EQ(serial.SetupDone(), parallel.SetupDone()) << label << " epoch " << epoch;
+    EXPECT_EQ(serial.Done(), parallel.Done()) << label << " epoch " << epoch;
+    if (::testing::Test::HasFailure()) {
+      break;
+    }
+  }
+  return setup_epochs;
+}
+
+// Every suite workload on the 64-thread epyc8 preset, both generators, from
+// the first setup epoch until the (shortened) steady budget is spent.
+TEST(FillBatchConcurrencyTest, SuiteWorkloadsFillIdenticallyFromFourThreads) {
+  const Topology topo = Topology::Epyc8();
+  ASSERT_EQ(topo.num_cores(), 64);
+  // MmapAnon only reserves virtual space, so both address spaces can share
+  // one physical memory.
+  PhysicalMemory phys(topo);
+  ThpState thp;
+  constexpr std::size_t kBatch = 1024;
+  for (int id = 0; id <= static_cast<int>(BenchmarkId::kSparseFootprint); ++id) {
+    WorkloadSpec spec = MakeWorkloadSpec(static_cast<BenchmarkId>(id), topo);
+    spec.steady_accesses_per_thread = 2 * kBatch;
+    for (const bool batched : {true, false}) {
+      AddressSpace serial_space(phys, topo, thp);
+      AddressSpace parallel_space(phys, topo, thp);
+      Workload serial(spec, serial_space, topo.num_cores(), /*seed=*/7, batched);
+      Workload parallel(spec, parallel_space, topo.num_cores(), /*seed=*/7, batched);
+      const std::string label = spec.name + (batched ? "" : " (per-call generator)");
+      const int setup_epochs =
+          ExpectConcurrentFillMatchesSerial(serial, parallel, kBatch, /*max_epochs=*/64, label);
+      EXPECT_GT(setup_epochs, 0) << label;
+      EXPECT_TRUE(serial.Done()) << label;
+    }
+  }
+}
+
+// Trace replay only reads the decoded epoch, across region maps and unmaps.
+TEST(FillBatchConcurrencyTest, TraceReplayFillsIdenticallyFromFourThreads) {
+  const Topology topo = Topology::Epyc8();
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "shard_fill_epyc8.bin").string();
+  trace::TracegenOptions gen;
+  gen.profile = "ckpt-churn";
+  gen.topo = topo;
+  gen.seed = 3;
+  gen.accesses_per_thread = 256;
+  gen.epochs = 8;
+  trace::GenerateTrace(gen, path);
+
+  PhysicalMemory phys(topo);
+  ThpState thp;
+  AddressSpace serial_space(phys, topo, thp);
+  AddressSpace parallel_space(phys, topo, thp);
+  TraceWorkload serial(path, serial_space, topo.num_cores());
+  TraceWorkload parallel(path, parallel_space, topo.num_cores());
+  ExpectConcurrentFillMatchesSerial(serial, parallel, gen.accesses_per_thread,
+                                    /*max_epochs=*/64, "trace:ckpt-churn");
+  EXPECT_TRUE(serial.Done());
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -292,6 +292,53 @@ TEST(TraceCaptureReplayTest, ReplayReproducesCaptureRowAcrossShardsAndEngines) {
   std::filesystem::remove(path);
 }
 
+// Capture under the sharded engine: batches are filled on the shard pool
+// there, but the writer is fed in thread order afterwards, so the trace file
+// must be byte-identical to the serial capture — setup and steady epochs.
+TEST(TraceCaptureReplayTest, CaptureIsByteIdenticalAcrossShards) {
+  const Topology topo = Topology::Tiny();
+  SimConfig sim;
+  sim.seed = 42;
+  sim.max_epochs = 8;
+  sim.accesses_per_thread_per_epoch = 2048;
+
+  const auto capture = [&](int shards, const std::string& path) {
+    WorkloadSpec spec = MakeWorkloadSpec(BenchmarkId::kWC, topo);
+    spec.capture_file = path;
+    SimConfig config = sim;
+    config.shards = shards;
+    config.shards_force = shards > 1;
+    Simulation s(topo, spec, MakePolicyConfig(PolicyKind::kThp), config);
+    EXPECT_EQ(s.shard_count(), shards);
+    s.Run();
+    return ReadAll(path);
+  };
+  const std::string serial_path = TempPath("trace_capture_shards1.bin");
+  const std::string sharded_path = TempPath("trace_capture_shards4.bin");
+  const std::vector<std::uint8_t> serial = capture(1, serial_path);
+  const std::vector<std::uint8_t> sharded = capture(4, sharded_path);
+  ASSERT_FALSE(serial.empty());
+  EXPECT_TRUE(serial == sharded) << "serial " << serial.size() << " B, sharded "
+                                 << sharded.size() << " B";
+
+  // The capture spans both phases, so the pool filled setup and steady epochs.
+  trace::TraceReader reader(serial_path);
+  trace::TraceEpoch epoch;
+  int setup_epochs = 0;
+  int steady_epochs = 0;
+  while (reader.NextEpoch(&epoch)) {
+    if (epoch.in_setup) {
+      ++setup_epochs;
+    } else {
+      ++steady_epochs;
+    }
+  }
+  EXPECT_GT(setup_epochs, 0);
+  EXPECT_GT(steady_epochs, 0);
+  std::filesystem::remove(serial_path);
+  std::filesystem::remove(sharded_path);
+}
+
 // The ckpt-churn profile's mmap/munmap storm must reach the buddy allocator:
 // real unmaps, real bytes freed, and a measurably fragmented free list
 // compared with the same machine running a churn-free profile.
