@@ -8,11 +8,13 @@
 // reference engine (NUMALP_REFERENCE_PIPELINE), which keeps the seed's
 // *algorithms* on this binary's data structures: full-window re-aggregation
 // each epoch, per-page shootdowns, the scalar TLB probe loop and
-// timestamp-scan LRU, and the one-call-per-access generator. The in-binary
+// timestamp-scan LRU, the one-call-per-access generator, and (at shards=1)
+// the round-robin slice loop instead of speculative windows. The in-binary
 // A/B therefore isolates the algorithmic rewrites (aggregation, vectorized
-// TLB, run-batched generation) while flat maps, the pooled page table and
-// the translate caches stay active on both sides; the seed-checkout
-// comparison in REPRODUCING.md is the full end-to-end before/after number.
+// TLB, run-batched generation, windowed execution) while flat maps, the
+// pooled page table and the translate caches stay active on both sides; the
+// seed-checkout comparison in REPRODUCING.md is the full end-to-end
+// before/after number.
 //
 //   ./perf_hotpath [--out FILE]        write the measurements as JSON
 //                  [--compare]        also time the reference engine
@@ -57,6 +59,8 @@ struct Measurement {
   double seconds = 0.0;
   std::uint64_t accesses = 0;
   double ref_seconds = -1.0;  // < 0: not measured
+  // Window outcomes of a policy cell's fast-engine run (grids leave it empty).
+  numalp::SpeculationStats speculation;
 
   double AccessesPerSec() const { return seconds > 0 ? static_cast<double>(accesses) / seconds : 0.0; }
   double Speedup() const { return ref_seconds > 0 && seconds > 0 ? ref_seconds / seconds : 0.0; }
@@ -85,6 +89,7 @@ Measurement TimeCell(numalp::PolicyKind kind, const numalp::Topology& topo,
   m.name = std::string(numalp::NameOf(kind));
   m.seconds = SecondsSince(start);
   m.accesses = result.totals.accesses;
+  m.speculation = result.speculation;
   return m;
 }
 
@@ -210,6 +215,14 @@ void WriteJson(std::ostream& out, const numalp::SimConfig& sim, int jobs,
         << ",\"accesses_per_sec\":" << m.AccessesPerSec();
     if (m.ref_seconds >= 0) {
       out << ",\"reference_seconds\":" << m.ref_seconds << ",\"speedup\":" << m.Speedup();
+    }
+    if (std::string(kind) == "policy") {
+      const numalp::SpeculationStats& s = m.speculation;
+      out << ",\"speculation\":{\"windows_committed\":" << s.windows_committed
+          << ",\"windows_fault_aborted\":" << s.windows_fault_aborted
+          << ",\"windows_hint_aborted\":" << s.windows_hint_aborted
+          << ",\"setup_rounds\":" << s.setup_rounds << ",\"replay_rounds\":" << s.replay_rounds
+          << ",\"penalty_rounds\":" << s.penalty_rounds << "}";
     }
     out << "}";
   };
@@ -341,11 +354,20 @@ int main(int argc, char** argv) {
       m.ref_seconds = TimeCell(kind, machine_b, options.sim, /*reference=*/true).seconds;
     }
     cells.push_back(m);
-    std::fprintf(stderr, "perf_hotpath: cell %-16s %8.3fs  %11.0f acc/s%s\n",
+    const numalp::SpeculationStats& spec = m.speculation;
+    std::fprintf(stderr,
+                 "perf_hotpath: cell %-16s %8.3fs  %11.0f acc/s%s\n"
+                 "perf_hotpath:   windows committed=%llu fault_aborted=%llu "
+                 "hint_aborted=%llu; serial rounds setup=%llu replay=%llu penalty=%llu\n",
                  m.name.c_str(), m.seconds, m.AccessesPerSec(),
                  m.ref_seconds >= 0
                      ? ("  (reference " + std::to_string(m.ref_seconds) + "s)").c_str()
-                     : "");
+                     : "",
+                 (unsigned long long)spec.windows_committed,
+                 (unsigned long long)spec.windows_fault_aborted,
+                 (unsigned long long)spec.windows_hint_aborted,
+                 (unsigned long long)spec.setup_rounds, (unsigned long long)spec.replay_rounds,
+                 (unsigned long long)spec.penalty_rounds);
   }
 
   // End-to-end fig2/fig3 grids (the committed-baseline workload).

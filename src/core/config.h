@@ -114,10 +114,10 @@ struct SimConfig {
   // (env: NUMALP_REFERENCE_PIPELINE=1).
   bool reference_pipeline = false;
   // Intra-cell worker threads for the sharded epoch engine (DESIGN.md
-  // Section 10): the epoch's access rounds execute as speculative parallel
-  // windows over per-core shard contexts, committed only when provably
-  // equal to the serial interleaving. Results are bit-identical at any
-  // value; only host wall-clock changes. <= 1 runs the serial engine. The
+  // Section 10): the epoch's access rounds execute as speculative windows
+  // over per-core shard contexts, committed only when provably equal to the
+  // serial interleaving. Results are bit-identical at any value; only host
+  // wall-clock changes. <= 1 runs the windows on the calling thread. The
   // effective count is clamped to the host budget (hardware concurrency
   // divided by active ExperimentRunner jobs) so grid parallelism and shard
   // parallelism cannot multiply into oversubscription

@@ -178,10 +178,8 @@ Simulation::Simulation(const Topology& topo, const WorkloadSpec& workload,
                             topo_.NodeOfCore(c));
     shard_ctx_.back().rng = seeder.Fork();
   }
-  shard_count_ = ResolveShardCount(sim_.shards, sim_.shards_force, topo_.num_cores());
-  if (shard_count_ > 1) {
-    shard_pool_ = std::make_unique<ShardPool>(shard_count_);
-  }
+  shard_pool_ = std::make_unique<ShardPool>(
+      ResolveShardCount(sim_.shards, sim_.shards_force, topo_.num_cores()));
   region_mlp_.reserve(static_cast<std::size_t>(workload_->num_regions()));
   region_intensity_.reserve(static_cast<std::size_t>(workload_->num_regions()));
   for (int r = 0; r < workload_->num_regions(); ++r) {
@@ -371,18 +369,13 @@ bool Simulation::ProcessSlice(ShardContext& ctx, const WorkloadAccess* accesses,
 void Simulation::FillBatches() {
   const std::size_t accesses = sim_.accesses_per_thread_per_epoch;
   const int cores = topo_.num_cores();
-  const auto fill = [&](int first, int step) {
-    for (int t = first; t < cores; t += step) {
+  const int shards = shard_pool_->shards();
+  shard_pool_->Run([&](int worker) {
+    for (int t = worker; t < cores; t += shards) {
       auto& batch = shard_ctx_[static_cast<std::size_t>(CoreOfThread(t))].batch;
       workload_->FillBatch(t, accesses, batch);
     }
-  };
-  if (shard_pool_ == nullptr) {
-    fill(0, 1);
-    return;
-  }
-  const int shards = shard_pool_->shards();
-  shard_pool_->Run([&](int worker) { fill(worker, shards); });
+  });
 }
 
 void Simulation::ExecuteEpochAccesses(bool epoch_in_setup) {
@@ -391,9 +384,13 @@ void Simulation::ExecuteEpochAccesses(bool epoch_in_setup) {
   // Setup epochs are one long first-touch storm: nearly every window would
   // abort on a fault, so don't bother speculating. This is a property of the
   // simulation state, not of the shard count — every shard count takes the
-  // same branch here, which the determinism argument needs.
-  if (shard_pool_ == nullptr || epoch_in_setup) {
+  // same branch here, which the determinism argument needs. The reference
+  // engine keeps the seed's round-robin loop at shards=1 as the oracle.
+  if (epoch_in_setup || (sim_.reference_pipeline && shard_pool_->shards() == 1)) {
     RunRoundsSerial(0, num_rounds);
+    if (epoch_in_setup) {
+      speculation_.setup_rounds += num_rounds;
+    }
     return;
   }
   std::size_t round = 0;
@@ -401,19 +398,25 @@ void Simulation::ExecuteEpochAccesses(bool epoch_in_setup) {
     if (serial_penalty_rounds_ > 0) {
       const std::size_t span = std::min(serial_penalty_rounds_, num_rounds - round);
       RunRoundsSerial(round, round + span);
+      speculation_.penalty_rounds += span;
       serial_penalty_rounds_ -= span;
       round += span;
       continue;
     }
     const std::size_t span = std::min(window_rounds_, num_rounds - round);
     if (TrySpeculativeWindow(round, round + span)) {
+      ++speculation_.windows_committed;
       window_rounds_ = std::min(kMaxWindowRounds, window_rounds_ * 2);
     } else {
       // Replay the window with the unchanged serial engine, then stay serial
       // for a penalty span: aborts cluster (fault bursts, post-split lazy
       // placement), and a failed window costs a full snapshot + partial run
       // + rollback on top of the replay.
+      const std::uint64_t faults_before = counters_.TotalFaults();
       RunRoundsSerial(round, round + span);
+      ++(counters_.TotalFaults() > faults_before ? speculation_.windows_fault_aborted
+                                                 : speculation_.windows_hint_aborted);
+      speculation_.replay_rounds += span;
       serial_penalty_rounds_ = 4 * window_rounds_;
       window_rounds_ = std::max(kMinWindowRounds, window_rounds_ / 2);
     }
@@ -1218,6 +1221,7 @@ RunResult Simulation::Run() {
   result.profile_peak_entries = window_.peak_entries();
   result.profile_state_bytes = window_.peak_state_bytes();
   result.profile_admission_misses = window_.admission_misses();
+  result.speculation = speculation_;
   result.cumulative_pages = std::move(cumulative_pages_);
   cumulative_pages_ = PageAggMap{};
   return result;

@@ -51,6 +51,25 @@ struct EpochRecord {
   double est_split_lar = 0.0;
 };
 
+// Speculative-window outcomes over a run (DESIGN.md Section 10), counted
+// once per window or serial span, never per access. Window boundaries and
+// outcomes are pure functions of simulation state, so the counts are
+// identical at every fast-engine shard count.
+struct SpeculationStats {
+  std::uint64_t windows_committed = 0;
+  // A failed window's serial replay makes at least one shared mutation. It
+  // counts as a fault abort when the replay took a demand fault, otherwise
+  // as a hint abort (it consumed a migrate-on-touch mark).
+  std::uint64_t windows_fault_aborted = 0;
+  std::uint64_t windows_hint_aborted = 0;
+  // Rounds the serial loop ran: setup epochs, failed-window replays, and the
+  // serial penalty spans after a failed window. (The reference engine's
+  // shards=1 loop runs no windows and counts only its setup rounds.)
+  std::uint64_t setup_rounds = 0;
+  std::uint64_t replay_rounds = 0;
+  std::uint64_t penalty_rounds = 0;
+};
+
 struct RunResult {
   std::string workload;
   std::string machine;
@@ -120,6 +139,10 @@ struct RunResult {
   std::uint64_t profile_peak_entries = 0;     // exact-aggregate entry high-water
   std::uint64_t profile_state_bytes = 0;      // peak entries + filter/sketch bytes
   std::uint64_t profile_admission_misses = 0; // samples the full filter dropped
+  // Engine telemetry, likewise kept off ResultRow: the reference engine's
+  // shards=1 loop runs no windows, so its counts differ from the fast
+  // engine's while its rows do not.
+  SpeculationStats speculation;
 
   // --- Paper-metric helpers ----------------------------------------------
   double LarPct() const;
@@ -159,8 +182,8 @@ class Simulation {
   ThpState& thp_state() { return thp_state_; }
   const Topology& topology() const { return topo_; }
   // Effective intra-cell shard count after the oversubscription clamp
-  // (DESIGN.md Section 10); 1 = the serial engine.
-  int shard_count() const { return shard_count_; }
+  // (DESIGN.md Section 10): host threads running the speculative windows.
+  int shard_count() const { return shard_pool_->shards(); }
   // The cell's fault schedule, or nullptr with faults off.
   const FaultPlan* fault_plan() const { return fault_plan_.get(); }
 
@@ -196,21 +219,22 @@ class Simulation {
   template <bool kSpeculative>
   bool ProcessSlice(ShardContext& ctx, const WorkloadAccess* accesses, std::size_t count,
                     std::size_t base_index);
-  // Fills every thread's epoch batch into its core's context: on the shard
-  // pool when there is one (worker w fills threads t ≡ w mod S, the threads
-  // whose slices it runs), serially otherwise. Exact at any shard count by
-  // the AccessSource::FillBatch concurrency contract.
+  // Fills every thread's epoch batch into its core's context on the shard
+  // pool: worker w fills threads t ≡ w mod S, the threads whose slices it
+  // runs. Exact at any shard count by the AccessSource::FillBatch
+  // concurrency contract.
   void FillBatches();
-  // Runs every thread's epoch batch in round-robin kSliceAccesses slices —
-  // serially when shard_count() == 1 or during the setup fault storm,
-  // otherwise as speculative parallel windows with serial fallback.
+  // Runs every thread's epoch batch as speculative windows with serial
+  // fallback, at every shard count. Setup epochs (the first-touch storm)
+  // run serially, and so does the reference engine at shards=1: its pure
+  // round-robin loop is the oracle the windows are diffed against.
   void ExecuteEpochAccesses(bool epoch_in_setup);
   // The seed's serial interleaving of rounds [first, last) — the reference
-  // semantics every parallel window must (and, committed, provably does)
-  // reproduce, and the replay path for failed windows.
+  // semantics every window must (and, committed, provably does) reproduce.
+  // Runs setup epochs, failed-window replays and penalty spans.
   void RunRoundsSerial(std::size_t first_round, std::size_t last_round);
   // One speculative window over rounds [first, last): snapshot per-core
-  // state, run each core's window slice in parallel against the frozen
+  // state, run each core's window slice on the shard pool against the frozen
   // shared state, then either commit the per-shard logs serially (no slice
   // aborted — the window provably equals the serial interleaving) or roll
   // every core back and report false for serial replay.
@@ -287,10 +311,9 @@ class Simulation {
   // thread t's batch lives in the context of CoreOfThread(t) — the pinning
   // is a bijection.
   std::vector<ShardContext> shard_ctx_;
-  // The sharded engine (DESIGN.md Section 10). shard_count_ == 1 (the
-  // default, and the clamped result on saturated hosts) takes the pure
-  // serial path; the pool exists only when it is > 1.
-  int shard_count_ = 1;
+  // The window engine's workers (DESIGN.md Section 10). A one-shard pool
+  // (the default, and the clamped result on saturated hosts) spawns no
+  // thread and runs each dispatch inline.
   std::unique_ptr<ShardPool> shard_pool_;
   std::atomic<bool> spec_failed_{false};
   // Adaptive window controller: grow on committed windows, shrink and fall
@@ -300,6 +323,7 @@ class Simulation {
   // any shard count.
   std::size_t window_rounds_ = kMinWindowRounds;
   std::size_t serial_penalty_rounds_ = 0;
+  SpeculationStats speculation_;
   // Per-region cost tables hoisted out of the access loop.
   std::vector<double> region_mlp_;
   std::vector<double> region_intensity_;

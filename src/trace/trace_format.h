@@ -74,6 +74,9 @@ struct TraceEpoch {
   std::vector<RegionUnmapEvent> unmaps;
   // Indexed by thread; absent threads have empty batches.
   std::vector<std::vector<WorkloadAccess>> batches;
+  // Highest region id any access in `batches` names; -1 with no accesses.
+  // Replay checks it against the regions mapped so far.
+  int max_region = -1;
 };
 
 inline std::uint64_t Fnv1a(const std::uint8_t* data, std::size_t n) {

@@ -160,6 +160,7 @@ void TraceReader::DecodeEpoch(const std::vector<std::uint8_t>& payload,
         for (std::uint64_t i = 0; i < count; ++i) {
           WorkloadAccess access;
           access.region = cursor.U8();
+          out->max_region = std::max(out->max_region, static_cast<int>(access.region));
           const std::uint64_t packed = cursor.Varint();
           access.write = (packed & 1) != 0;
           access.va = static_cast<Addr>(static_cast<std::int64_t>(prev) +

@@ -59,6 +59,13 @@ void TraceWorkload::BeginEpoch() {
   for (const auto& event : current_.maps) {
     MapRegion(event.region, event.desc);
   }
+  // The checksum is not a MAC: a crafted file can name a region that does
+  // not exist, and the engine indexes its per-region cost tables by it.
+  if (current_.max_region >= num_regions()) {
+    throw std::runtime_error("trace: access names region " +
+                             std::to_string(current_.max_region) + " but only " +
+                             std::to_string(num_regions()) + " regions are mapped");
+  }
   next_valid_ = reader_.NextEpoch(&next_);
 }
 

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -18,9 +20,12 @@
 #include "src/hw/tlb.h"
 #include "src/metrics/numa_metrics.h"
 #include "src/metrics/sample_window.h"
+#include "src/report/result_row.h"
 #include "src/topo/topology.h"
+#include "src/trace/tracegen.h"
 #include "src/vm/address_space.h"
 #include "src/workloads/spec.h"
+#include "src/workloads/trace_workload.h"
 
 namespace numalp {
 namespace {
@@ -511,7 +516,8 @@ TEST(EngineIdentityTest, FastAndReferencePipelinesAreBitIdentical) {
   // CG.D drives the hot-page path (splits + interleave + promotions); UA.B
   // drives the false-sharing path (shared demotions, split-time placement
   // from the window's 4KB aggregates, hinting-fault migration, and the
-  // batched migration accounting).
+  // batched migration accounting). At shards=1 this is also windowed vs
+  // pure serial execution: the reference engine keeps the round-robin loop.
   for (const BenchmarkId bench : {BenchmarkId::kCG_D, BenchmarkId::kUA_B}) {
     for (const PolicyKind kind :
          {PolicyKind::kThp, PolicyKind::kCarrefour2M, PolicyKind::kCarrefourLp,
@@ -570,11 +576,14 @@ TEST(EngineIdentityTest, SketchProfileModeIsBitIdentical) {
 }
 
 // The acceptance-criteria regression for the sharded engine (DESIGN.md
-// Section 10): every shard count must reproduce the serial engine bit for
+// Section 10): every shard count must reproduce the shards=1 engine bit for
 // bit, on both the hot-page driver (CG.D) and the UA.B path whose
-// migrate-on-touch marks exercise the speculation abort. shards_force
-// bypasses the oversubscription clamp so real worker threads run even on a
-// saturated (or single-core) test host.
+// migrate-on-touch marks exercise the speculation abort. shards=1 runs the
+// same speculative windows on one host thread, so this pins window
+// execution against window execution; the reference-engine matrices below
+// (and WindowedShardsOneMatchesPureSerial) pin it against the pure serial
+// loop. shards_force bypasses the oversubscription clamp so real worker
+// threads run even on a saturated (or single-core) test host.
 TEST(EngineIdentityTest, ShardCountsAreBitIdentical) {
   const Topology topo = Topology::MachineA();
   for (const BenchmarkId bench : {BenchmarkId::kCG_D, BenchmarkId::kUA_B}) {
@@ -604,8 +613,8 @@ TEST(EngineIdentityTest, ShardCountsAreBitIdentical) {
 // argument: on all-CPU machines the cpu-node refactor is the identity, and
 // on far-memory machines every policy draw still happens at the same serial
 // sites). Each cell is pinned across all three axes at once: engine
-// (fast vs reference), shards (1 vs forced 4), and profile mode
-// (exact vs sketch).
+// (fast vs reference — windowed vs pure serial at shards=1), shards (1 vs
+// forced 4), and profile mode (exact vs sketch).
 TEST(EngineIdentityTest, DatacenterAndOneGigCellsAreBitIdentical) {
   struct Cell {
     Topology topo;
@@ -659,7 +668,9 @@ TEST(EngineIdentityTest, DatacenterAndOneGigCellsAreBitIdentical) {
 // jobs={1,8} x shards={1,4} x profile={exact,sketch} under both engines must
 // produce one identical result set — parallelism (between cells or inside
 // one) never changes results, and neither does the engine or the profiling
-// metadata representation. (Reference x sketch degenerates to reference x
+// metadata representation. The golden variant is the fast engine's windowed
+// shards=1; the reference engine's shards=1 variants run the pure serial
+// loop. (Reference x sketch degenerates to reference x
 // exact by construction — SampleWindow forces exact under the reference
 // pipeline — and the axis keeps that pin honest.)
 TEST(EngineIdentityTest, JobsAndEngineAxesAreBitIdentical) {
@@ -705,6 +716,104 @@ TEST(EngineIdentityTest, JobsAndEngineAxesAreBitIdentical) {
       }
     }
   }
+}
+
+// Serializes a run through the real row schema, so "identical" means the
+// committed CSV/JSONL bytes.
+std::string SerializeRow(const RunSpec& spec, const RunResult& run) {
+  const report::ResultRow row =
+      report::MakeResultRow("perf_structures_test", spec, run, /*baseline=*/nullptr,
+                            /*seed_index=*/0, /*clock_ghz=*/2.1);
+  std::string out;
+  for (const report::ResultField& field : report::ResultSchema()) {
+    out += report::FieldToString(row, field);
+    out += '|';
+  }
+  return out;
+}
+
+void ExpectSameSpeculation(const SpeculationStats& a, const SpeculationStats& b,
+                           const std::string& where) {
+  EXPECT_EQ(a.windows_committed, b.windows_committed) << where;
+  EXPECT_EQ(a.windows_fault_aborted, b.windows_fault_aborted) << where;
+  EXPECT_EQ(a.windows_hint_aborted, b.windows_hint_aborted) << where;
+  EXPECT_EQ(a.setup_rounds, b.setup_rounds) << where;
+  EXPECT_EQ(a.replay_rounds, b.replay_rounds) << where;
+  EXPECT_EQ(a.penalty_rounds, b.penalty_rounds) << where;
+}
+
+// Steady epochs run as speculative windows at every shard count, shards=1
+// included (DESIGN.md Section 10.3). On cells whose windows both commit and
+// abort at shards=1 — Carrefour-LP's splits and hint marks on CG.D, the same
+// cell under frag faults, and a ckpt-churn trace replay whose mmaps fault
+// mid-run — the windowed row must equal the reference engine's pure serial
+// row byte for byte, and the window outcome counts must be identical at
+// fast-engine shards {1, 2, 4}.
+TEST(EngineIdentityTest, WindowedShardsOneMatchesPureSerial) {
+  const Topology topo = Topology::MachineA();
+  SimConfig sim;
+  sim.accesses_per_thread_per_epoch = 1024;
+  sim.max_epochs = 25;
+
+  const std::string trace_path =
+      (std::filesystem::path(::testing::TempDir()) / "perf_structures_churn.bin").string();
+  trace::TracegenOptions gen;
+  gen.profile = "ckpt-churn";
+  gen.topo = topo;
+  gen.accesses_per_thread = 1024;
+  gen.epochs = 25;
+  trace::GenerateTrace(gen, trace_path);
+
+  struct Cell {
+    std::string name;
+    RunSpec spec;
+    bool hint_aborts = true;  // the abort cause the cell is known to hit
+  };
+  std::vector<Cell> cells(3);
+  for (Cell& cell : cells) {
+    cell.spec.topo = topo;
+    cell.spec.sim = sim;
+  }
+  cells[0].name = "CG.D/carrefour-lp";
+  cells[0].spec.workload = MakeWorkloadSpec(BenchmarkId::kCG_D, topo);
+  cells[0].spec.workload.steady_accesses_per_thread = 16'000;
+  cells[0].spec.policy = MakePolicyConfig(PolicyKind::kCarrefourLp);
+  cells[1] = cells[0];
+  cells[1].name = "CG.D/carrefour-lp/frag";
+  cells[1].spec.sim.faults.profile = FaultProfile::kFrag;
+  cells[2].name = "ckpt-churn/thp";
+  cells[2].spec.workload = MakeTraceWorkloadSpec(trace_path);
+  cells[2].spec.policy = MakePolicyConfig(PolicyKind::kThp);
+  cells[2].hint_aborts = false;
+
+  for (const Cell& cell : cells) {
+    const auto run = [&](bool reference, int shards) {
+      RunSpec spec = cell.spec;
+      spec.sim.reference_pipeline = reference;
+      spec.sim.shards = shards;
+      spec.sim.shards_force = true;
+      Simulation simulation(spec.topo, spec.workload, spec.policy, spec.sim);
+      const RunResult result = simulation.Run();
+      return std::make_pair(SerializeRow(spec, result), result.speculation);
+    };
+    const auto [serial_row, serial_spec] = run(/*reference=*/true, 1);
+    EXPECT_EQ(serial_spec.windows_committed, 0u) << cell.name;
+    const auto [windowed_row, windowed_spec] = run(/*reference=*/false, 1);
+    EXPECT_EQ(windowed_row, serial_row) << cell.name;
+    EXPECT_GE(windowed_spec.windows_committed, 1u) << cell.name;
+    EXPECT_GE(cell.hint_aborts ? windowed_spec.windows_hint_aborted
+                               : windowed_spec.windows_fault_aborted,
+              1u)
+        << cell.name;
+    EXPECT_GT(windowed_spec.replay_rounds, 0u) << cell.name;
+    for (const int shards : {2, 4}) {
+      const auto [sharded_row, sharded_spec] = run(/*reference=*/false, shards);
+      EXPECT_EQ(sharded_row, serial_row) << cell.name << " shards=" << shards;
+      ExpectSameSpeculation(windowed_spec, sharded_spec,
+                            cell.name + " shards=" + std::to_string(shards));
+    }
+  }
+  std::filesystem::remove(trace_path);
 }
 
 }  // namespace

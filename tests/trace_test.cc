@@ -403,5 +403,68 @@ TEST(TraceWorkloadTest, RejectsThreadCountMismatch) {
   std::filesystem::remove(path);
 }
 
+// Every access must name a region mapped by the end of its epoch's RegionMap
+// events: the engine indexes its per-region cost tables by the id, and the
+// chunk checksum (FNV-1a, not a MAC) does not stop a crafted file. The
+// writer frames the out-of-range id with a valid checksum, so only the
+// region check can reject it.
+TEST(TraceWorkloadTest, RejectsAccessToUnmappedRegion) {
+  const Topology tiny = Topology::Tiny();
+  SourceRegion first;
+  first.bytes = 2 * kMiB;
+  first.dram_intensity = 0.5;
+  first.mlp = 1.0;
+  SourceRegion second = first;
+  {
+    // Replay re-creates VMAs at their recorded bases, so record the bases a
+    // fresh address space hands out.
+    PhysicalMemory phys(tiny);
+    ThpState thp;
+    AddressSpace space(phys, tiny, thp);
+    first.base = space.MmapAnon(first.bytes, VmaOptions{});
+    second.base = space.MmapAnon(second.bytes, VmaOptions{});
+  }
+  trace::TraceHeader header;
+  header.machine = tiny.name();
+  header.workload = "crafted";
+  header.threads = static_cast<std::uint32_t>(tiny.num_cores());
+  header.accesses_per_thread_per_epoch = 8;
+  header.regions = {first};
+
+  const auto write = [&](const std::string& path, bool map_second) {
+    trace::TraceWriter writer(path, header);
+    writer.BeginEpoch(/*in_setup=*/false);
+    if (map_second) {
+      writer.RegionMap(RegionMapEvent{1, second});
+    }
+    writer.Batch(0, {{first.base, 0, false}, {second.base + 4096, 1, true}});
+    writer.EndEpoch(/*done_after=*/true);
+    writer.Finish(/*completed=*/true);
+  };
+  const std::string mapped_path = TempPath("trace_region_mapped.bin");
+  const std::string crafted_path = TempPath("trace_region_crafted.bin");
+  write(mapped_path, /*map_second=*/true);
+  write(crafted_path, /*map_second=*/false);
+  DrainTrace(crafted_path);  // well-framed: the reader alone accepts it
+
+  SimConfig sim;
+  sim.max_epochs = 4;
+  sim.accesses_per_thread_per_epoch = 8;
+  const auto replay = [&](const std::string& path) {
+    Simulation s(tiny, MakeTraceWorkloadSpec(path), MakePolicyConfig(PolicyKind::kLinux4K),
+                 sim);
+    return s.Run();
+  };
+  EXPECT_TRUE(replay(mapped_path).completed);
+  try {
+    replay(crafted_path);
+    ADD_FAILURE() << "a trace access to unmapped region 1 was replayed";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("region 1"), std::string::npos) << error.what();
+  }
+  std::filesystem::remove(mapped_path);
+  std::filesystem::remove(crafted_path);
+}
+
 }  // namespace
 }  // namespace numalp
