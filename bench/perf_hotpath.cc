@@ -4,20 +4,10 @@
 // one measures the *simulator*: host accesses/sec per policy on a
 // representative cell, and end-to-end seconds for the fig2/fig3 grids — the
 // workload whose committed baseline (BENCH_perf.json) future engine changes
-// are gated against. With --compare each measurement also runs under the
-// reference engine (NUMALP_REFERENCE_PIPELINE), which keeps the seed's
-// *algorithms* on this binary's data structures: full-window re-aggregation
-// each epoch, per-page shootdowns, the scalar TLB probe loop and
-// timestamp-scan LRU, the one-call-per-access generator, and (at shards=1)
-// the round-robin slice loop instead of speculative windows. The in-binary
-// A/B therefore isolates the algorithmic rewrites (aggregation, vectorized
-// TLB, run-batched generation, windowed execution) while flat maps, the
-// pooled page table and the translate caches stay active on both sides; the
-// seed-checkout comparison in REPRODUCING.md is the full end-to-end
-// before/after number.
+// are gated against. The seed-checkout comparison in REPRODUCING.md is the
+// end-to-end before/after number for the engine's algorithmic rewrites.
 //
 //   ./perf_hotpath [--out FILE]        write the measurements as JSON
-//                  [--compare]        also time the reference engine
 //                  [--against FILE]   gate: exit 1 when a grid's wall-clock
 //                                     exceeds tolerance x the baseline FILE
 //                  [--tolerance X]    gate factor (default 2.0)
@@ -58,17 +48,13 @@ struct Measurement {
   std::string name;
   double seconds = 0.0;
   std::uint64_t accesses = 0;
-  double ref_seconds = -1.0;  // < 0: not measured
-  // Window outcomes of a policy cell's fast-engine run (grids leave it empty).
+  // Window outcomes of a policy cell's run (grids leave it empty).
   numalp::SpeculationStats speculation;
 
   double AccessesPerSec() const { return seconds > 0 ? static_cast<double>(accesses) / seconds : 0.0; }
-  double Speedup() const { return ref_seconds > 0 && seconds > 0 ? ref_seconds / seconds : 0.0; }
 };
 
-Measurement TimeGrid(const std::string& name, numalp::ExperimentGrid grid, int jobs,
-                     bool reference) {
-  grid.sim.reference_pipeline = reference;
+Measurement TimeGrid(const std::string& name, const numalp::ExperimentGrid& grid, int jobs) {
   const numalp::ExperimentRunner runner(jobs);
   const auto start = Clock::now();
   const numalp::GridResults results = numalp::RunGrid(grid, runner);
@@ -80,8 +66,7 @@ Measurement TimeGrid(const std::string& name, numalp::ExperimentGrid grid, int j
 }
 
 Measurement TimeCell(numalp::PolicyKind kind, const numalp::Topology& topo,
-                     numalp::SimConfig sim, bool reference) {
-  sim.reference_pipeline = reference;
+                     const numalp::SimConfig& sim) {
   const auto start = Clock::now();
   const numalp::RunResult result =
       numalp::RunBenchmark(topo, numalp::BenchmarkId::kCG_D, kind, sim);
@@ -213,9 +198,6 @@ void WriteJson(std::ostream& out, const numalp::SimConfig& sim, int jobs,
     out << "    {\"" << kind << "\":\"" << m.name << "\",\"seconds\":" << m.seconds
         << ",\"accesses\":" << m.accesses
         << ",\"accesses_per_sec\":" << m.AccessesPerSec();
-    if (m.ref_seconds >= 0) {
-      out << ",\"reference_seconds\":" << m.ref_seconds << ",\"speedup\":" << m.Speedup();
-    }
     if (std::string(kind) == "policy") {
       const numalp::SpeculationStats& s = m.speculation;
       out << ",\"speculation\":{\"windows_committed\":" << s.windows_committed
@@ -296,7 +278,6 @@ int main(int argc, char** argv) {
   std::string out_path;
   std::string against_path;
   double tolerance = 2.0;
-  bool compare = false;
   bool shard_sweep = false;
   double min_shard_scaling = 0.0;
   bool profile_sweep_on = false;
@@ -305,8 +286,6 @@ int main(int argc, char** argv) {
       "perf_hotpath", "perf",
       "simulator wall-clock: accesses/sec per policy and fig2+fig3 grid seconds",
       "  --out FILE             write the measurements as BENCH_perf.json-style JSON\n"
-      "  --compare              also time the reference sampling pipeline (the seed's\n"
-      "                         full-window re-aggregation on this binary's structures)\n"
       "  --against FILE         fail when a grid exceeds tolerance x FILE's seconds\n"
       "  --tolerance X          gate factor for --against (default 2.0)\n"
       "  --shard-sweep          time the CG.D/Carrefour-LP cell at 1/2/4/8 forced\n"
@@ -322,7 +301,6 @@ int main(int argc, char** argv) {
   const numalp::report::Options options = numalp::report::ParseToolArgs(
       argc, argv, info,
       {{"--out", true, [&](const char* v) { out_path = v; return true; }},
-       {"--compare", false, [&](const char*) { compare = true; return true; }},
        {"--against", true, [&](const char* v) { against_path = v; return true; }},
        {"--tolerance", true,
         [&](const char* v) { tolerance = std::atof(v); return tolerance > 0; }},
@@ -349,20 +327,14 @@ int main(int argc, char** argv) {
       numalp::PolicyKind::kConservativeOnly, numalp::PolicyKind::kCarrefourLp};
   std::vector<Measurement> cells;
   for (const numalp::PolicyKind kind : policies) {
-    Measurement m = TimeCell(kind, machine_b, options.sim, /*reference=*/false);
-    if (compare) {
-      m.ref_seconds = TimeCell(kind, machine_b, options.sim, /*reference=*/true).seconds;
-    }
+    const Measurement m = TimeCell(kind, machine_b, options.sim);
     cells.push_back(m);
     const numalp::SpeculationStats& spec = m.speculation;
     std::fprintf(stderr,
-                 "perf_hotpath: cell %-16s %8.3fs  %11.0f acc/s%s\n"
+                 "perf_hotpath: cell %-16s %8.3fs  %11.0f acc/s\n"
                  "perf_hotpath:   windows committed=%llu fault_aborted=%llu "
                  "hint_aborted=%llu; serial rounds setup=%llu replay=%llu penalty=%llu\n",
                  m.name.c_str(), m.seconds, m.AccessesPerSec(),
-                 m.ref_seconds >= 0
-                     ? ("  (reference " + std::to_string(m.ref_seconds) + "s)").c_str()
-                     : "",
                  (unsigned long long)spec.windows_committed,
                  (unsigned long long)spec.windows_fault_aborted,
                  (unsigned long long)spec.windows_hint_aborted,
@@ -383,18 +355,10 @@ int main(int argc, char** argv) {
   std::vector<Measurement> grids;
   for (const auto& [name, grid] : {std::pair<std::string, numalp::ExperimentGrid>{"fig2", fig2},
                                    {"fig3", fig3}}) {
-    Measurement m = TimeGrid(name, grid, options.jobs, /*reference=*/false);
-    if (compare) {
-      m.ref_seconds = TimeGrid(name, grid, options.jobs, /*reference=*/true).seconds;
-    }
+    const Measurement m = TimeGrid(name, grid, options.jobs);
     grids.push_back(m);
-    std::fprintf(stderr, "perf_hotpath: grid %-16s %8.3fs  %11.0f acc/s%s\n",
-                 m.name.c_str(), m.seconds, m.AccessesPerSec(),
-                 m.ref_seconds >= 0
-                     ? ("  (reference " + std::to_string(m.ref_seconds) + "s, " +
-                        std::to_string(m.Speedup()) + "x)")
-                           .c_str()
-                     : "");
+    std::fprintf(stderr, "perf_hotpath: grid %-16s %8.3fs  %11.0f acc/s\n", m.name.c_str(),
+                 m.seconds, m.AccessesPerSec());
   }
 
   std::vector<ShardPoint> shard_scaling;

@@ -107,12 +107,6 @@ struct SimConfig {
   // split/promote oscillation the paper discusses in Section 4.3.
   int promote_scan_windows = 256;
   int promote_max_per_epoch = 1;
-  // Run the seed's slow sampling pipeline (full window re-aggregation every
-  // epoch, per-page shootdowns) instead of the incremental engine. Results
-  // are bit-identical either way — the reference path exists as the
-  // correctness oracle and the wall-clock baseline for BENCH_perf.json
-  // (env: NUMALP_REFERENCE_PIPELINE=1).
-  bool reference_pipeline = false;
   // Intra-cell worker threads for the sharded epoch engine (DESIGN.md
   // Section 10): the epoch's access rounds execute as speculative windows
   // over per-core shard contexts, committed only when provably equal to the
@@ -130,10 +124,7 @@ struct SimConfig {
   bool shards_force = false;
   // Profiling metadata mode + sketch capacity knobs (see ProfileMode above;
   // env: NUMALP_PROFILE_MODE={exact,sketch}, NUMALP_PROFILE_THRESHOLD,
-  // NUMALP_PROFILE_FILTER_CAPACITY, NUMALP_PROFILE_SKETCH_WIDTH). The
-  // reference pipeline always profiles exactly regardless of this setting —
-  // it re-aggregates raw epochs every epoch and never held incremental
-  // state to bound.
+  // NUMALP_PROFILE_FILTER_CAPACITY, NUMALP_PROFILE_SKETCH_WIDTH).
   ProfileMode profile_mode = ProfileMode::kExact;
   ProfileSketchConfig profile_sketch;
   // Deterministic fault injection (DESIGN.md Section 12; env:

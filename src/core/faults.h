@@ -8,8 +8,7 @@
 // page migrations, and transient node-pressure episodes that temporarily
 // hoard a node's free memory. All draws happen at serial points of the epoch
 // loop (never inside speculative shard slices), so a fault schedule is
-// bit-identical at every --shards/--jobs setting and under both engines
-// (DESIGN.md Section 12). With profile off (the default) no FaultPlan is
+// bit-identical at every --shards/--jobs setting (DESIGN.md Section 12). With profile off (the default) no FaultPlan is
 // constructed and behavior is byte-identical to a fault-free build.
 #ifndef NUMALP_SRC_CORE_FAULTS_H_
 #define NUMALP_SRC_CORE_FAULTS_H_

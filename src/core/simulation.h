@@ -54,7 +54,7 @@ struct EpochRecord {
 // Speculative-window outcomes over a run (DESIGN.md Section 10), counted
 // once per window or serial span, never per access. Window boundaries and
 // outcomes are pure functions of simulation state, so the counts are
-// identical at every fast-engine shard count.
+// identical at every shard count.
 struct SpeculationStats {
   std::uint64_t windows_committed = 0;
   // A failed window's serial replay makes at least one shared mutation. It
@@ -63,8 +63,9 @@ struct SpeculationStats {
   std::uint64_t windows_fault_aborted = 0;
   std::uint64_t windows_hint_aborted = 0;
   // Rounds the serial loop ran: setup epochs, failed-window replays, and the
-  // serial penalty spans after a failed window. (The reference engine's
-  // shards=1 loop runs no windows and counts only its setup rounds.)
+  // serial penalty spans after a failed window. (The serial oracle,
+  // tests/oracles/serial_engine.h, runs no windows and counts only its
+  // setup rounds.)
   std::uint64_t setup_rounds = 0;
   std::uint64_t replay_rounds = 0;
   std::uint64_t penalty_rounds = 0;
@@ -139,9 +140,9 @@ struct RunResult {
   std::uint64_t profile_peak_entries = 0;     // exact-aggregate entry high-water
   std::uint64_t profile_state_bytes = 0;      // peak entries + filter/sketch bytes
   std::uint64_t profile_admission_misses = 0; // samples the full filter dropped
-  // Engine telemetry, likewise kept off ResultRow: the reference engine's
-  // shards=1 loop runs no windows, so its counts differ from the fast
-  // engine's while its rows do not.
+  // Engine telemetry, likewise kept off ResultRow: the serial oracle runs no
+  // windows, so its counts differ from the windowed engine's while its rows
+  // do not.
   SpeculationStats speculation;
 
   // --- Paper-metric helpers ----------------------------------------------
@@ -194,6 +195,9 @@ class Simulation {
   void set_cancel_flag(const std::atomic<bool>* cancel) { cancel_ = cancel; }
 
  private:
+  // Sets pure_serial_ before Run(); test-only, so no config field exists.
+  friend class SerialEngine;
+
   // Accesses per round-robin slice. 32: coarser slices would let one thread
   // first-touch tens of 2MB windows "before" its peers, which no concurrent
   // machine does (see ExecuteEpochAccesses).
@@ -226,8 +230,8 @@ class Simulation {
   void FillBatches();
   // Runs every thread's epoch batch as speculative windows with serial
   // fallback, at every shard count. Setup epochs (the first-touch storm)
-  // run serially, and so does the reference engine at shards=1: its pure
-  // round-robin loop is the oracle the windows are diffed against.
+  // run serially, and so does every epoch under the serial oracle: its pure
+  // round-robin loop is what the windows are diffed against.
   void ExecuteEpochAccesses(bool epoch_in_setup);
   // The seed's serial interleaving of rounds [first, last) — the reference
   // semantics every window must (and, committed, provably does) reproduce.
@@ -293,8 +297,7 @@ class Simulation {
 
   PageAggMap cumulative_pages_;
   // Incrementally maintained sliding window over the last
-  // kSampleWindowEpochs epochs of IBS samples (reference mode re-aggregates
-  // from scratch instead; results are identical).
+  // kSampleWindowEpochs epochs of IBS samples.
   SampleWindow window_;
   // Sketch profile mode's epoch presketch (DESIGN.md Section 11): the
   // current epoch's sampled 4KB page bases, counted as they are sampled so
@@ -323,6 +326,10 @@ class Simulation {
   // any shard count.
   std::size_t window_rounds_ = kMinWindowRounds;
   std::size_t serial_penalty_rounds_ = 0;
+  // Runs every steady epoch through RunRoundsSerial, the seed's pure
+  // round-robin loop, instead of speculative windows. Set only by the
+  // serial oracle (tests/oracles/serial_engine.h); results are identical.
+  bool pure_serial_ = false;
   SpeculationStats speculation_;
   // Per-region cost tables hoisted out of the access loop.
   std::vector<double> region_mlp_;

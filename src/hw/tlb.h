@@ -5,8 +5,8 @@
 //
 // Host-side layout: tags and payloads live in separate parallel arrays
 // (structure-of-arrays), and set selection uses power-of-two masking when the
-// configuration allows (all shipped configs do). On top of that the fast
-// engine keeps two per-set summary words (DESIGN.md Section 9):
+// configuration allows (all shipped configs do). On top of that each array
+// keeps two per-set summary words (DESIGN.md Section 9):
 //
 //  * a signature word — one byte per way, an 8-bit digest of the way's tag —
 //    so a probe compares every way of a set in one word-parallel (SWAR)
@@ -18,17 +18,15 @@
 //    every touch — plus an occupancy bitmask, so victim selection is O(1):
 //    lowest empty way when one exists, else the unique rank-(ways-1) way.
 //
-// Both are value-identical to the scalar reference: the rank permutation
-// orders ways exactly as the reference's per-entry timestamps do (touch
-// ticks are distinct within an array, so the timestamp minimum is unique and
-// equals the rank maximum), and the occupancy mask reproduces the
-// first-empty-way scan. The scalar probe loop and the timestamp LRU scan are
-// kept verbatim as the reference engine (`Tlb(config, /*reference=*/true)`,
-// selected by NUMALP_REFERENCE_PIPELINE=1), which also retires the
-// timestamp-wrap hazard from the fast engine entirely — ranks are bounded,
-// no tick counter exists to wrap. tests/perf_structures_test.cc churns both
-// modes against each other and holds lookups, evictions and the live-entry
-// bookkeeping identical.
+// Both are value-identical to the seed's scalar probe loop and timestamp-
+// scan LRU: the rank permutation orders ways exactly as per-entry touch
+// timestamps would (touch ticks are distinct within an array, so the
+// timestamp minimum is unique and equals the rank maximum), and the
+// occupancy mask reproduces the first-empty-way scan. Ranks are bounded, so
+// no tick counter exists to wrap. The seed algorithms live on as a test
+// oracle (tests/oracles/scalar_tlb.h); tests/perf_structures_test.cc and
+// tests/hw_test.cc churn this TLB against it and hold lookups, evictions
+// and the live-entry bookkeeping identical.
 #ifndef NUMALP_SRC_HW_TLB_H_
 #define NUMALP_SRC_HW_TLB_H_
 
@@ -65,7 +63,7 @@ struct TlbLookup {
   PageSize size = PageSize::k4K;
 };
 
-// Live-entry bookkeeping snapshot (tests pin fast == reference on it).
+// Live-entry bookkeeping snapshot (tests pin it against the oracle's).
 struct TlbOccupancy {
   std::uint64_t live_4k = 0;
   std::uint64_t live_2m = 0;
@@ -78,10 +76,9 @@ struct TlbOccupancy {
 
 class Tlb {
  public:
-  // `reference` selects the scalar probe loop and timestamp-scan LRU (the
-  // seed engine's algorithms); the default is the vectorized fast engine.
-  // Both produce bit-identical lookups, evictions and counters.
-  explicit Tlb(const TlbConfig& config, bool reference = false);
+  // Throws std::invalid_argument unless every array has 1..8 ways (the
+  // summary words hold one byte per way) and at least one set.
+  explicit Tlb(const TlbConfig& config);
 
   // Probes all arrays in parallel (4KB / 2MB / 1GB VPNs).
   TlbLookup Lookup(Addr va);
@@ -135,10 +132,9 @@ class Tlb {
     std::uint64_t way_hi_bits = 0; // kHiBits restricted to the first `ways` bytes
     std::vector<std::uint64_t> tags;       // sets * ways, kInvalidTag = empty
     std::vector<Payload> payloads;         // parallel to tags
-    std::vector<std::uint64_t> last_used;  // reference engine: LRU timestamps
-    std::vector<std::uint64_t> sig;        // fast engine: per-set signature word
-    std::vector<std::uint64_t> lru;        // fast engine: per-set rank word
-    std::vector<std::uint8_t> occ;         // fast engine: per-set occupancy mask
+    std::vector<std::uint64_t> sig;        // per-set signature word
+    std::vector<std::uint64_t> lru;        // per-set rank word
+    std::vector<std::uint8_t> occ;         // per-set occupancy mask
     // Occupancy tracking: an array (or, for the unified L2, a tag-parity
     // class — bit 0 encodes the page size) with no live entries cannot hit,
     // so Lookup skips the probe entirely. Workloads touch one page size
@@ -146,7 +142,7 @@ class Tlb {
     std::uint64_t live = 0;
     std::uint64_t live_parity[2] = {0, 0};
 
-    void Init(int s, int w, bool reference);
+    void Init(int s, int w);
     std::uint64_t SetIndex(std::uint64_t value) const {
       return pow2_sets ? (value & set_mask) : value % static_cast<std::uint64_t>(sets);
     }
@@ -155,21 +151,7 @@ class Tlb {
       return static_cast<std::uint8_t>(tag >> sig_shift);
     }
 
-    // --- Reference engine: scalar probe and timestamp LRU ------------------
-    // Index of `tag` within the set, or kNoEntry (first matching way).
-    std::size_t Find(std::uint64_t tag, std::uint64_t set_index) const {
-      const std::size_t base = set_index * static_cast<std::size_t>(ways);
-      for (int w = 0; w < ways; ++w) {
-        if (tags[base + static_cast<std::size_t>(w)] == tag) {
-          return base + static_cast<std::size_t>(w);
-        }
-      }
-      return kNoEntry;
-    }
-    void Install(std::uint64_t tag, std::uint64_t set_index, Pfn pfn, int node,
-                 std::uint64_t tick);
-
-    // --- Fast engine: SWAR probe and rank LRU ------------------------------
+    // --- SWAR probe and rank LRU --------------------------------------------
     // Bytes of `word` equal to `byte`, as a mask of their high bits (may
     // carry false positives directly above a true match — candidates are
     // verified against the full tags — but never false negatives).
@@ -177,7 +159,7 @@ class Tlb {
       const std::uint64_t x = word ^ (kLoBytes * byte);
       return (x - kLoBytes) & ~x & kHiBits;
     }
-    std::size_t FindFast(std::uint64_t tag, std::uint64_t set_index) const {
+    std::size_t Find(std::uint64_t tag, std::uint64_t set_index) const {
       std::uint64_t cand = ByteEqMask(sig[set_index], Sig(tag)) & way_hi_bits;
       const std::size_t base = set_index * static_cast<std::size_t>(ways);
       while (cand != 0) {
@@ -206,67 +188,36 @@ class Tlb {
       word &= ~(0xFFull << (8 * w));
       lru[set_index] = word;
     }
-    void InstallFast(std::uint64_t tag, std::uint64_t set_index, Pfn pfn, int node);
+    void Install(std::uint64_t tag, std::uint64_t set_index, Pfn pfn, int node);
 
     void Flush();
   };
 
-  TlbLookup LookupReference(Addr va);
-  TlbLookup LookupFast(Addr va);
-
-  bool reference_;
   Array l1_4k_;
   Array l1_2m_;
   Array l1_1g_;
   Array l2_;  // tag includes the page size
-  std::uint64_t tick_ = 0;  // reference engine only
   std::uint64_t lookups_ = 0;
 };
 
 
 // Hot-path definitions (one Lookup per simulated access; inlined into the
 // engine's access loop — behavior identical to the out-of-line form).
-inline void Tlb::Array::Install(std::uint64_t tag, std::uint64_t set_index, Pfn pfn, int node,
-                         std::uint64_t tick) {
-  const std::size_t base = set_index * static_cast<std::size_t>(ways);
-  std::size_t victim = base;
-  for (int w = 0; w < ways; ++w) {
-    const std::size_t at = base + static_cast<std::size_t>(w);
-    if (tags[at] == kInvalidTag) {
-      victim = at;
-      break;
-    }
-    if (last_used[at] < last_used[victim]) {
-      victim = at;
-    }
-  }
-  if (tags[victim] == kInvalidTag) {
-    ++live;
-  } else {
-    --live_parity[tags[victim] & 1];
-  }
-  ++live_parity[tag & 1];
-  tags[victim] = tag;
-  payloads[victim].pfn = pfn;
-  payloads[victim].node = static_cast<std::uint32_t>(node);
-  last_used[victim] = tick;
-}
-
-inline void Tlb::Array::InstallFast(std::uint64_t tag, std::uint64_t set_index, Pfn pfn,
-                                    int node) {
+inline void Tlb::Array::Install(std::uint64_t tag, std::uint64_t set_index, Pfn pfn,
+                                int node) {
   const std::uint8_t full = static_cast<std::uint8_t>((1u << ways) - 1);
   const std::uint8_t valid = occ[set_index];
   std::size_t w;
   if (valid != full) {
-    // Same victim as the reference's scan: the lowest-index empty way.
+    // The seed's victim scan picks the lowest-index empty way; so does this.
     w = static_cast<std::size_t>(
         __builtin_ctz(static_cast<unsigned>(~valid & full)));
     occ[set_index] = static_cast<std::uint8_t>(valid | (1u << w));
     ++live;
   } else {
-    // Full set: evict the unique rank-(ways-1) way — the reference's
-    // timestamp minimum (touch ticks are distinct, so the minimum is unique
-    // and recency rank order equals timestamp order).
+    // Full set: evict the unique rank-(ways-1) way — the seed's timestamp
+    // minimum (touch ticks are distinct, so the minimum is unique and
+    // recency rank order equals timestamp order).
     const std::uint64_t at_lru =
         ByteEqMask(lru[set_index], static_cast<std::uint8_t>(ways - 1)) & way_hi_bits;
     w = static_cast<std::size_t>(__builtin_ctzll(at_lru)) >> 3;
@@ -284,63 +235,15 @@ inline void Tlb::Array::InstallFast(std::uint64_t tag, std::uint64_t set_index, 
   TouchRank(set_index, w);
 }
 
-inline TlbLookup Tlb::LookupReference(Addr va) {
-  ++tick_;
-  const std::uint64_t vpn4k = va >> kShift4K;
-  const std::uint64_t vpn2m = va >> kShift2M;
-  const std::uint64_t vpn1g = va >> kShift1G;
-
-  if (l1_4k_.live != 0) {
-    if (std::size_t at = l1_4k_.Find(vpn4k, l1_4k_.SetIndex(vpn4k)); at != kNoEntry) {
-      Payload& p = l1_4k_.payloads[at];
-      l1_4k_.last_used[at] = tick_;
-      return TlbLookup{TlbHitLevel::kL1, p.pfn, static_cast<int>(p.node), PageSize::k4K};
-    }
-  }
-  if (l1_2m_.live != 0) {
-    if (std::size_t at = l1_2m_.Find(vpn2m, l1_2m_.SetIndex(vpn2m)); at != kNoEntry) {
-      Payload& p = l1_2m_.payloads[at];
-      l1_2m_.last_used[at] = tick_;
-      return TlbLookup{TlbHitLevel::kL1, p.pfn, static_cast<int>(p.node), PageSize::k2M};
-    }
-  }
-  if (l1_1g_.live != 0) {
-    if (std::size_t at = l1_1g_.Find(vpn1g, l1_1g_.SetIndex(vpn1g)); at != kNoEntry) {
-      Payload& p = l1_1g_.payloads[at];
-      l1_1g_.last_used[at] = tick_;
-      return TlbLookup{TlbHitLevel::kL1, p.pfn, static_cast<int>(p.node), PageSize::k1G};
-    }
-  }
-  // Unified L2: tags disambiguate page size.
-  const std::uint64_t l2_tag_4k = (vpn4k << 1) | 0;
-  const std::uint64_t l2_tag_2m = (vpn2m << 1) | 1;
-  if (l2_.live_parity[0] != 0) {
-    if (std::size_t at = l2_.Find(l2_tag_4k, l2_.SetIndex(vpn4k)); at != kNoEntry) {
-      Payload& p = l2_.payloads[at];
-      l2_.last_used[at] = tick_;
-      l1_4k_.Install(vpn4k, l1_4k_.SetIndex(vpn4k), p.pfn, static_cast<int>(p.node), tick_);
-      return TlbLookup{TlbHitLevel::kL2, p.pfn, static_cast<int>(p.node), PageSize::k4K};
-    }
-  }
-  if (l2_.live_parity[1] != 0) {
-    if (std::size_t at = l2_.Find(l2_tag_2m, l2_.SetIndex(vpn2m)); at != kNoEntry) {
-      Payload& p = l2_.payloads[at];
-      l2_.last_used[at] = tick_;
-      l1_2m_.Install(vpn2m, l1_2m_.SetIndex(vpn2m), p.pfn, static_cast<int>(p.node), tick_);
-      return TlbLookup{TlbHitLevel::kL2, p.pfn, static_cast<int>(p.node), PageSize::k2M};
-    }
-  }
-  return TlbLookup{};
-}
-
-inline TlbLookup Tlb::LookupFast(Addr va) {
+inline TlbLookup Tlb::Lookup(Addr va) {
+  ++lookups_;
   const std::uint64_t vpn4k = va >> kShift4K;
   const std::uint64_t vpn2m = va >> kShift2M;
   const std::uint64_t vpn1g = va >> kShift1G;
 
   if (l1_4k_.live != 0) {
     const std::uint64_t set = l1_4k_.SetIndex(vpn4k);
-    if (std::size_t at = l1_4k_.FindFast(vpn4k, set); at != kNoEntry) {
+    if (std::size_t at = l1_4k_.Find(vpn4k, set); at != kNoEntry) {
       Payload& p = l1_4k_.payloads[at];
       l1_4k_.TouchRank(set, at - set * static_cast<std::size_t>(l1_4k_.ways));
       return TlbLookup{TlbHitLevel::kL1, p.pfn, static_cast<int>(p.node), PageSize::k4K};
@@ -348,7 +251,7 @@ inline TlbLookup Tlb::LookupFast(Addr va) {
   }
   if (l1_2m_.live != 0) {
     const std::uint64_t set = l1_2m_.SetIndex(vpn2m);
-    if (std::size_t at = l1_2m_.FindFast(vpn2m, set); at != kNoEntry) {
+    if (std::size_t at = l1_2m_.Find(vpn2m, set); at != kNoEntry) {
       Payload& p = l1_2m_.payloads[at];
       l1_2m_.TouchRank(set, at - set * static_cast<std::size_t>(l1_2m_.ways));
       return TlbLookup{TlbHitLevel::kL1, p.pfn, static_cast<int>(p.node), PageSize::k2M};
@@ -356,7 +259,7 @@ inline TlbLookup Tlb::LookupFast(Addr va) {
   }
   if (l1_1g_.live != 0) {
     const std::uint64_t set = l1_1g_.SetIndex(vpn1g);
-    if (std::size_t at = l1_1g_.FindFast(vpn1g, set); at != kNoEntry) {
+    if (std::size_t at = l1_1g_.Find(vpn1g, set); at != kNoEntry) {
       Payload& p = l1_1g_.payloads[at];
       l1_1g_.TouchRank(set, at - set * static_cast<std::size_t>(l1_1g_.ways));
       return TlbLookup{TlbHitLevel::kL1, p.pfn, static_cast<int>(p.node), PageSize::k1G};
@@ -367,70 +270,42 @@ inline TlbLookup Tlb::LookupFast(Addr va) {
   const std::uint64_t l2_tag_2m = (vpn2m << 1) | 1;
   if (l2_.live_parity[0] != 0) {
     const std::uint64_t set = l2_.SetIndex(vpn4k);
-    if (std::size_t at = l2_.FindFast(l2_tag_4k, set); at != kNoEntry) {
+    if (std::size_t at = l2_.Find(l2_tag_4k, set); at != kNoEntry) {
       Payload& p = l2_.payloads[at];
       l2_.TouchRank(set, at - set * static_cast<std::size_t>(l2_.ways));
-      l1_4k_.InstallFast(vpn4k, l1_4k_.SetIndex(vpn4k), p.pfn, static_cast<int>(p.node));
+      l1_4k_.Install(vpn4k, l1_4k_.SetIndex(vpn4k), p.pfn, static_cast<int>(p.node));
       return TlbLookup{TlbHitLevel::kL2, p.pfn, static_cast<int>(p.node), PageSize::k4K};
     }
   }
   if (l2_.live_parity[1] != 0) {
     const std::uint64_t set = l2_.SetIndex(vpn2m);
-    if (std::size_t at = l2_.FindFast(l2_tag_2m, set); at != kNoEntry) {
+    if (std::size_t at = l2_.Find(l2_tag_2m, set); at != kNoEntry) {
       Payload& p = l2_.payloads[at];
       l2_.TouchRank(set, at - set * static_cast<std::size_t>(l2_.ways));
-      l1_2m_.InstallFast(vpn2m, l1_2m_.SetIndex(vpn2m), p.pfn, static_cast<int>(p.node));
+      l1_2m_.Install(vpn2m, l1_2m_.SetIndex(vpn2m), p.pfn, static_cast<int>(p.node));
       return TlbLookup{TlbHitLevel::kL2, p.pfn, static_cast<int>(p.node), PageSize::k2M};
     }
   }
   return TlbLookup{};
 }
 
-inline TlbLookup Tlb::Lookup(Addr va) {
-  ++lookups_;
-  return reference_ ? LookupReference(va) : LookupFast(va);
-}
-
 inline void Tlb::Insert(Addr va, PageSize size, Pfn pfn, int node) {
-  if (reference_) {
-    ++tick_;
-    switch (size) {
-      case PageSize::k4K: {
-        const std::uint64_t vpn = va >> kShift4K;
-        l1_4k_.Install(vpn, l1_4k_.SetIndex(vpn), pfn, node, tick_);
-        l2_.Install((vpn << 1) | 0, l2_.SetIndex(vpn), pfn, node, tick_);
-        break;
-      }
-      case PageSize::k2M: {
-        const std::uint64_t vpn = va >> kShift2M;
-        l1_2m_.Install(vpn, l1_2m_.SetIndex(vpn), pfn, node, tick_);
-        l2_.Install((vpn << 1) | 1, l2_.SetIndex(vpn), pfn, node, tick_);
-        break;
-      }
-      case PageSize::k1G: {
-        const std::uint64_t vpn = va >> kShift1G;
-        l1_1g_.Install(vpn, l1_1g_.SetIndex(vpn), pfn, node, tick_);
-        break;
-      }
-    }
-    return;
-  }
   switch (size) {
     case PageSize::k4K: {
       const std::uint64_t vpn = va >> kShift4K;
-      l1_4k_.InstallFast(vpn, l1_4k_.SetIndex(vpn), pfn, node);
-      l2_.InstallFast((vpn << 1) | 0, l2_.SetIndex(vpn), pfn, node);
+      l1_4k_.Install(vpn, l1_4k_.SetIndex(vpn), pfn, node);
+      l2_.Install((vpn << 1) | 0, l2_.SetIndex(vpn), pfn, node);
       break;
     }
     case PageSize::k2M: {
       const std::uint64_t vpn = va >> kShift2M;
-      l1_2m_.InstallFast(vpn, l1_2m_.SetIndex(vpn), pfn, node);
-      l2_.InstallFast((vpn << 1) | 1, l2_.SetIndex(vpn), pfn, node);
+      l1_2m_.Install(vpn, l1_2m_.SetIndex(vpn), pfn, node);
+      l2_.Install((vpn << 1) | 1, l2_.SetIndex(vpn), pfn, node);
       break;
     }
     case PageSize::k1G: {
       const std::uint64_t vpn = va >> kShift1G;
-      l1_1g_.InstallFast(vpn, l1_1g_.SetIndex(vpn), pfn, node);
+      l1_1g_.Install(vpn, l1_1g_.SetIndex(vpn), pfn, node);
       break;
     }
   }

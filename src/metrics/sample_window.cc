@@ -7,11 +7,9 @@
 
 namespace numalp {
 
-SampleWindow::SampleWindow(std::size_t max_epochs, bool reference, ProfileMode mode,
+SampleWindow::SampleWindow(std::size_t max_epochs, ProfileMode mode,
                            const ProfileSketchConfig& sketch)
-    : max_epochs_(max_epochs),
-      reference_(reference),
-      mode_(reference ? ProfileMode::kExact : mode) {
+    : max_epochs_(max_epochs), mode_(mode) {
   assert(max_epochs_ > 0);
   if (mode_ == ProfileMode::kSketch) {
     admit_threshold_ = sketch.admit_threshold;
@@ -159,8 +157,6 @@ void SampleWindow::Clear() {
   epochs_.clear();
   window_4k_.clear();
   core_counts_.clear();
-  ref_window_4k_.clear();
-  ref_4k_valid_ = false;
   filter_.Clear();
   sketch_.Reset();
   retired_pages_.clear();
@@ -168,37 +164,32 @@ void SampleWindow::Clear() {
 }
 
 void SampleWindow::PushEpoch(std::vector<IbsSample> samples, const CountSketch* presketch) {
-  ref_4k_valid_ = false;
   retired_pages_.clear();
-  if (!reference_) {
-    if (mode_ == ProfileMode::kSketch) {
-      const CountSketch* pre = presketch;
-      if (pre == nullptr) {
-        scratch_presketch_.Reset();
-        for (const IbsSample& sample : samples) {
-          scratch_presketch_.Add(AlignDown(sample.va, kBytes4K), +1);
-        }
-        pre = &scratch_presketch_;
-      }
-      const std::span<const IbsSample> epoch(samples);
-      for (std::size_t i = 0; i < samples.size(); ++i) {
-        ApplySketched(samples[i], epoch, i, *pre);
-      }
-    } else {
+  if (mode_ == ProfileMode::kSketch) {
+    const CountSketch* pre = presketch;
+    if (pre == nullptr) {
+      scratch_presketch_.Reset();
       for (const IbsSample& sample : samples) {
-        Apply(sample, +1);
+        scratch_presketch_.Add(AlignDown(sample.va, kBytes4K), +1);
       }
+      pre = &scratch_presketch_;
+    }
+    const std::span<const IbsSample> epoch(samples);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      ApplySketched(samples[i], epoch, i, *pre);
+    }
+  } else {
+    for (const IbsSample& sample : samples) {
+      Apply(sample, +1);
     }
   }
   epochs_.push_back(std::move(samples));
   if (epochs_.size() > max_epochs_) {
-    if (!reference_) {
-      for (const IbsSample& sample : epochs_.front()) {
-        if (mode_ == ProfileMode::kSketch) {
-          RetireSketched(sample);
-        } else {
-          Apply(sample, -1);
-        }
+    for (const IbsSample& sample : epochs_.front()) {
+      if (mode_ == ProfileMode::kSketch) {
+        RetireSketched(sample);
+      } else {
+        Apply(sample, -1);
       }
     }
     epochs_.pop_front();
@@ -208,15 +199,6 @@ void SampleWindow::PushEpoch(std::vector<IbsSample> samples, const CountSketch* 
 }
 
 PageAggMap SampleWindow::FoldToMapping(const AddressSpace& address_space) const {
-  if (reference_) {
-    // The seed engine's computation, verbatim: concatenate every epoch and
-    // aggregate from scratch (the wall-clock and bit-identity baseline).
-    std::vector<IbsSample> samples;
-    for (const auto& epoch_samples : epochs_) {
-      samples.insert(samples.end(), epoch_samples.begin(), epoch_samples.end());
-    }
-    return AggregateSamples(samples, address_space, AggGranularity::kMapping);
-  }
   // Fold in ascending 4KB-base order: containing mappings are disjoint and
   // ordered, so the folded map's dense storage comes out ascending too —
   // ForEachPageSorted's linear fast path engages for every decision pass,
@@ -238,7 +220,7 @@ PageAggMap SampleWindow::FoldToMapping(const AddressSpace& address_space) const 
     const auto& [base, agg] = *item;
     const auto mapping = address_space.Translate(base, cache);
     if (!mapping.has_value()) {
-      continue;  // page was unmapped since sampling: reference drops it too
+      continue;  // page was unmapped since sampling: AggregateSamples drops it too
     }
     PageAgg& out = folded[mapping->page_base];
     out.size = mapping->size;
@@ -252,29 +234,6 @@ PageAggMap SampleWindow::FoldToMapping(const AddressSpace& address_space) const 
     }
   }
   return folded;
-}
-
-const FlatMap<Addr, PageAgg>& SampleWindow::Map4K() const {
-  if (!reference_) {
-    return window_4k_;
-  }
-  if (!ref_4k_valid_) {
-    // Rebuild from the raw epochs: the same integer sums Apply maintains
-    // incrementally (a full rebuild ORs core bits directly — no retirement
-    // bookkeeping needed — and produces the identical mask).
-    ref_window_4k_.clear();
-    for (const auto& epoch_samples : epochs_) {
-      for (const IbsSample& sample : epoch_samples) {
-        PageAgg& agg = ref_window_4k_[AlignDown(sample.va, kBytes4K)];
-        agg.total += 1;
-        agg.dram += sample.dram ? 1u : 0u;
-        agg.req_node_counts[sample.req_node] += 1;
-        agg.core_mask |= 1ull << (sample.core % 64);
-      }
-    }
-    ref_4k_valid_ = true;
-  }
-  return ref_window_4k_;
 }
 
 namespace {
@@ -308,7 +267,7 @@ std::optional<int> SampleWindow::MajorityReqNodeIn(Addr base, std::uint64_t byte
                                                    std::uint64_t min_samples) const {
   std::array<std::uint64_t, kMaxNodes> counts{};
   std::uint64_t total = 0;
-  ForEach4KIn(Map4K(), base, bytes, [&](const PageAgg& agg) {
+  ForEach4KIn(window_4k_, base, bytes, [&](const PageAgg& agg) {
     total += agg.total;
     for (int n = 0; n < kMaxNodes; ++n) {
       counts[static_cast<std::size_t>(n)] += agg.req_node_counts[static_cast<std::size_t>(n)];
@@ -329,7 +288,7 @@ std::optional<int> SampleWindow::MajorityReqNodeIn(Addr base, std::uint64_t byte
 double SampleWindow::PieceLocalityPctIn(Addr base, std::uint64_t bytes) const {
   std::uint64_t majority = 0;
   std::uint64_t total = 0;
-  ForEach4KIn(Map4K(), base, bytes, [&](const PageAgg& agg) {
+  ForEach4KIn(window_4k_, base, bytes, [&](const PageAgg& agg) {
     std::uint32_t piece_majority = 0;
     std::uint64_t piece_total = 0;
     for (int n = 0; n < kMaxNodes; ++n) {
@@ -348,7 +307,7 @@ double SampleWindow::PieceLocalityPctIn(Addr base, std::uint64_t bytes) const {
 
 bool SampleWindow::HasSamplesIn(Addr base, std::uint64_t bytes) const {
   bool any = false;
-  ForEach4KIn(Map4K(), base, bytes, [&](const PageAgg& agg) {
+  ForEach4KIn(window_4k_, base, bytes, [&](const PageAgg& agg) {
     any = any || agg.total > 0;
   });
   return any;

@@ -19,9 +19,8 @@
 // Sharer masks are ORs and cannot be subtracted, so the window additionally
 // keeps a per-(page, core-bit) sample count; a bit clears when its count
 // hits zero. All updates are integer-exact: FoldToMapping is bit-identical
-// to AggregateSamples over the concatenated window (reference mode runs
-// that very computation — tests/perf_structures_test.cc holds the two
-// equal; SimConfig::reference_pipeline switches the whole engine over).
+// to AggregateSamples over the concatenated window, the seed's computation
+// (tests/perf_structures_test.cc holds the two equal across mapping churn).
 //
 // ProfileMode::kSketch (DESIGN.md Section 11) puts a cuckoo-fingerprint
 // filter + count-min sketch in front of the exact aggregate: a page's
@@ -58,13 +57,8 @@ namespace numalp {
 class SampleWindow {
  public:
   // `max_epochs`: sliding-window length (the safety cap; Carrefour's kernel
-  // module never resets its per-page statistics). `reference`: keep only the
-  // raw per-epoch sample lists and make FoldToMapping re-aggregate the whole
-  // window from scratch — the seed engine's behavior, preserved as the
-  // bit-identity oracle and wall-clock baseline; it always profiles exactly
-  // (`mode` is ignored), since it holds no incremental state to bound.
-  explicit SampleWindow(std::size_t max_epochs, bool reference = false,
-                        ProfileMode mode = ProfileMode::kExact,
+  // module never resets its per-page statistics).
+  explicit SampleWindow(std::size_t max_epochs, ProfileMode mode = ProfileMode::kExact,
                         const ProfileSketchConfig& sketch = {});
 
   // Appends one epoch of samples and retires the oldest epoch once more
@@ -101,10 +95,8 @@ class SampleWindow {
   // land on the node that issued most of their sampled accesses. Ties go to
   // the lowest node (PageAgg::MajorityReqNode's convention); nullopt when the
   // range carries fewer than `min_samples` samples — a one-sample "majority"
-  // is noise, and misplacing a piece costs a round trip. Identical in both
-  // engines: the fast engine reads the running 4KB aggregate, the reference
-  // engine folds its raw epochs to the same counts (lazily, cached until the
-  // window changes).
+  // is noise, and misplacing a piece costs a round trip. Reads the running
+  // 4KB aggregate.
   std::optional<int> MajorityReqNodeIn(Addr base, std::uint64_t bytes,
                                        std::uint64_t min_samples = 1) const;
 
@@ -115,7 +107,7 @@ class SampleWindow {
   // accessor — while a genuinely hot page (CG's reduction chunks, hammered
   // from every node) scores near 100/num_nodes. This is the hot-page
   // interleave-vs-localize discriminator (DESIGN.md Section 8.4). Returns
-  // -1 when the range has no samples. Identical in both engines.
+  // -1 when the range has no samples.
   double PieceLocalityPctIn(Addr base, std::uint64_t bytes) const;
 
   // True when any aggregated sample falls in [base, base + bytes) — the
@@ -124,13 +116,12 @@ class SampleWindow {
   bool HasSamplesIn(Addr base, std::uint64_t bytes) const;
 
   // 4KB bases whose aggregates were fully retired by the most recent
-  // PushEpoch (sketch mode only; always empty in exact and reference
-  // modes). The engine uses these to prune the mirrored Carrefour state so
+  // PushEpoch (sketch mode only; always empty in exact mode). The engine uses these to prune the mirrored Carrefour state so
   // long sparse runs don't accrete it.
   const std::vector<Addr>& retired_pages() const { return retired_pages_; }
 
   std::size_t epochs() const { return epochs_.size(); }
-  // Distinct 4KB pages currently aggregated (0 in reference mode).
+  // Distinct 4KB pages currently aggregated.
   std::size_t distinct_pages() const { return window_4k_.size(); }
 
   ProfileMode profile_mode() const { return mode_; }
@@ -171,25 +162,16 @@ class SampleWindow {
   // stream then over-delivers.
   void RetireSketched(const IbsSample& sample);
 
-  // The window's 4KB aggregate map (reference mode rebuilds its cached copy
-  // from the raw epochs first).
-  const FlatMap<Addr, PageAgg>& Map4K() const;
-
   static std::uint64_t CoreCountKey(Addr page_4k, int core) {
     return (page_4k >> kShift4K) << 6 | static_cast<std::uint64_t>(core % 64);
   }
 
   std::size_t max_epochs_;
-  bool reference_;
   ProfileMode mode_;
   std::deque<std::vector<IbsSample>> epochs_;
   FlatMap<Addr, PageAgg> window_4k_;
   // Samples per (4KB page, core bit) — makes the OR'd core_mask retirable.
   FlatMap<std::uint64_t, std::uint32_t> core_counts_;
-  // Reference mode's view of window_4k_, rebuilt from the raw epochs on
-  // demand (invalidated by PushEpoch/Clear).
-  mutable FlatMap<Addr, PageAgg> ref_window_4k_;
-  mutable bool ref_4k_valid_ = false;
 
   // Sketch front end (allocated only in sketch mode; see file comment).
   std::uint64_t admit_threshold_ = 1;

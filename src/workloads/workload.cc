@@ -16,8 +16,8 @@ double WorkloadSpec::TotalShare() const {
 }
 
 Workload::Workload(const WorkloadSpec& spec, AddressSpace& address_space, int num_threads,
-                   std::uint64_t seed, bool batched_generation)
-    : spec_(spec), num_threads_(num_threads), batched_(batched_generation) {
+                   std::uint64_t seed)
+    : spec_(spec), num_threads_(num_threads) {
   assert(num_threads_ > 0);
   // Map every region plus an implicit per-thread scratch page (threads spin
   // there while waiting for the setup barrier).
@@ -195,41 +195,24 @@ void Workload::FillBatch(int thread, std::size_t n, std::vector<WorkloadAccess>&
   if (barrier) {
     const Addr spin_page = scratch_base_ + static_cast<std::uint64_t>(thread) * kBytes4K;
     const std::uint8_t region = static_cast<std::uint8_t>(scratch_region_);
-    if (batched_ && produced < n) {
-      // The spin accesses consume one offset draw each and nothing else: a
-      // fixed-length run, drawn through the batch API in one sweep.
-      std::uint64_t offsets[64];
-      Rng rng = state.rng;
-      while (produced < n) {
-        const std::size_t run = std::min<std::size_t>(64, n - produced);
-        rng.UniformRun(kBytes4K / 64, offsets, run);
-        for (std::size_t i = 0; i < run; ++i) {
-          out.push_back(WorkloadAccess{spin_page + offsets[i] * 64, region, false});
-        }
-        produced += run;
-      }
-      state.rng = rng;
-      return;
-    }
+    // The spin accesses consume one offset draw each and nothing else: a
+    // fixed-length run, drawn through the batch API in one sweep.
+    std::uint64_t offsets[64];
+    Rng rng = state.rng;
     while (produced < n) {
-      WorkloadAccess access;
-      access.va = spin_page + state.rng.Uniform(kBytes4K / 64) * 64;
-      access.region = region;
-      access.write = false;
-      out.push_back(access);
-      ++produced;
+      const std::size_t run = std::min<std::size_t>(64, n - produced);
+      rng.UniformRun(kBytes4K / 64, offsets, run);
+      for (std::size_t i = 0; i < run; ++i) {
+        out.push_back(WorkloadAccess{spin_page + offsets[i] * 64, region, false});
+      }
+      produced += run;
     }
+    state.rng = rng;
     return;
   }
   if (produced < n) {
     const std::size_t steady = n - produced;
-    if (batched_) {
-      SteadyRun(thread, steady, out);
-    } else {
-      for (std::size_t i = 0; i < steady; ++i) {
-        out.push_back(SteadyAccess(thread));
-      }
-    }
+    SteadyRun(thread, steady, out);
     state.steady_issued += steady;
   }
 }
@@ -237,8 +220,9 @@ void Workload::FillBatch(int thread, std::size_t n, std::vector<WorkloadAccess>&
 void Workload::SteadyRun(int thread, std::size_t count, std::vector<WorkloadAccess>& out) {
   ThreadRt& state = threads_[static_cast<std::size_t>(thread)];
   // The RNG state lives in registers for the whole batch; every variate is
-  // drawn in the exact order SteadyAccess draws it (region select, pattern
-  // draws, intra-page offset, write flag), so the stream is byte-identical.
+  // drawn in the exact order the per-call generator draws it (region
+  // select, pattern draws, intra-page offset, write flag), so the stream is
+  // byte-identical.
   Rng rng = state.rng;
   const double* cdf = share_cdf_.data();
   const std::size_t last_region = regions_.size() - 1;
@@ -360,7 +344,7 @@ void Workload::SteadyRun(int thread, std::size_t count, std::vector<WorkloadAcce
         do {
           const std::uint64_t page = slice_lo + cursor;
           // The cursor-advance draw precedes the offset/write draws, exactly
-          // as in SteadyAccess.
+          // as in the per-call generator.
           if (rng.Bernoulli(1.0 / 16)) {
             cursor = (cursor + 1) % slice_pages;
           }
@@ -371,88 +355,6 @@ void Workload::SteadyRun(int thread, std::size_t count, std::vector<WorkloadAcce
     }
   }
   state.rng = rng;
-}
-
-WorkloadAccess Workload::SteadyAccess(int thread) {
-  ThreadRt& state = threads_[static_cast<std::size_t>(thread)];
-  Rng& rng = state.rng;
-  // Region by access share.
-  const double u = rng.NextDouble();
-  std::size_t region_index = 0;
-  while (region_index + 1 < share_cdf_.size() && share_cdf_[region_index] <= u) {
-    ++region_index;
-  }
-  const RegionRt& region = regions_[region_index];
-  const RegionSpec& rspec = *region.spec;
-
-  std::uint64_t page = 0;
-  if (rspec.incremental) {
-    std::uint64_t& cursor = state.alloc_cursor[region_index];
-    const std::uint64_t slice_lo =
-        static_cast<std::uint64_t>(thread) * region.slice_pages;
-    const bool can_grow = cursor < region.slice_pages;
-    const bool fresh = can_grow && (cursor == 0 || rng.Bernoulli(rspec.fresh_fraction));
-    if (fresh) {
-      page = slice_lo + cursor;
-      ++cursor;
-    } else {
-      page = slice_lo + rng.Uniform(std::max<std::uint64_t>(1, cursor));
-    }
-  } else {
-    switch (rspec.pattern) {
-      case PatternKind::kUniform:
-        page = rng.Uniform(region.pages);
-        break;
-      case PatternKind::kZipf: {
-        const std::uint64_t rank = region.zipf->Sample(rng);
-        if (region.zipf_stride != 0) {
-          const std::uint64_t blocks =
-              static_cast<std::uint64_t>(rspec.zipf_block_shuffle);
-          page = (rank % blocks) * region.zipf_stride + rank / blocks;
-          if (page >= region.pages) {
-            page = rank;  // tail ranks past the blocked area map identically
-          }
-        } else {
-          // Identity rank -> page: hot pages cluster at the region start,
-          // the way early-allocated hot objects cluster in heaps.
-          page = rank;
-        }
-        break;
-      }
-      case PatternKind::kHotChunks: {
-        const std::uint64_t chunk = rng.Uniform(static_cast<std::uint64_t>(region.chunks));
-        page = chunk * region.stride_pages + rng.Uniform(region.chunk_pages);
-        break;
-      }
-      case PatternKind::kPartitioned: {
-        std::uint64_t slice = static_cast<std::uint64_t>(thread);
-        if (!rng.Bernoulli(rspec.local_fraction)) {
-          // Boundary sharing with a neighbouring thread's slice.
-          const int neighbor = rng.Bernoulli(0.5) ? thread + 1 : thread + num_threads_ - 1;
-          slice = static_cast<std::uint64_t>(neighbor % num_threads_);
-        }
-        page = slice * region.slice_pages + rng.Uniform(std::max<std::uint64_t>(1, region.slice_pages));
-        break;
-      }
-      case PatternKind::kSequential: {
-        std::uint64_t& cursor = state.seq_cursor[region_index];
-        const std::uint64_t slice_lo =
-            static_cast<std::uint64_t>(thread) * region.slice_pages;
-        page = slice_lo + cursor;
-        // A stream touches ~16 cache lines per page before moving on, so the
-        // page advances once per ~16 modelled accesses (TLB-realistic).
-        if (rng.Bernoulli(1.0 / 16)) {
-          cursor = (cursor + 1) % std::max<std::uint64_t>(1, region.slice_pages);
-        }
-        break;
-      }
-    }
-  }
-  WorkloadAccess access;
-  access.va = PageVa(region, page, rng);
-  access.region = static_cast<std::uint8_t>(region_index);
-  access.write = rng.Bernoulli(spec_.write_fraction);
-  return access;
 }
 
 bool Workload::Done() const {

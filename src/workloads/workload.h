@@ -19,14 +19,13 @@ namespace numalp {
 
 class Workload : public AccessSource {
  public:
-  // `batched_generation` selects the run-batched steady-state generator
-  // (default): accesses are produced in per-region runs with the RNG state,
-  // region tables and pattern dispatch hoisted out of the per-access path.
-  // `false` keeps the seed's one-call-per-access generator (the reference
-  // engine). Both draw the identical variate sequence and emit byte-identical
-  // access streams (tests/perf_structures_test.cc pins this).
+  // Steady-state accesses are generated in per-region runs, with the RNG
+  // state, region tables and pattern dispatch hoisted out of the per-access
+  // path. The stream is byte-identical to the seed's one-call-per-access
+  // generator, which tests/oracles/per_call_generator.h keeps as the oracle
+  // (tests/perf_structures_test.cc pins the two equal).
   Workload(const WorkloadSpec& spec, AddressSpace& address_space, int num_threads,
-           std::uint64_t seed, bool batched_generation = true);
+           std::uint64_t seed);
 
   // Marks an epoch boundary: latches whether any thread still has setup
   // (first-touch) work. While latched, threads that finish their queue spin
@@ -82,6 +81,9 @@ class Workload : public AccessSource {
   std::uint64_t footprint_bytes() const override;
 
  private:
+  // The per-call generator oracle reads the region and thread tables.
+  friend class PerCallGenerator;
+
   struct RegionRt {
     const RegionSpec* spec = nullptr;
     Addr base = 0;
@@ -105,15 +107,14 @@ class Workload : public AccessSource {
     std::vector<std::uint64_t> alloc_cursor;  // incremental growth per region
   };
 
-  WorkloadAccess SteadyAccess(int thread);
   // Batched steady-state generator: appends `count` accesses for `thread`,
-  // consuming the exact variate sequence SteadyAccess would.
+  // consuming the exact variate sequence the seed's per-call generator
+  // would.
   void SteadyRun(int thread, std::size_t count, std::vector<WorkloadAccess>& out);
   Addr PageVa(const RegionRt& region, std::uint64_t page, Rng& rng) const;
 
   WorkloadSpec spec_;
   int num_threads_;
-  bool batched_;
   std::vector<RegionRt> regions_;
   std::vector<ThreadRt> threads_;
   std::vector<double> share_cdf_;

@@ -1,7 +1,7 @@
 // The redesigned reactive cost/decision model (DESIGN.md Section 8):
 // hysteresis state-machine goldens, the re-promotion round trip, cost-budget
 // demotion ordering under exhaustion, the realized-gain accounting on both
-// the migration-gain exit and the split experiment, and fast-vs-reference
+// the migration-gain exit and the split experiment, and windowed-vs-serial
 // engine bit-identity across the new model knobs. The paper's literal
 // Algorithm 1 semantics (the model's ablation baseline) stay pinned in
 // carrefour_lp_test.cc.
@@ -13,6 +13,8 @@
 #include "src/core/simulation.h"
 #include "src/topo/topology.h"
 #include "src/workloads/spec.h"
+#include "tests/oracles/identity.h"
+#include "tests/oracles/serial_engine.h"
 
 namespace numalp {
 namespace {
@@ -336,27 +338,9 @@ TEST_F(LpModelTest, WidelySharedHotPageInterleavesNarrowOneLocalizes) {
   EXPECT_EQ(decision.split_shared[0].first, kBytes2M);  // localized
 }
 
-// --- Fast vs reference bit-identity across the new knobs --------------------
+// --- Windowed vs serial bit-identity across the new knobs -----------------
 
-void ExpectIdenticalRuns(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.total_cycles, b.total_cycles);
-  EXPECT_EQ(a.measured_cycles, b.measured_cycles);
-  EXPECT_EQ(a.epochs, b.epochs);
-  EXPECT_EQ(a.total_migrations, b.total_migrations);
-  EXPECT_EQ(a.total_splits, b.total_splits);
-  EXPECT_EQ(a.total_promotions, b.total_promotions);
-  EXPECT_EQ(a.total_policy_overhead, b.total_policy_overhead);
-  EXPECT_EQ(a.final_thp_coverage, b.final_thp_coverage);
-  ASSERT_EQ(a.history.size(), b.history.size());
-  for (std::size_t e = 0; e < a.history.size(); ++e) {
-    EXPECT_EQ(a.history[e].wall, b.history[e].wall) << "epoch " << e;
-    EXPECT_EQ(a.history[e].splits, b.history[e].splits) << "epoch " << e;
-    EXPECT_EQ(a.history[e].promotions, b.history[e].promotions) << "epoch " << e;
-    EXPECT_EQ(a.history[e].migrations, b.history[e].migrations) << "epoch " << e;
-  }
-}
-
-TEST(LpModelEngineIdentityTest, FastAndReferenceAgreeAcrossModelKnobs) {
+TEST(LpModelEngineIdentityTest, WindowedAndSerialAgreeAcrossModelKnobs) {
   const Topology topo = Topology::MachineA();
   // Each variant toggles one model component off — the ablation axes — plus
   // the full model and the literal Algorithm 1.
@@ -375,12 +359,11 @@ TEST(LpModelEngineIdentityTest, FastAndReferenceAgreeAcrossModelKnobs) {
     PolicyConfig policy = MakePolicyConfig(PolicyKind::kCarrefourLp);
     policy.lp_model = variants[v];
 
-    Simulation fast(topo, spec, policy, sim);
-    const RunResult fast_result = fast.Run();
-    sim.reference_pipeline = true;
-    Simulation reference(topo, spec, policy, sim);
-    const RunResult reference_result = reference.Run();
-    ExpectIdenticalRuns(fast_result, reference_result);
+    Simulation windowed(topo, spec, policy, sim);
+    const RunResult windowed_result = windowed.Run();
+    Simulation serial(topo, spec, policy, sim);
+    ExpectIdenticalRuns(windowed_result, SerialEngine::Run(serial),
+                        "variant " + std::to_string(v));
   }
 }
 

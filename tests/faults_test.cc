@@ -70,11 +70,10 @@ void BuildFaultCells(const std::vector<FaultProfile>& profiles, int seeds,
 }
 
 std::string RenderFaultCells(const std::vector<FaultProfile>& profiles, int jobs,
-                             int shards, bool reference_pipeline) {
+                             int shards) {
   SimConfig sim = TinySim();
   sim.shards = shards;
   sim.shards_force = true;  // real worker threads even on a busy host
-  sim.reference_pipeline = reference_pipeline;
   std::vector<RunSpec> cells;
   std::vector<report::GridReport::CellMeta> meta;
   BuildFaultCells(profiles, /*seeds=*/2, sim, &cells, &meta);
@@ -88,14 +87,14 @@ std::string RenderFaultCells(const std::vector<FaultProfile>& profiles, int jobs
 }
 
 // The acceptance matrix: under active fault profiles the streamed JSONL is
-// byte-identical at every jobs x shards combination and under both engines.
-// All FaultPlan draws happen at serial points of the epoch loop, so the
-// schedule cannot depend on how the work was parallelized.
-TEST(FaultDeterminismTest, JsonlByteIdenticalAcrossJobsShardsAndEngines) {
+// byte-identical at every jobs x shards combination. All FaultPlan draws
+// happen at serial points of the epoch loop, so the schedule cannot depend
+// on how the work was parallelized.
+TEST(FaultDeterminismTest, JsonlByteIdenticalAcrossJobsAndShards) {
   const std::vector<FaultProfile> profiles = {FaultProfile::kFrag,
                                               FaultProfile::kChurn};
   const std::string golden =
-      RenderFaultCells(profiles, /*jobs=*/1, /*shards=*/1, /*reference=*/false);
+      RenderFaultCells(profiles, /*jobs=*/1, /*shards=*/1);
   EXPECT_FALSE(golden.empty());
   // The fault machinery must actually be active in the golden, or the matrix
   // proves nothing: the frag profile pre-fragments every node's buddy lists.
@@ -103,14 +102,11 @@ TEST(FaultDeterminismTest, JsonlByteIdenticalAcrossJobsShardsAndEngines) {
   EXPECT_EQ(golden.find("\"frag_index_pct\":0,"), std::string::npos);
   for (const int jobs : {1, 8}) {
     for (const int shards : {1, 4}) {
-      for (const bool reference : {false, true}) {
-        if (jobs == 1 && shards == 1 && !reference) {
-          continue;
-        }
-        EXPECT_EQ(RenderFaultCells(profiles, jobs, shards, reference), golden)
-            << "jobs " << jobs << " shards " << shards << " reference "
-            << reference;
+      if (jobs == 1 && shards == 1) {
+        continue;
       }
+      EXPECT_EQ(RenderFaultCells(profiles, jobs, shards), golden)
+          << "jobs " << jobs << " shards " << shards;
     }
   }
 }
@@ -120,7 +116,7 @@ TEST(FaultDeterminismTest, JsonlByteIdenticalAcrossJobsShardsAndEngines) {
 // zero, and the bytes match a run that never heard of fault injection.
 TEST(FaultDeterminismTest, OffProfileIsByteIdenticalAndInert) {
   const std::string plain =
-      RenderFaultCells({FaultProfile::kOff}, /*jobs=*/1, /*shards=*/1, false);
+      RenderFaultCells({FaultProfile::kOff}, /*jobs=*/1, /*shards=*/1);
 
   SimConfig sim = TinySim();
   sim.faults.alloc_fail_pct = 50.0;  // rates without a profile are inert

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/common/rng.h"
 #include "src/hw/counters.h"
 #include "src/hw/ibs.h"
@@ -8,6 +10,7 @@
 #include "src/hw/tlb.h"
 #include "src/hw/walker.h"
 #include "src/topo/topology.h"
+#include "tests/oracles/scalar_tlb.h"
 
 namespace numalp {
 namespace {
@@ -172,12 +175,33 @@ TEST(TlbTest, RangedInvalidationSpansPageSizes) {
   EXPECT_EQ(tlb.Lookup(gig + 2 * kBytes1G).level, TlbHitLevel::kL1);
 }
 
-// Mixed-size churn with ranged shootdowns: the fast (SWAR/rank-LRU) engine
-// and the scalar reference must stay lookup- and occupancy-identical. This
-// extends perf_structures_test's churn to the 1GB array and InvalidateRange.
+// The summary words hold one byte per way, so every array needs 1..8 ways
+// (zero ways would also shift a 64-bit mask by 64); a zero-set array has
+// nowhere to put an entry.
+TEST(TlbTest, RejectsWaysOutsideOneToEightAndEmptyArrays) {
+  EXPECT_NO_THROW(Tlb{TlbConfig{}});
+  TlbConfig nine_ways;
+  nine_ways.l2_ways = 9;
+  EXPECT_THROW(Tlb{nine_ways}, std::invalid_argument);
+  TlbConfig zero_ways;
+  zero_ways.l1_2m_ways = 0;
+  EXPECT_THROW(Tlb{zero_ways}, std::invalid_argument);
+  TlbConfig zero_sets;
+  zero_sets.l1_4k_sets = 0;
+  EXPECT_THROW(Tlb{zero_sets}, std::invalid_argument);
+  TlbConfig one_way;
+  one_way.l1_1g_sets = 8;
+  one_way.l1_1g_ways = 1;
+  EXPECT_NO_THROW(Tlb{one_way});
+}
+
+// Mixed-size churn with ranged shootdowns: the SWAR/rank-LRU TLB and the
+// seed's scalar TLB (tests/oracles/scalar_tlb.h) must stay lookup- and
+// occupancy-identical. This extends perf_structures_test's churn to the 1GB
+// array and InvalidateRange.
 TEST(TlbTest, MixedSizeChurnMatchesReference) {
-  Tlb fast(TlbConfig{}, /*reference=*/false);
-  Tlb reference(TlbConfig{}, /*reference=*/true);
+  Tlb fast(TlbConfig{});
+  ScalarTlb reference(TlbConfig{});
   Rng rng(20260808);
   const Addr space = 8 * kBytes1G;
   for (int i = 0; i < 50'000; ++i) {

@@ -197,7 +197,7 @@ TEST(KnobsDoc, ScannerFindsTheKnownSurface) {
   // the surfaces were introduced and a scan that misses them is wrong.
   const KnobSurface source = ScanSourceTree();
   EXPECT_TRUE(source.env_knobs.count("NUMALP_MAX_EPOCHS"));
-  EXPECT_TRUE(source.env_knobs.count("NUMALP_REFERENCE_PIPELINE"));
+  EXPECT_TRUE(source.env_knobs.count("NUMALP_SHARDS"));
   EXPECT_TRUE(source.env_knobs.count("NUMALP_FAULT_PROFILE"));
   EXPECT_TRUE(source.flags.count("--jobs"));
   EXPECT_TRUE(source.flags.count("--machine"));

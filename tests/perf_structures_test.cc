@@ -1,12 +1,15 @@
 // Correctness of the hot-path performance structures: the flat map against
 // std::unordered_map, the incremental sample window against full
 // re-aggregation (across splits / promotions / migrations and the window
-// boundary), ranged TLB shootdowns against per-page loops, the pooled page
-// table, the translate cache, and fast-vs-reference engine bit-identity.
+// boundary), the TLB and access generator against their seed oracles
+// (tests/oracles/), ranged TLB shootdowns against per-page loops, the pooled
+// page table, the translate cache, and whole-engine bit-identity across
+// shards, profile modes and the pure serial loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <string>
 #include <unordered_map>
@@ -26,6 +29,10 @@
 #include "src/vm/address_space.h"
 #include "src/workloads/spec.h"
 #include "src/workloads/trace_workload.h"
+#include "tests/oracles/identity.h"
+#include "tests/oracles/per_call_generator.h"
+#include "tests/oracles/scalar_tlb.h"
+#include "tests/oracles/serial_engine.h"
 
 namespace numalp {
 namespace {
@@ -172,8 +179,11 @@ TEST_F(SampleWindowTest, IncrementalMatchesReferenceAcrossMappingChurn) {
     as_.Touch(small + offset, static_cast<int>((offset >> kShift4K) % 2));
   }
 
-  SampleWindow fast(/*max_epochs=*/4);
-  SampleWindow reference(/*max_epochs=*/4, /*reference=*/true);
+  // The oracle is the seed's computation: AggregateSamples over the
+  // concatenated last `max_epochs` epochs, kept in the test's own deque.
+  constexpr std::size_t kMaxEpochs = 4;
+  SampleWindow window(kMaxEpochs);
+  std::deque<std::vector<IbsSample>> raw_epochs;
   Rng rng(99);
   for (int epoch = 0; epoch < 12; ++epoch) {
     std::vector<IbsSample> samples;
@@ -183,8 +193,11 @@ TEST_F(SampleWindowTest, IncrementalMatchesReferenceAcrossMappingChurn) {
       samples.push_back(Sample(va, static_cast<int>(rng.Uniform(4)),
                                static_cast<int>(rng.Uniform(2)), rng.Uniform(4) != 0));
     }
-    fast.PushEpoch(samples);
-    reference.PushEpoch(samples);
+    window.PushEpoch(samples);
+    raw_epochs.push_back(samples);
+    if (raw_epochs.size() > kMaxEpochs) {
+      raw_epochs.pop_front();
+    }
 
     // Mutate mappings the way the policies do: the incremental aggregate
     // must track re-bucketing (split), merging (promote) and home changes
@@ -203,8 +216,13 @@ TEST_F(SampleWindowTest, IncrementalMatchesReferenceAcrossMappingChurn) {
       as_.MigratePage(big + kBytes4K * 3, 0);  // no-op unless still 4K-mapped
     }
 
-    ExpectEqualAggregates(fast.FoldToMapping(as_), reference.FoldToMapping(as_));
-    EXPECT_EQ(fast.epochs(), reference.epochs());
+    std::vector<IbsSample> concatenated;
+    for (const auto& epoch_samples : raw_epochs) {
+      concatenated.insert(concatenated.end(), epoch_samples.begin(), epoch_samples.end());
+    }
+    ExpectEqualAggregates(window.FoldToMapping(as_),
+                          AggregateSamples(concatenated, as_, AggGranularity::kMapping));
+    EXPECT_EQ(window.epochs(), raw_epochs.size());
   }
 }
 
@@ -242,20 +260,21 @@ TEST_F(SampleWindowTest, WindowBoundaryRetiresOldestEpoch) {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized TLB vs the scalar reference engine: lookups, O(1) victim
-// selection and live-entry bookkeeping must be bit-identical under churn.
+// Vectorized TLB vs the seed's scalar TLB (tests/oracles/scalar_tlb.h):
+// lookups, O(1) victim selection and live-entry bookkeeping must be
+// bit-identical under churn.
 // ---------------------------------------------------------------------------
 
-// Drives both engines through an identical operation stream — lookups with
+// Drives both TLBs through an identical operation stream — lookups with
 // refill (the engine's miss->insert pattern), precise and ranged
 // invalidations, flushes — and pins every observable: hit levels, payloads,
 // and the live counters that drive probe-skip decisions. Eviction choices
 // are covered transitively: a divergent victim would surface as a divergent
 // hit/miss within a few operations on these small arrays.
-TEST(TlbEngineIdentityTest, FastMatchesReferenceUnderChurn) {
+TEST(TlbEngineIdentityTest, FastMatchesScalarOracleUnderChurn) {
   const TlbConfig config;
-  Tlb fast(config, /*reference=*/false);
-  Tlb reference(config, /*reference=*/true);
+  Tlb fast(config);
+  ScalarTlb oracle(config);
   Rng rng(1234);
   // A working set far larger than the arrays, mixing page sizes, so sets
   // stay full and the LRU victim path runs constantly.
@@ -278,7 +297,7 @@ TEST(TlbEngineIdentityTest, FastMatchesReferenceUnderChurn) {
       PageSize size = PageSize::k4K;
       const Addr va = random_va(size);
       const TlbLookup a = fast.Lookup(va);
-      const TlbLookup b = reference.Lookup(va);
+      const TlbLookup b = oracle.Lookup(va);
       ASSERT_EQ(a.level, b.level) << "op " << op << " va " << std::hex << va;
       if (a.level != TlbHitLevel::kMiss) {
         ASSERT_EQ(a.pfn, b.pfn) << "op " << op;
@@ -290,73 +309,79 @@ TEST(TlbEngineIdentityTest, FastMatchesReferenceUnderChurn) {
         const Pfn pfn = page >> kShift4K;
         const int node = static_cast<int>(rng.Uniform(4));
         fast.Insert(page, size, pfn, node);
-        reference.Insert(page, size, pfn, node);
+        oracle.Insert(page, size, pfn, node);
       }
     } else if (action < 95) {
       PageSize size = PageSize::k4K;
       const Addr va = random_va(size);
       const Addr page = AlignDown(va, BytesOf(size));
       fast.InvalidatePage(page, size);
-      reference.InvalidatePage(page, size);
+      oracle.InvalidatePage(page, size);
     } else if (action < 99) {
       const Addr base = 0x40000000ull + rng.Uniform(8) * kBytes2M;
       fast.InvalidateRange(base, kBytes2M);
-      reference.InvalidateRange(base, kBytes2M);
+      oracle.InvalidateRange(base, kBytes2M);
     } else {
       fast.FlushAll();
-      reference.FlushAll();
+      oracle.FlushAll();
     }
-    ASSERT_EQ(fast.DebugOccupancy(), reference.DebugOccupancy()) << "op " << op;
+    ASSERT_EQ(fast.DebugOccupancy(), oracle.DebugOccupancy()) << "op " << op;
   }
-  EXPECT_EQ(fast.lookups(), reference.lookups());
+  EXPECT_EQ(fast.lookups(), oracle.lookups());
 }
 
 // The live-entry audit regression: invalidations (precise and ranged) must
-// retire exactly the entries they hit from the probe-skip counters, in both
-// engines — a stale count would make Lookup skip (or probe) an array the
-// other engine does not, which the churn test above would surface as a
+// retire exactly the entries they hit from the probe-skip counters, in the
+// TLB and its oracle — a stale count would make Lookup skip (or probe) an
+// array the other does not, which the churn test above would surface as a
 // divergent hit. This pins the counters directly on a hand-built sequence.
+template <typename TlbType>
+void ExpectLiveCountersRetire(const char* which) {
+  SCOPED_TRACE(which);
+  const TlbConfig config;
+  TlbType tlb(config);
+  tlb.Insert(0x40000000, PageSize::k4K, 1, 0);
+  tlb.Insert(0x40001000, PageSize::k4K, 2, 1);
+  tlb.Insert(0x80000000, PageSize::k2M, 3, 0);
+  TlbOccupancy occ = tlb.DebugOccupancy();
+  EXPECT_EQ(occ.live_4k, 2u);
+  EXPECT_EQ(occ.live_2m, 1u);
+  EXPECT_EQ(occ.l2_parity_4k, 2u);
+  EXPECT_EQ(occ.l2_parity_2m, 1u);
+  tlb.InvalidatePage(0x40000000, PageSize::k4K);
+  occ = tlb.DebugOccupancy();
+  EXPECT_EQ(occ.live_4k, 1u);
+  EXPECT_EQ(occ.l2_parity_4k, 1u);
+  // Ranged shootdown across the remaining 4K entry and the 2M page.
+  tlb.InvalidateRange(0x40000000, kBytes2M);
+  tlb.InvalidateRange(0x80000000, kBytes2M);
+  occ = tlb.DebugOccupancy();
+  EXPECT_EQ(occ.live_4k, 0u);
+  EXPECT_EQ(occ.live_2m, 0u);
+  EXPECT_EQ(occ.l2_parity_4k, 0u);
+  EXPECT_EQ(occ.l2_parity_2m, 0u);
+  // Re-insert after total invalidation: counters must come back exact.
+  tlb.Insert(0x40000000, PageSize::k4K, 1, 0);
+  EXPECT_EQ(tlb.DebugOccupancy().live_4k, 1u);
+  tlb.FlushAll();
+  EXPECT_EQ(tlb.DebugOccupancy(), TlbOccupancy{});
+}
+
 TEST(TlbEngineIdentityTest, LiveCountersRetireAcrossInvalidatePaths) {
-  for (const bool reference : {false, true}) {
-    const TlbConfig config;
-    Tlb tlb(config, reference);
-    tlb.Insert(0x40000000, PageSize::k4K, 1, 0);
-    tlb.Insert(0x40001000, PageSize::k4K, 2, 1);
-    tlb.Insert(0x80000000, PageSize::k2M, 3, 0);
-    TlbOccupancy occ = tlb.DebugOccupancy();
-    EXPECT_EQ(occ.live_4k, 2u) << "reference=" << reference;
-    EXPECT_EQ(occ.live_2m, 1u);
-    EXPECT_EQ(occ.l2_parity_4k, 2u);
-    EXPECT_EQ(occ.l2_parity_2m, 1u);
-    tlb.InvalidatePage(0x40000000, PageSize::k4K);
-    occ = tlb.DebugOccupancy();
-    EXPECT_EQ(occ.live_4k, 1u);
-    EXPECT_EQ(occ.l2_parity_4k, 1u);
-    // Ranged shootdown across the remaining 4K entry and the 2M page.
-    tlb.InvalidateRange(0x40000000, kBytes2M);
-    tlb.InvalidateRange(0x80000000, kBytes2M);
-    occ = tlb.DebugOccupancy();
-    EXPECT_EQ(occ.live_4k, 0u);
-    EXPECT_EQ(occ.live_2m, 0u);
-    EXPECT_EQ(occ.l2_parity_4k, 0u);
-    EXPECT_EQ(occ.l2_parity_2m, 0u);
-    // Re-insert after total invalidation: counters must come back exact.
-    tlb.Insert(0x40000000, PageSize::k4K, 1, 0);
-    EXPECT_EQ(tlb.DebugOccupancy().live_4k, 1u);
-    tlb.FlushAll();
-    EXPECT_EQ(tlb.DebugOccupancy(), TlbOccupancy{});
-  }
+  ExpectLiveCountersRetire<Tlb>("Tlb");
+  ExpectLiveCountersRetire<ScalarTlb>("ScalarTlb");
 }
 
 // ---------------------------------------------------------------------------
-// Batched access generation vs the per-call reference generator.
+// Batched access generation vs the per-call generator oracle.
 // ---------------------------------------------------------------------------
 
 // Every workload pattern (uniform, zipf with and without block shuffle, hot
 // chunks, partitioned, sequential, incremental) plus the setup and barrier
 // phases must emit byte-identical access streams from the run-batched
-// generator and the seed's one-call-per-access generator.
-TEST(BatchedGenerationTest, MatchesReferenceAcrossSuite) {
+// generator and the seed's one-call-per-access generator
+// (tests/oracles/per_call_generator.h).
+TEST(BatchedGenerationTest, MatchesPerCallOracleAcrossSuite) {
   const Topology topo = Topology::MachineA();
   for (const BenchmarkId id : {BenchmarkId::kCG_D, BenchmarkId::kUA_B, BenchmarkId::kSSCA,
                                BenchmarkId::kWrmem, BenchmarkId::kSPECjbb,
@@ -365,20 +390,21 @@ TEST(BatchedGenerationTest, MatchesReferenceAcrossSuite) {
     PhysicalMemory phys_fast(topo);
     ThpState thp_fast;
     AddressSpace as_fast(phys_fast, topo, thp_fast);
-    Workload fast(spec, as_fast, topo.num_cores(), 99, /*batched_generation=*/true);
+    Workload fast(spec, as_fast, topo.num_cores(), 99);
     PhysicalMemory phys_ref(topo);
     ThpState thp_ref;
     AddressSpace as_ref(phys_ref, topo, thp_ref);
-    Workload reference(spec, as_ref, topo.num_cores(), 99, /*batched_generation=*/false);
+    Workload oracle_tables(spec, as_ref, topo.num_cores(), 99);
+    PerCallGenerator oracle(oracle_tables);
 
     std::vector<WorkloadAccess> batch_fast;
     std::vector<WorkloadAccess> batch_ref;
     for (int epoch = 0; epoch < 12; ++epoch) {
       fast.BeginEpoch();
-      reference.BeginEpoch();
+      oracle_tables.BeginEpoch();
       for (int t = 0; t < topo.num_cores(); ++t) {
         fast.FillBatch(t, 512, batch_fast);
-        reference.FillBatch(t, 512, batch_ref);
+        oracle.FillBatch(t, 512, batch_ref);
         ASSERT_EQ(batch_fast.size(), batch_ref.size());
         for (std::size_t i = 0; i < batch_fast.size(); ++i) {
           ASSERT_EQ(batch_fast[i].va, batch_ref[i].va)
@@ -387,7 +413,7 @@ TEST(BatchedGenerationTest, MatchesReferenceAcrossSuite) {
           ASSERT_EQ(batch_fast[i].write, batch_ref[i].write);
         }
       }
-      ASSERT_EQ(fast.SetupDone(), reference.SetupDone());
+      ASSERT_EQ(fast.SetupDone(), oracle_tables.SetupDone());
     }
   }
 }
@@ -478,46 +504,16 @@ TEST(TranslateCacheTest, CacheHitsAreInvalidatedByMutations) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-engine bit-identity: fast vs reference pipeline.
+// Whole-engine bit-identity: speculative windows vs the pure serial loop.
 // ---------------------------------------------------------------------------
 
-void ExpectIdenticalRuns(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.total_cycles, b.total_cycles);
-  EXPECT_EQ(a.measured_cycles, b.measured_cycles);
-  EXPECT_EQ(a.epochs, b.epochs);
-  EXPECT_EQ(a.total_migrations, b.total_migrations);
-  EXPECT_EQ(a.total_splits, b.total_splits);
-  EXPECT_EQ(a.total_promotions, b.total_promotions);
-  EXPECT_EQ(a.total_policy_overhead, b.total_policy_overhead);
-  EXPECT_EQ(a.totals.accesses, b.totals.accesses);
-  EXPECT_EQ(a.totals.dram_local, b.totals.dram_local);
-  EXPECT_EQ(a.totals.dram_remote, b.totals.dram_remote);
-  EXPECT_EQ(a.totals.walk_l2_miss, b.totals.walk_l2_miss);
-  EXPECT_EQ(a.node_request_totals, b.node_request_totals);
-  EXPECT_EQ(a.final_thp_coverage, b.final_thp_coverage);
-  ASSERT_EQ(a.history.size(), b.history.size());
-  for (std::size_t e = 0; e < a.history.size(); ++e) {
-    EXPECT_EQ(a.history[e].wall, b.history[e].wall) << "epoch " << e;
-    EXPECT_EQ(a.history[e].migrations, b.history[e].migrations) << "epoch " << e;
-    EXPECT_EQ(a.history[e].splits, b.history[e].splits) << "epoch " << e;
-    EXPECT_EQ(a.history[e].promotions, b.history[e].promotions) << "epoch " << e;
-    EXPECT_EQ(a.history[e].metrics.lar_pct, b.history[e].metrics.lar_pct) << "epoch " << e;
-    EXPECT_EQ(a.history[e].est_split_lar, b.history[e].est_split_lar) << "epoch " << e;
-  }
-  // Cumulative page aggregates (drives PAMUP/NHP/PSP reporting).
-  ASSERT_EQ(a.cumulative_pages.size(), b.cumulative_pages.size());
-  EXPECT_EQ(a.PamupPct(), b.PamupPct());
-  EXPECT_EQ(a.Nhp(), b.Nhp());
-  EXPECT_EQ(a.PspPct(), b.PspPct());
-}
-
-TEST(EngineIdentityTest, FastAndReferencePipelinesAreBitIdentical) {
+TEST(EngineIdentityTest, WindowedEngineMatchesSerialOracle) {
   const Topology topo = Topology::MachineA();
   // CG.D drives the hot-page path (splits + interleave + promotions); UA.B
   // drives the false-sharing path (shared demotions, split-time placement
   // from the window's 4KB aggregates, hinting-fault migration, and the
-  // batched migration accounting). At shards=1 this is also windowed vs
-  // pure serial execution: the reference engine keeps the round-robin loop.
+  // batched migration accounting). The oracle runs every steady epoch on the
+  // seed's round-robin loop (tests/oracles/serial_engine.h).
   for (const BenchmarkId bench : {BenchmarkId::kCG_D, BenchmarkId::kUA_B}) {
     for (const PolicyKind kind :
          {PolicyKind::kThp, PolicyKind::kCarrefour2M, PolicyKind::kCarrefourLp,
@@ -528,12 +524,11 @@ TEST(EngineIdentityTest, FastAndReferencePipelinesAreBitIdentical) {
       WorkloadSpec spec = MakeWorkloadSpec(bench, topo);
       spec.steady_accesses_per_thread = 16'000;
 
-      Simulation fast(topo, spec, MakePolicyConfig(kind), sim);
-      const RunResult fast_result = fast.Run();
-      sim.reference_pipeline = true;
-      Simulation reference(topo, spec, MakePolicyConfig(kind), sim);
-      const RunResult reference_result = reference.Run();
-      ExpectIdenticalRuns(fast_result, reference_result);
+      Simulation windowed(topo, spec, MakePolicyConfig(kind), sim);
+      const RunResult windowed_result = windowed.Run();
+      Simulation serial(topo, spec, MakePolicyConfig(kind), sim);
+      ExpectIdenticalRuns(windowed_result, SerialEngine::Run(serial),
+                          std::string(NameOf(bench)) + "/" + std::string(NameOf(kind)));
     }
   }
 }
@@ -580,9 +575,9 @@ TEST(EngineIdentityTest, SketchProfileModeIsBitIdentical) {
 // bit, on both the hot-page driver (CG.D) and the UA.B path whose
 // migrate-on-touch marks exercise the speculation abort. shards=1 runs the
 // same speculative windows on one host thread, so this pins window
-// execution against window execution; the reference-engine matrices below
-// (and WindowedShardsOneMatchesPureSerial) pin it against the pure serial
-// loop. shards_force bypasses the oversubscription clamp so real worker
+// execution against window execution; WindowedEngineMatchesSerialOracle,
+// the datacenter cells below and WindowedShardsOneMatchesPureSerial pin it
+// against the pure serial loop. shards_force bypasses the oversubscription clamp so real worker
 // threads run even on a saturated (or single-core) test host.
 TEST(EngineIdentityTest, ShardCountsAreBitIdentical) {
   const Topology topo = Topology::MachineA();
@@ -613,8 +608,8 @@ TEST(EngineIdentityTest, ShardCountsAreBitIdentical) {
 // argument: on all-CPU machines the cpu-node refactor is the identity, and
 // on far-memory machines every policy draw still happens at the same serial
 // sites). Each cell is pinned across all three axes at once: engine
-// (fast vs reference — windowed vs pure serial at shards=1), shards (1 vs
-// forced 4), and profile mode (exact vs sketch).
+// (windowed vs the pure serial oracle), shards (1 vs forced 4), and profile
+// mode (exact vs sketch).
 TEST(EngineIdentityTest, DatacenterAndOneGigCellsAreBitIdentical) {
   struct Cell {
     Topology topo;
@@ -645,10 +640,8 @@ TEST(EngineIdentityTest, DatacenterAndOneGigCellsAreBitIdentical) {
     Simulation golden(cell.topo, spec, policy, sim);
     const RunResult golden_result = golden.Run();
 
-    SimConfig ref_sim = sim;
-    ref_sim.reference_pipeline = true;
-    Simulation reference(cell.topo, spec, policy, ref_sim);
-    ExpectIdenticalRuns(golden_result, reference.Run());
+    Simulation serial(cell.topo, spec, policy, sim);
+    ExpectIdenticalRuns(golden_result, SerialEngine::Run(serial));
 
     SimConfig shard_sim = sim;
     shard_sim.shards = 4;
@@ -664,16 +657,13 @@ TEST(EngineIdentityTest, DatacenterAndOneGigCellsAreBitIdentical) {
   }
 }
 
-// The full matrix the oracle CI job enforces, in miniature: a small grid at
-// jobs={1,8} x shards={1,4} x profile={exact,sketch} under both engines must
-// produce one identical result set — parallelism (between cells or inside
-// one) never changes results, and neither does the engine or the profiling
-// metadata representation. The golden variant is the fast engine's windowed
-// shards=1; the reference engine's shards=1 variants run the pure serial
-// loop. (Reference x sketch degenerates to reference x
-// exact by construction — SampleWindow forces exact under the reference
-// pipeline — and the axis keeps that pin honest.)
-TEST(EngineIdentityTest, JobsAndEngineAxesAreBitIdentical) {
+// The grid-level matrix, in miniature: a small grid at jobs={1,8} x
+// shards={1,4} x profile={exact,sketch} must produce one identical result
+// set — parallelism (between cells or inside one) never changes results,
+// and neither does the profiling metadata representation. (The serial
+// oracle is a cell-level friend and cannot reach inside RunGrid; the
+// cell-level tests above diff it.)
+TEST(EngineIdentityTest, JobsShardsAndProfileAxesAreBitIdentical) {
   ExperimentGrid grid;
   grid.machines = {Topology::MachineA()};
   grid.workloads = {BenchmarkId::kCG_D, BenchmarkId::kUA_B};
@@ -683,18 +673,15 @@ TEST(EngineIdentityTest, JobsAndEngineAxesAreBitIdentical) {
   grid.sim.max_epochs = 8;
 
   std::vector<GridResults> all;
-  for (const bool reference : {false, true}) {
-    for (const ProfileMode mode : {ProfileMode::kExact, ProfileMode::kSketch}) {
-      for (const int jobs : {1, 8}) {
-        for (const int shards : {1, 4}) {
-          ExperimentGrid g = grid;
-          g.sim.reference_pipeline = reference;
-          g.sim.profile_mode = mode;
-          g.sim.shards = shards;
-          g.sim.shards_force = true;
-          const ExperimentRunner runner(jobs);
-          all.push_back(RunGrid(g, runner));
-        }
+  for (const ProfileMode mode : {ProfileMode::kExact, ProfileMode::kSketch}) {
+    for (const int jobs : {1, 8}) {
+      for (const int shards : {1, 4}) {
+        ExperimentGrid g = grid;
+        g.sim.profile_mode = mode;
+        g.sim.shards = shards;
+        g.sim.shards_force = true;
+        const ExperimentRunner runner(jobs);
+        all.push_back(RunGrid(g, runner));
       }
     }
   }
@@ -718,20 +705,6 @@ TEST(EngineIdentityTest, JobsAndEngineAxesAreBitIdentical) {
   }
 }
 
-// Serializes a run through the real row schema, so "identical" means the
-// committed CSV/JSONL bytes.
-std::string SerializeRow(const RunSpec& spec, const RunResult& run) {
-  const report::ResultRow row =
-      report::MakeResultRow("perf_structures_test", spec, run, /*baseline=*/nullptr,
-                            /*seed_index=*/0, /*clock_ghz=*/2.1);
-  std::string out;
-  for (const report::ResultField& field : report::ResultSchema()) {
-    out += report::FieldToString(row, field);
-    out += '|';
-  }
-  return out;
-}
-
 void ExpectSameSpeculation(const SpeculationStats& a, const SpeculationStats& b,
                            const std::string& where) {
   EXPECT_EQ(a.windows_committed, b.windows_committed) << where;
@@ -746,8 +719,8 @@ void ExpectSameSpeculation(const SpeculationStats& a, const SpeculationStats& b,
 // included (DESIGN.md Section 10.3). On cells whose windows both commit and
 // abort at shards=1 — Carrefour-LP's splits and hint marks on CG.D, the same
 // cell under frag faults, and a ckpt-churn trace replay whose mmaps fault
-// mid-run — the windowed row must equal the reference engine's pure serial
-// row byte for byte, and the window outcome counts must be identical at
+// mid-run — the windowed row must equal the serial oracle's row byte for
+// byte, and the window outcome counts must be identical at
 // fast-engine shards {1, 2, 4}.
 TEST(EngineIdentityTest, WindowedShardsOneMatchesPureSerial) {
   const Topology topo = Topology::MachineA();
@@ -787,18 +760,17 @@ TEST(EngineIdentityTest, WindowedShardsOneMatchesPureSerial) {
   cells[2].hint_aborts = false;
 
   for (const Cell& cell : cells) {
-    const auto run = [&](bool reference, int shards) {
+    const auto run = [&](bool serial, int shards) {
       RunSpec spec = cell.spec;
-      spec.sim.reference_pipeline = reference;
       spec.sim.shards = shards;
       spec.sim.shards_force = true;
       Simulation simulation(spec.topo, spec.workload, spec.policy, spec.sim);
-      const RunResult result = simulation.Run();
+      const RunResult result = serial ? SerialEngine::Run(simulation) : simulation.Run();
       return std::make_pair(SerializeRow(spec, result), result.speculation);
     };
-    const auto [serial_row, serial_spec] = run(/*reference=*/true, 1);
+    const auto [serial_row, serial_spec] = run(/*serial=*/true, 1);
     EXPECT_EQ(serial_spec.windows_committed, 0u) << cell.name;
-    const auto [windowed_row, windowed_spec] = run(/*reference=*/false, 1);
+    const auto [windowed_row, windowed_spec] = run(/*serial=*/false, 1);
     EXPECT_EQ(windowed_row, serial_row) << cell.name;
     EXPECT_GE(windowed_spec.windows_committed, 1u) << cell.name;
     EXPECT_GE(cell.hint_aborts ? windowed_spec.windows_hint_aborted
@@ -807,7 +779,7 @@ TEST(EngineIdentityTest, WindowedShardsOneMatchesPureSerial) {
         << cell.name;
     EXPECT_GT(windowed_spec.replay_rounds, 0u) << cell.name;
     for (const int shards : {2, 4}) {
-      const auto [sharded_row, sharded_spec] = run(/*reference=*/false, shards);
+      const auto [sharded_row, sharded_spec] = run(/*serial=*/false, shards);
       EXPECT_EQ(sharded_row, serial_row) << cell.name << " shards=" << shards;
       ExpectSameSpeculation(windowed_spec, sharded_spec,
                             cell.name + " shards=" + std::to_string(shards));

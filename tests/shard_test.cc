@@ -229,8 +229,8 @@ int ExpectConcurrentFillMatchesSerial(AccessSource& serial, AccessSource& parall
   return setup_epochs;
 }
 
-// Every suite workload on the 64-thread epyc8 preset, both generators, from
-// the first setup epoch until the (shortened) steady budget is spent.
+// Every suite workload on the 64-thread epyc8 preset, from the first setup
+// epoch until the (shortened) steady budget is spent.
 TEST(FillBatchConcurrencyTest, SuiteWorkloadsFillIdenticallyFromFourThreads) {
   const Topology topo = Topology::Epyc8();
   ASSERT_EQ(topo.num_cores(), 64);
@@ -242,17 +242,14 @@ TEST(FillBatchConcurrencyTest, SuiteWorkloadsFillIdenticallyFromFourThreads) {
   for (int id = 0; id <= static_cast<int>(BenchmarkId::kSparseFootprint); ++id) {
     WorkloadSpec spec = MakeWorkloadSpec(static_cast<BenchmarkId>(id), topo);
     spec.steady_accesses_per_thread = 2 * kBatch;
-    for (const bool batched : {true, false}) {
-      AddressSpace serial_space(phys, topo, thp);
-      AddressSpace parallel_space(phys, topo, thp);
-      Workload serial(spec, serial_space, topo.num_cores(), /*seed=*/7, batched);
-      Workload parallel(spec, parallel_space, topo.num_cores(), /*seed=*/7, batched);
-      const std::string label = spec.name + (batched ? "" : " (per-call generator)");
-      const int setup_epochs =
-          ExpectConcurrentFillMatchesSerial(serial, parallel, kBatch, /*max_epochs=*/64, label);
-      EXPECT_GT(setup_epochs, 0) << label;
-      EXPECT_TRUE(serial.Done()) << label;
-    }
+    AddressSpace serial_space(phys, topo, thp);
+    AddressSpace parallel_space(phys, topo, thp);
+    Workload serial(spec, serial_space, topo.num_cores(), /*seed=*/7);
+    Workload parallel(spec, parallel_space, topo.num_cores(), /*seed=*/7);
+    const int setup_epochs =
+        ExpectConcurrentFillMatchesSerial(serial, parallel, kBatch, /*max_epochs=*/64, spec.name);
+    EXPECT_GT(setup_epochs, 0) << spec.name;
+    EXPECT_TRUE(serial.Done()) << spec.name;
   }
 }
 

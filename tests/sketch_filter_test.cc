@@ -264,7 +264,7 @@ TEST_F(SketchWindowTest, ThresholdOneIsBitIdenticalToExactUnderChurn) {
   tiny.sketch_width = 16;
   for (const ProfileSketchConfig& knobs : {ProfileSketchConfig{}, tiny}) {
     SampleWindow exact(/*max_epochs=*/4);
-    SampleWindow sketch(/*max_epochs=*/4, /*reference=*/false, ProfileMode::kSketch, knobs);
+    SampleWindow sketch(/*max_epochs=*/4, ProfileMode::kSketch, knobs);
     Rng rng(4242);
     for (int epoch = 0; epoch < 24; ++epoch) {
       std::vector<IbsSample> samples = RandomEpoch(rng, 200);
@@ -296,7 +296,7 @@ TEST_F(SketchWindowTest, AdmittedAggregatesAreExactAtHigherThresholds) {
   ProfileSketchConfig knobs;
   knobs.admit_threshold = 3;
   SampleWindow exact(/*max_epochs=*/6);
-  SampleWindow sketch(/*max_epochs=*/6, /*reference=*/false, ProfileMode::kSketch, knobs);
+  SampleWindow sketch(/*max_epochs=*/6, ProfileMode::kSketch, knobs);
   Rng rng(9001);
   const std::size_t samples_per_epoch = 150;
   for (int epoch = 0; epoch < 40; ++epoch) {
@@ -334,7 +334,7 @@ TEST_F(SketchWindowTest, UndersizedFilterDegradesGracefullyWithCountedMisses) {
   // saturated sketch would admit everything and never touch the filter).
   knobs.filter_capacity = 16;
   SampleWindow exact(/*max_epochs=*/4);
-  SampleWindow sketch(/*max_epochs=*/4, /*reference=*/false, ProfileMode::kSketch, knobs);
+  SampleWindow sketch(/*max_epochs=*/4, ProfileMode::kSketch, knobs);
   Rng rng(1212);
   const Addr hot = region_;  // one page sampled every epoch from every core
   for (int epoch = 0; epoch < 30; ++epoch) {
@@ -370,7 +370,7 @@ TEST_F(SketchWindowTest, SparseStreamStateIsBoundedByAdmissions) {
   knobs.admit_threshold = 2;
   knobs.filter_capacity = 4096;
   SampleWindow exact(/*max_epochs=*/8);
-  SampleWindow sketch(/*max_epochs=*/8, /*reference=*/false, ProfileMode::kSketch, knobs);
+  SampleWindow sketch(/*max_epochs=*/8, ProfileMode::kSketch, knobs);
   Rng rng(5150);
   Addr fresh = region_;
   const Addr hot = region_ + 8 * kMiB - kBytes4K;

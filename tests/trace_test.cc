@@ -15,7 +15,6 @@
 #include "src/core/config.h"
 #include "src/core/runner.h"
 #include "src/core/simulation.h"
-#include "src/report/result_row.h"
 #include "src/topo/topology.h"
 #include "src/trace/trace_format.h"
 #include "src/trace/trace_reader.h"
@@ -23,6 +22,8 @@
 #include "src/trace/tracegen.h"
 #include "src/workloads/spec.h"
 #include "src/workloads/trace_workload.h"
+#include "tests/oracles/identity.h"
+#include "tests/oracles/serial_engine.h"
 
 namespace numalp {
 namespace {
@@ -232,23 +233,10 @@ TEST(TraceFormatTest, RejectsCorruptChunkPayload) {
   std::filesystem::remove(path);
 }
 
-// Serializes a run through the real row schema so "byte-identical" means the
-// committed CSV/JSONL bytes, not a float-tolerant comparison.
-std::string SerializeRow(const RunSpec& spec, const RunResult& run) {
-  const report::ResultRow row =
-      report::MakeResultRow("trace_test", spec, run, /*baseline=*/nullptr,
-                            /*seed_index=*/0, /*clock_ghz=*/2.1);
-  std::string out;
-  for (const report::ResultField& field : report::ResultSchema()) {
-    out += report::FieldToString(row, field);
-    out += '|';
-  }
-  return out;
-}
-
-// Capture once, then replay at every shards x engine combination: every
-// replayed row must reproduce the capturing run's row byte-for-byte
-// (DESIGN.md Section 14's determinism contract).
+// Capture once, then replay windowed at shards 1 and 4 and on the pure
+// serial loop (tests/oracles/serial_engine.h): every replayed row must
+// reproduce the capturing run's row byte-for-byte (DESIGN.md Section 14's
+// determinism contract).
 TEST(TraceCaptureReplayTest, ReplayReproducesCaptureRowAcrossShardsAndEngines) {
   const std::string path = TempPath("trace_capture_cg.bin");
   const Topology topo = Topology::Tiny();
@@ -271,10 +259,9 @@ TEST(TraceCaptureReplayTest, ReplayReproducesCaptureRowAcrossShardsAndEngines) {
 
   struct Variant {
     int shards;
-    bool reference;
+    bool serial;
   };
-  const std::vector<Variant> variants = {
-      {1, false}, {4, false}, {1, true}, {4, true}};
+  const std::vector<Variant> variants = {{1, false}, {4, false}, {1, true}};
   for (const Variant& v : variants) {
     RunSpec replay;
     replay.topo = topo;
@@ -283,11 +270,10 @@ TEST(TraceCaptureReplayTest, ReplayReproducesCaptureRowAcrossShardsAndEngines) {
     replay.sim = sim;
     replay.sim.shards = v.shards;
     replay.sim.shards_force = v.shards > 1;
-    replay.sim.reference_pipeline = v.reference;
     Simulation replay_sim(topo, replay.workload, replay.policy, replay.sim);
-    const RunResult replay_run = replay_sim.Run();
+    const RunResult replay_run = v.serial ? SerialEngine::Run(replay_sim) : replay_sim.Run();
     EXPECT_EQ(golden, SerializeRow(replay, replay_run))
-        << "shards=" << v.shards << " reference=" << v.reference;
+        << "shards=" << v.shards << " serial=" << v.serial;
   }
   std::filesystem::remove(path);
 }
