@@ -2,9 +2,15 @@
 // matrix, frozen in tests/golden/engine_identity.txt. The matrix is machines
 // A, B and epyc8 x CG.D (the hot-page path) / UA.B (the false-sharing
 // path) x Linux-4K / THP / Carrefour-2M / Carrefour-LP x faults off / frag,
-// plus a ckpt-churn trace replay, each at 1024 accesses x 25 epochs. The file was generated before the seed engine's algorithms
-// left src/ (both engines wrote it byte for byte), so it pins today's
-// engine to the seed's results through every later refactor.
+// plus machine B x CG.D x Carrefour-2M / Carrefour-LP x faults pressure /
+// churn (Carrefour-plan truncation, churn pins), machine A x CG.D x
+// Carrefour-LP in sketch profile mode (the presketch fold), and a ckpt-churn
+// trace replay under THP and under Carrefour-LP with memory pressure, each at
+// 1024 accesses x 25 epochs. Every EpochRecord field is
+// pinned, so a reordered policy stage fails at the first epoch it perturbs.
+// The first version of the file was generated before the seed engine's
+// algorithms left src/ (both engines wrote it byte for byte), so it pins
+// today's engine to the seed's results through every later refactor.
 //
 // On a mismatch the test names the first differing (cell, epoch, field) and
 // writes the actual output under the test temp dir. A deliberate result
@@ -16,6 +22,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/config.h"
@@ -47,6 +54,20 @@ SimConfig GoldenSim() {
   return sim;
 }
 
+GoldenCell MakeCell(const Topology& topo, BenchmarkId bench, PolicyKind kind,
+                    FaultProfile faults) {
+  GoldenCell cell;
+  cell.spec.topo = topo;
+  cell.spec.workload = MakeWorkloadSpec(bench, topo);
+  cell.spec.workload.steady_accesses_per_thread = 16'000;
+  cell.spec.policy = MakePolicyConfig(kind);
+  cell.spec.sim = GoldenSim();
+  cell.spec.sim.faults.profile = faults;
+  cell.name = topo.name() + '/' + std::string(NameOf(bench)) + '/' +
+              std::string(NameOf(kind)) + "/faults=" + std::string(NameOf(faults));
+  return cell;
+}
+
 std::vector<GoldenCell> GoldenCells(const std::string& trace_path) {
   std::vector<GoldenCell> cells;
   for (const Topology& topo :
@@ -55,29 +76,37 @@ std::vector<GoldenCell> GoldenCells(const std::string& trace_path) {
       for (const PolicyKind kind : {PolicyKind::kLinux4K, PolicyKind::kThp,
                                     PolicyKind::kCarrefour2M, PolicyKind::kCarrefourLp}) {
         for (const FaultProfile faults : {FaultProfile::kOff, FaultProfile::kFrag}) {
-          GoldenCell cell;
-          cell.spec.topo = topo;
-          cell.spec.workload = MakeWorkloadSpec(bench, topo);
-          cell.spec.workload.steady_accesses_per_thread = 16'000;
-          cell.spec.policy = MakePolicyConfig(kind);
-          cell.spec.sim = GoldenSim();
-          cell.spec.sim.faults.profile = faults;
-          cell.name = topo.name() + '/' + std::string(NameOf(bench)) + '/' +
-                      std::string(NameOf(kind)) +
-                      (faults == FaultProfile::kOff ? "/faults=off" : "/faults=frag");
-          cells.push_back(std::move(cell));
+          cells.push_back(MakeCell(topo, bench, kind, faults));
         }
       }
     }
   }
-  GoldenCell churn;
-  churn.spec.topo = Topology::MachineA();
-  churn.spec.workload = MakeTraceWorkloadSpec(trace_path);
-  churn.spec.policy = MakePolicyConfig(PolicyKind::kThp);
-  churn.spec.sim = GoldenSim();
-  churn.name = churn.spec.topo.name() + "/ckpt-churn/" +
-               std::string(NameOf(PolicyKind::kThp)) + "/faults=off";
-  cells.push_back(std::move(churn));
+  for (const PolicyKind kind : {PolicyKind::kCarrefour2M, PolicyKind::kCarrefourLp}) {
+    for (const FaultProfile faults : {FaultProfile::kPressure, FaultProfile::kChurn}) {
+      cells.push_back(MakeCell(Topology::MachineB(), BenchmarkId::kCG_D, kind, faults));
+    }
+  }
+  GoldenCell sketch = MakeCell(Topology::MachineA(), BenchmarkId::kCG_D,
+                               PolicyKind::kCarrefourLp, FaultProfile::kOff);
+  sketch.spec.sim.profile_mode = ProfileMode::kSketch;
+  sketch.name += "/profile=sketch";
+  cells.push_back(std::move(sketch));
+  // The ckpt-churn replay under Carrefour-LP with memory pressure is the cell
+  // where reactive re-promotion and khugepaged contend for the same epoch's
+  // 2MB allocations, so it pins their order.
+  for (const auto& [kind, faults] : {std::pair{PolicyKind::kThp, FaultProfile::kOff},
+                                     std::pair{PolicyKind::kCarrefourLp,
+                                               FaultProfile::kPressure}}) {
+    GoldenCell churn;
+    churn.spec.topo = Topology::MachineA();
+    churn.spec.workload = MakeTraceWorkloadSpec(trace_path);
+    churn.spec.policy = MakePolicyConfig(kind);
+    churn.spec.sim = GoldenSim();
+    churn.spec.sim.faults.profile = faults;
+    churn.name = churn.spec.topo.name() + "/ckpt-churn/" + std::string(NameOf(kind)) +
+                 "/faults=" + std::string(NameOf(faults));
+    cells.push_back(std::move(churn));
+  }
   return cells;
 }
 

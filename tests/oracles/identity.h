@@ -30,13 +30,28 @@ inline std::string ExactDouble(double value) {
   return buf;
 }
 
-// The per-epoch fields every identity check compares.
+// The per-epoch fields every identity check compares: every EpochRecord
+// field, NumaMetrics included.
 inline NamedFields EpochFields(const EpochRecord& record) {
+  const NumaMetrics& m = record.metrics;
   return {{"wall", std::to_string(record.wall)},
+          {"policy_overhead", std::to_string(record.policy_overhead)},
+          {"in_setup", std::to_string(record.in_setup)},
           {"migrations", std::to_string(record.migrations)},
           {"splits", std::to_string(record.splits)},
           {"promotions", std::to_string(record.promotions)},
-          {"lar_pct", ExactDouble(record.metrics.lar_pct)},
+          {"thp_coverage", ExactDouble(record.thp_coverage)},
+          {"thp_alloc_enabled", std::to_string(record.thp_alloc_enabled)},
+          {"thp_promote_enabled", std::to_string(record.thp_promote_enabled)},
+          {"lar_pct", ExactDouble(m.lar_pct)},
+          {"imbalance_pct", ExactDouble(m.imbalance_pct)},
+          {"pamup_pct", ExactDouble(m.pamup_pct)},
+          {"nhp", std::to_string(m.nhp)},
+          {"psp_pct", ExactDouble(m.psp_pct)},
+          {"walk_l2_miss_frac", ExactDouble(m.walk_l2_miss_frac)},
+          {"max_fault_time_share", ExactDouble(m.max_fault_time_share)},
+          {"est_current_lar", ExactDouble(record.est_current_lar)},
+          {"est_carrefour_lar", ExactDouble(record.est_carrefour_lar)},
           {"est_split_lar", ExactDouble(record.est_split_lar)}};
 }
 
