@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/core/experiment.h"
 #include "src/core/runner.h"
 #include "src/report/options.h"
 #include "src/topo/topology.h"

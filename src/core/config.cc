@@ -1,6 +1,10 @@
 #include "src/core/config.h"
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <utility>
 
 namespace numalp {
 
@@ -93,53 +97,61 @@ long long PositiveEnvInt(const char* name) {
   return parsed > 0 ? parsed : 0;
 }
 
+std::optional<double> ParsePercent(std::string_view text) {
+  const std::string copy(text);
+  char* end = nullptr;
+  const double value = std::strtod(copy.c_str(), &end);
+  if (copy.empty() || end != copy.c_str() + copy.size() || !(value >= 0.0 && value <= 100.0)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 SimConfig WithEnvOverrides(SimConfig sim) {
-  if (const long long epochs = PositiveEnvInt("NUMALP_MAX_EPOCHS"); epochs > 0) {
-    sim.max_epochs = static_cast<int>(epochs);
-  }
-  if (const long long accesses = PositiveEnvInt("NUMALP_ACCESSES_PER_EPOCH"); accesses > 0) {
-    sim.accesses_per_thread_per_epoch = static_cast<std::uint64_t>(accesses);
-  }
-  if (const long long seed = PositiveEnvInt("NUMALP_SEED"); seed > 0) {
-    sim.seed = static_cast<std::uint64_t>(seed);
-  }
-  if (const long long shards = PositiveEnvInt("NUMALP_SHARDS"); shards > 0) {
-    sim.shards = static_cast<int>(shards);
-  }
+  const auto reject = [](const char* name, const char* value, const char* expected) {
+    throw std::invalid_argument(std::string(name) + ": expected " + expected + ", got '" +
+                                value + "'");
+  };
+  const auto positive = [](const char* name, auto& field) {
+    if (const long long value = PositiveEnvInt(name); value > 0) {
+      field = static_cast<std::remove_reference_t<decltype(field)>>(value);
+    }
+  };
+  positive("NUMALP_MAX_EPOCHS", sim.max_epochs);
+  positive("NUMALP_ACCESSES_PER_EPOCH", sim.accesses_per_thread_per_epoch);
+  positive("NUMALP_SEED", sim.seed);
+  positive("NUMALP_SHARDS", sim.shards);
   if (PositiveEnvInt("NUMALP_SHARDS_FORCE") > 0) {
     sim.shards_force = true;
   }
-  if (const char* mode = std::getenv("NUMALP_PROFILE_MODE"); mode != nullptr) {
-    ParseProfileMode(mode, &sim.profile_mode);
+  if (const char* mode = std::getenv("NUMALP_PROFILE_MODE");
+      mode != nullptr && !ParseProfileMode(mode, &sim.profile_mode)) {
+    reject("NUMALP_PROFILE_MODE", mode, "exact | sketch");
   }
-  if (const long long threshold = PositiveEnvInt("NUMALP_PROFILE_THRESHOLD"); threshold > 0) {
-    sim.profile_sketch.admit_threshold = static_cast<std::uint64_t>(threshold);
-  }
-  if (const long long capacity = PositiveEnvInt("NUMALP_PROFILE_FILTER_CAPACITY");
-      capacity > 0) {
-    sim.profile_sketch.filter_capacity = static_cast<std::uint64_t>(capacity);
-  }
-  if (const long long width = PositiveEnvInt("NUMALP_PROFILE_SKETCH_WIDTH"); width > 0) {
-    sim.profile_sketch.sketch_width = static_cast<std::uint32_t>(width);
-  }
+  positive("NUMALP_PROFILE_THRESHOLD", sim.profile_sketch.admit_threshold);
+  positive("NUMALP_PROFILE_FILTER_CAPACITY", sim.profile_sketch.filter_capacity);
+  positive("NUMALP_PROFILE_SKETCH_WIDTH", sim.profile_sketch.sketch_width);
   if (const char* profile = std::getenv("NUMALP_FAULT_PROFILE"); profile != nullptr) {
-    if (const auto parsed = ParseFaultProfile(profile)) {
-      sim.faults.profile = *parsed;
+    const auto parsed = ParseFaultProfile(profile);
+    if (!parsed) {
+      reject("NUMALP_FAULT_PROFILE", profile, "off | frag | pressure | churn");
     }
+    sim.faults.profile = *parsed;
   }
-  // Rate overrides are percentages and may legitimately be 0, so presence is
-  // checked directly instead of through PositiveEnvInt.
-  if (const char* pct = std::getenv("NUMALP_FAULT_ALLOC_PCT"); pct != nullptr) {
-    sim.faults.alloc_fail_pct = std::strtod(pct, nullptr);
-  }
-  if (const char* pct = std::getenv("NUMALP_FAULT_MIGRATE_PCT"); pct != nullptr) {
-    sim.faults.migrate_fail_pct = std::strtod(pct, nullptr);
-  }
-  if (const char* pct = std::getenv("NUMALP_FAULT_LARGE_MIGRATE_PCT"); pct != nullptr) {
-    sim.faults.large_migrate_fail_pct = std::strtod(pct, nullptr);
-  }
-  if (const char* pct = std::getenv("NUMALP_FAULT_PRESSURE_PCT"); pct != nullptr) {
-    sim.faults.pressure_pct = std::strtod(pct, nullptr);
+  // Rate overrides may legitimately be 0, so presence is checked directly.
+  const std::pair<const char*, double*> percents[] = {
+      {"NUMALP_FAULT_ALLOC_PCT", &sim.faults.alloc_fail_pct},
+      {"NUMALP_FAULT_MIGRATE_PCT", &sim.faults.migrate_fail_pct},
+      {"NUMALP_FAULT_LARGE_MIGRATE_PCT", &sim.faults.large_migrate_fail_pct},
+      {"NUMALP_FAULT_PRESSURE_PCT", &sim.faults.pressure_pct}};
+  for (const auto& [name, pct] : percents) {
+    if (const char* value = std::getenv(name); value != nullptr) {
+      const std::optional<double> parsed = ParsePercent(value);
+      if (!parsed) {
+        reject(name, value, "a percentage in [0, 100]");
+      }
+      *pct = *parsed;
+    }
   }
   return sim;
 }

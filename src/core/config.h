@@ -3,6 +3,7 @@
 #define NUMALP_SRC_CORE_CONFIG_H_
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
 #include "src/carrefour/carrefour.h"
@@ -280,8 +281,11 @@ long long PositiveEnvInt(const char* name);
 // non-positive variables leave the field untouched. NUMALP_PROFILE_MODE
 // ("exact"/"sketch") selects the profiling metadata mode, with
 // NUMALP_PROFILE_THRESHOLD, NUMALP_PROFILE_FILTER_CAPACITY, and
-// NUMALP_PROFILE_SKETCH_WIDTH overriding the sketch knobs.
+// NUMALP_PROFILE_SKETCH_WIDTH overriding the sketch knobs. Malformed mode,
+// fault-profile or NUMALP_FAULT_*_PCT values throw std::invalid_argument.
 SimConfig WithEnvOverrides(SimConfig sim);
+// The whole of `text` as a number in [0, 100], or nullopt.
+std::optional<double> ParsePercent(std::string_view text);
 
 }  // namespace numalp
 

@@ -2,6 +2,12 @@
 
 namespace numalp {
 
+RunResult RunBenchmark(const Topology& topo, BenchmarkId bench, PolicyKind kind,
+                       const SimConfig& sim) {
+  Simulation simulation(topo, MakeWorkloadSpec(bench, topo), MakePolicyConfig(kind), sim);
+  return simulation.Run();
+}
+
 std::vector<PolicySummary> ComparePolicies(const Topology& topo, BenchmarkId bench,
                                            const std::vector<PolicyKind>& policies,
                                            const SimConfig& sim, int num_seeds,

@@ -19,6 +19,11 @@
 
 namespace numalp {
 
+// Convenience wrapper used by benches and examples: builds the named
+// workload on `topo`, runs it under `kind`, returns the result.
+RunResult RunBenchmark(const Topology& topo, BenchmarkId bench, PolicyKind kind,
+                       const SimConfig& sim);
+
 // Runs `bench` on `topo` under each policy (plus the Linux-4K baseline) for
 // `num_seeds` seeds and summarizes. The baseline itself can be requested as
 // one of `policies` (its improvement is 0 by construction only for itself).

@@ -24,19 +24,18 @@
 
 namespace numalp {
 
-// Per-page-fault cycle accounting, split so the fixed (page-table-lock)
-// part can be scaled by the epoch's measured fault concurrency while the
-// zeroing part stays per-byte (simulation.cc's epoch-end contention pass).
+// Per-page-fault cycle accounting, split so AccessEngine::Execute can scale
+// the fixed (page-table-lock) part by the epoch's fault concurrency while the
+// zeroing part stays per-byte.
 struct FaultCycleParts {
   Cycles fixed = 0;
   Cycles zero = 0;
 };
 
-// One simulated core's slice-local state, consolidated from what were
-// parallel per-core vectors in Simulation: everything ProcessSlice mutates
-// that belongs to exactly one core lives here, so a shard worker touches
-// only its own contexts during the parallel window and the shared
-// structures stay read-only until the serialized apply phase.
+// One simulated core's slice-local state in the access engine: everything
+// ProcessSlice mutates that belongs to exactly one core, so a shard worker
+// touches only its own contexts during a window and the shared structures
+// stay read-only until the serialized apply phase.
 struct ShardContext {
   ShardContext(const TlbConfig& tlb_config, int num_nodes, int core_id, int node_id)
       : tlb(tlb_config),
@@ -73,11 +72,9 @@ struct ShardContext {
   std::size_t pending_cursor = 0;
   // Sketch-profile-mode presketch delta: the 4KB page bases this core's
   // speculative samples would have added to the engine's epoch presketch
-  // (simulation.h). Kept sparse — a window carries only a handful of samples
-  // per core, so folding a list of bases at commit is far cheaper than
-  // merging per-shard sketch arrays — and folded in canonical core order
-  // like the counter deltas (commutative integer sums: any order is the
-  // serial order). Cleared on commit and on rollback.
+  // (access_engine.h). Kept sparse — a window carries only a handful of
+  // samples per core — and folded in canonical core order like the counter
+  // deltas. Cleared on commit and on rollback.
   std::vector<Addr> spec_sketch_pages;
 
   // --- Window snapshot (rollback target when speculation fails) -----------

@@ -1,5 +1,7 @@
 #include "src/hw/counters.h"
 
+#include <algorithm>
+
 namespace numalp {
 
 void CoreCounters::Accumulate(const CoreCounters& other) {
@@ -41,6 +43,37 @@ void EpochCounters::Reset() {
       r = 0;
     }
   }
+}
+
+Cycles EpochCounters::ResolveDramCycles(const Topology& topo, std::span<const Cycles> latencies,
+                                        const std::vector<std::vector<Cycles>>& remote,
+                                        Cycles hop_floor) {
+  double premium_sum = 0.0;
+  std::uint64_t remote_requests = 0;
+  for (std::size_t c = 0; c < cores.size(); ++c) {
+    const auto node = static_cast<std::size_t>(topo.NodeOfCore(static_cast<int>(c)));
+    Cycles dram_cycles = 0;
+    for (std::size_t n = 0; n < latencies.size(); ++n) {
+      const std::uint64_t requests = core_node_requests[c][n];
+      if (requests == 0) {
+        continue;
+      }
+      Cycles per_request = latencies[n];
+      if (n != node) {
+        per_request += remote[node][n];
+        remote_requests += requests;
+        premium_sum += static_cast<double>(requests) *
+                       (static_cast<double>(remote[node][n]) +
+                        static_cast<double>(latencies[n]) - static_cast<double>(latencies[node]));
+      }
+      dram_cycles += requests * per_request;
+    }
+    cores[c].dram_cycles = dram_cycles;
+  }
+  const double floor = static_cast<double>(hop_floor);
+  return static_cast<Cycles>(
+      remote_requests == 0 ? floor
+                           : std::max(floor, premium_sum / static_cast<double>(remote_requests)));
 }
 
 std::uint64_t EpochCounters::TotalAccesses() const {

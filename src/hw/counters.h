@@ -6,9 +6,11 @@
 #define NUMALP_SRC_HW_COUNTERS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/common/units.h"
+#include "src/topo/topology.h"
 
 namespace numalp {
 
@@ -46,6 +48,13 @@ struct EpochCounters {
   // Requests issued by core c to node n; resolved into dram_cycles at epoch
   // end once controller latencies are known.
   std::vector<std::vector<std::uint64_t>> core_node_requests;
+
+  // One pass over core_node_requests: sets each core's dram_cycles from the
+  // controller `latencies` and [src][dst] `remote` hop latencies, and returns
+  // the mean extra cost of a remote request over a local one at its
+  // requester, floored at `hop_floor` (also the value with no remote traffic).
+  Cycles ResolveDramCycles(const Topology& topo, std::span<const Cycles> latencies,
+                           const std::vector<std::vector<Cycles>>& remote, Cycles hop_floor);
 
   std::uint64_t TotalAccesses() const;
   std::uint64_t TotalDram() const;

@@ -7,6 +7,15 @@
 
 namespace numalp {
 
+void PageAgg::AddCounts(const PageAgg& other) {
+  total += other.total;
+  dram += other.dram;
+  core_mask |= other.core_mask;
+  for (std::size_t n = 0; n < req_node_counts.size(); ++n) {
+    req_node_counts[n] += other.req_node_counts[n];
+  }
+}
+
 int PageAgg::DistinctNodes() const {
   int distinct = 0;
   for (std::uint32_t c : req_node_counts) {
@@ -43,6 +52,15 @@ double PageAgg::MajorityReqSharePct() const {
 }
 
 int PageAgg::SharerCount() const { return std::popcount(core_mask); }
+
+void MergePageAggs(PageAggMap& into, const PageAggMap& from) {
+  for (const auto& [base, agg] : from) {
+    PageAgg& target = into[base];
+    target.size = agg.size;
+    target.home_node = agg.home_node;
+    target.AddCounts(agg);
+  }
+}
 
 PageAggMap AggregateSamples(std::span<const IbsSample> samples,
                             const AddressSpace& address_space, AggGranularity granularity) {

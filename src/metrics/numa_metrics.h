@@ -45,6 +45,8 @@ struct PageAgg {
   int home_node = -1;           // current physical placement (-1 if unmapped)
   PageSize size = PageSize::k4K;
 
+  // Adds `other`'s sample counts and sharers (size and home stay as set).
+  void AddCounts(const PageAgg& other);
   int DistinctNodes() const;
   // Node issuing most sampled accesses to this page.
   int MajorityReqNode() const;
@@ -98,6 +100,9 @@ void ForEachPageSorted(const PageAggMap& pages, Fn&& fn) {
 // Samples for unmapped addresses are dropped.
 PageAggMap AggregateSamples(std::span<const IbsSample> samples,
                             const AddressSpace& address_space, AggGranularity granularity);
+// Adds `from`'s aggregates into `into`, page by page; each merged page takes
+// `from`'s size and home node.
+void MergePageAggs(PageAggMap& into, const PageAggMap& from);
 
 struct NumaMetrics {
   double lar_pct = 0.0;

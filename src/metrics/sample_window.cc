@@ -225,13 +225,7 @@ PageAggMap SampleWindow::FoldToMapping(const AddressSpace& address_space) const 
     PageAgg& out = folded[mapping->page_base];
     out.size = mapping->size;
     out.home_node = mapping->node;
-    out.total += agg.total;
-    out.dram += agg.dram;
-    out.core_mask |= agg.core_mask;
-    for (int n = 0; n < kMaxNodes; ++n) {
-      out.req_node_counts[static_cast<std::size_t>(n)] +=
-          agg.req_node_counts[static_cast<std::size_t>(n)];
-    }
+    out.AddCounts(agg);
   }
   return folded;
 }
@@ -311,6 +305,18 @@ bool SampleWindow::HasSamplesIn(Addr base, std::uint64_t bytes) const {
     any = any || agg.total > 0;
   });
   return any;
+}
+
+std::vector<Addr> SampleWindow::EmptiedWindows(std::uint64_t bytes) const {
+  std::vector<Addr> windows;
+  windows.reserve(retired_pages_.size());
+  for (const Addr base : retired_pages_) {
+    windows.push_back(AlignDown(base, bytes));
+  }
+  std::sort(windows.begin(), windows.end());
+  windows.erase(std::unique(windows.begin(), windows.end()), windows.end());
+  std::erase_if(windows, [&](Addr w) { return HasSamplesIn(w, bytes); });
+  return windows;
 }
 
 std::size_t SampleWindow::peak_state_bytes() const {

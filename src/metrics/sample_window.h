@@ -1,4 +1,4 @@
-// Epoch-incremental IBS sample window (the RunPolicies hot path).
+// Epoch-incremental IBS sample window (the epoch pipeline's Profile stage).
 //
 // Policies act on a sliding window of epochs' samples. The seed engine
 // re-concatenated and re-aggregated the whole window every epoch —
@@ -116,9 +116,11 @@ class SampleWindow {
   bool HasSamplesIn(Addr base, std::uint64_t bytes) const;
 
   // 4KB bases whose aggregates were fully retired by the most recent
-  // PushEpoch (sketch mode only; always empty in exact mode). The engine uses these to prune the mirrored Carrefour state so
-  // long sparse runs don't accrete it.
+  // PushEpoch (sketch mode only; always empty in exact mode).
   const std::vector<Addr>& retired_pages() const { return retired_pages_; }
+  // The `bytes`-aligned windows, ascending, holding such a page and no
+  // samples at all — the Carrefour state-pruning set.
+  std::vector<Addr> EmptiedWindows(std::uint64_t bytes) const;
 
   std::size_t epochs() const { return epochs_.size(); }
   // Distinct 4KB pages currently aggregated.

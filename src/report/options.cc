@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <stdexcept>
 #include <string_view>
 
 #include "src/report/sink.h"
@@ -78,11 +80,25 @@ void PrintUsage(std::FILE* out, const ToolInfo& info) {
 Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
                       const std::vector<ExtraFlag>& extras) {
   Options options;
-  options.sim = WithEnvOverrides(SimConfig{});
+  try {
+    options.sim = WithEnvOverrides(SimConfig{});
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "%s: %s\n", info.name, error.what());
+    std::exit(2);
+  }
 
   auto fail = [&]() {
     PrintUsage(stderr, info);
     std::exit(2);
+  };
+  auto percent = [&](const std::string& flag, const char* value) {
+    const std::optional<double> pct = ParsePercent(value);
+    if (!pct) {
+      std::fprintf(stderr, "%s: %s: expected a percentage in [0, 100], got '%s'\n", info.name,
+                   flag.c_str(), value);
+      fail();
+    }
+    return pct.value_or(0.0);
   };
 
   for (int i = 1; i < argc; ++i) {
@@ -128,13 +144,13 @@ Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
       }
       options.sim.faults.profile = *profile;
     } else if (arg == "--fault-alloc-pct") {
-      options.sim.faults.alloc_fail_pct = std::strtod(next(), nullptr);
+      options.sim.faults.alloc_fail_pct = percent(arg, next());
     } else if (arg == "--fault-migrate-pct") {
-      options.sim.faults.migrate_fail_pct = std::strtod(next(), nullptr);
+      options.sim.faults.migrate_fail_pct = percent(arg, next());
     } else if (arg == "--fault-large-migrate-pct") {
-      options.sim.faults.large_migrate_fail_pct = std::strtod(next(), nullptr);
+      options.sim.faults.large_migrate_fail_pct = percent(arg, next());
     } else if (arg == "--fault-pressure-pct") {
-      options.sim.faults.pressure_pct = std::strtod(next(), nullptr);
+      options.sim.faults.pressure_pct = percent(arg, next());
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg == "--cell-deadline-ms") {

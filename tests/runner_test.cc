@@ -6,7 +6,9 @@
 
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/config.h"
@@ -14,6 +16,7 @@
 #include "src/core/runner.h"
 #include "src/core/simulation.h"
 #include "src/report/collector.h"
+#include "src/report/options.h"
 #include "src/report/sink.h"
 #include "src/topo/topology.h"
 #include "src/workloads/spec.h"
@@ -262,6 +265,17 @@ TEST(ExperimentRunnerTest, EnvOverridesParsePositiveValues) {
   ASSERT_EQ(unsetenv("NUMALP_MAX_EPOCHS"), 0);
 }
 
+// The message WithEnvOverrides rejects the environment with, or "" when it
+// accepts it.
+std::string EnvRejection(const SimConfig& sim) {
+  try {
+    WithEnvOverrides(sim);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
 TEST(ExperimentRunnerTest, ProfileModeEnvOverrides) {
   SimConfig sim;
   ASSERT_EQ(unsetenv("NUMALP_PROFILE_MODE"), 0);
@@ -269,7 +283,8 @@ TEST(ExperimentRunnerTest, ProfileModeEnvOverrides) {
   ASSERT_EQ(setenv("NUMALP_PROFILE_MODE", "sketch", 1), 0);
   EXPECT_EQ(WithEnvOverrides(sim).profile_mode, ProfileMode::kSketch);
   ASSERT_EQ(setenv("NUMALP_PROFILE_MODE", "bogus", 1), 0);
-  EXPECT_EQ(WithEnvOverrides(sim).profile_mode, ProfileMode::kExact);
+  EXPECT_EQ(EnvRejection(sim), "NUMALP_PROFILE_MODE: expected exact | sketch, got 'bogus'");
+  ASSERT_EQ(setenv("NUMALP_PROFILE_MODE", "sketch", 1), 0);
   ASSERT_EQ(setenv("NUMALP_PROFILE_THRESHOLD", "3", 1), 0);
   ASSERT_EQ(setenv("NUMALP_PROFILE_FILTER_CAPACITY", "4096", 1), 0);
   const SimConfig overridden = WithEnvOverrides(sim);
@@ -278,6 +293,66 @@ TEST(ExperimentRunnerTest, ProfileModeEnvOverrides) {
   ASSERT_EQ(unsetenv("NUMALP_PROFILE_MODE"), 0);
   ASSERT_EQ(unsetenv("NUMALP_PROFILE_THRESHOLD"), 0);
   ASSERT_EQ(unsetenv("NUMALP_PROFILE_FILTER_CAPACITY"), 0);
+}
+
+// Malformed fault settings must not quietly change the run: an unknown
+// profile or a percentage that does not parse completely into [0, 100] is
+// rejected, naming the variable; well-formed values still apply.
+TEST(ExperimentRunnerTest, FaultEnvOverridesRejectMalformedValues) {
+  SimConfig sim;
+  ASSERT_EQ(setenv("NUMALP_FAULT_PROFILE", "fargm", 1), 0);
+  EXPECT_EQ(EnvRejection(sim),
+            "NUMALP_FAULT_PROFILE: expected off | frag | pressure | churn, got 'fargm'");
+  ASSERT_EQ(setenv("NUMALP_FAULT_PROFILE", "pressure", 1), 0);
+  EXPECT_EQ(WithEnvOverrides(sim).faults.profile, FaultProfile::kPressure);
+  ASSERT_EQ(unsetenv("NUMALP_FAULT_PROFILE"), 0);
+  for (const char* name : {"NUMALP_FAULT_ALLOC_PCT", "NUMALP_FAULT_MIGRATE_PCT",
+                           "NUMALP_FAULT_LARGE_MIGRATE_PCT", "NUMALP_FAULT_PRESSURE_PCT"}) {
+    for (const char* bad : {"abc", "", "5x", "-1", "100.5", "nan"}) {
+      ASSERT_EQ(setenv(name, bad, 1), 0);
+      EXPECT_EQ(EnvRejection(sim), std::string(name) +
+                                       ": expected a percentage in [0, 100], got '" + bad + "'");
+    }
+    ASSERT_EQ(setenv(name, "12.5", 1), 0);
+    EXPECT_EQ(EnvRejection(sim), "") << name;
+    ASSERT_EQ(unsetenv(name), 0);
+  }
+  ASSERT_EQ(setenv("NUMALP_FAULT_ALLOC_PCT", "0", 1), 0);
+  EXPECT_EQ(WithEnvOverrides(sim).faults.alloc_fail_pct, 0.0);
+  ASSERT_EQ(setenv("NUMALP_FAULT_ALLOC_PCT", "100", 1), 0);
+  EXPECT_EQ(WithEnvOverrides(sim).faults.alloc_fail_pct, 100.0);
+  ASSERT_EQ(unsetenv("NUMALP_FAULT_ALLOC_PCT"), 0);
+}
+
+// The CLI rejects the same malformed values, from flags and from the
+// environment alike: a message naming the flag or variable, then exit 2.
+TEST(ExperimentRunnerDeathTest, ToolArgsRejectMalformedFaultAndProfileSettings) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const report::ToolInfo info{"tool", "tool", "test tool"};
+  const auto parse = [&](std::vector<std::string> args) {
+    args.insert(args.begin(), "tool");
+    std::vector<char*> argv;
+    for (std::string& arg : args) {
+      argv.push_back(arg.data());
+    }
+    report::ParseToolArgs(static_cast<int>(argv.size()), argv.data(), info);
+  };
+  for (const char* flag : {"--fault-alloc-pct", "--fault-migrate-pct", "--fault-large-migrate-pct",
+                           "--fault-pressure-pct"}) {
+    EXPECT_EXIT(parse({flag, "abc"}), ::testing::ExitedWithCode(2),
+                std::string(flag) + ": expected a percentage in \\[0, 100\\], got 'abc'");
+    EXPECT_EXIT(parse({flag, "101"}), ::testing::ExitedWithCode(2), flag);
+  }
+  EXPECT_EXIT(parse({"--fault-profile", "bogus"}), ::testing::ExitedWithCode(2),
+              "--fault-profile");
+  EXPECT_EXIT(parse({"--profile-mode", "bogus"}), ::testing::ExitedWithCode(2), "--profile-mode");
+  for (const auto& [name, value] : {std::pair{"NUMALP_FAULT_PROFILE", "fargm"},
+                                    std::pair{"NUMALP_PROFILE_MODE", "bogus"},
+                                    std::pair{"NUMALP_FAULT_PRESSURE_PCT", "abc"}}) {
+    ASSERT_EQ(setenv(name, value, 1), 0);
+    EXPECT_EXIT(parse({}), ::testing::ExitedWithCode(2), name);
+    ASSERT_EQ(unsetenv(name), 0);
+  }
 }
 
 }  // namespace
