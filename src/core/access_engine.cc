@@ -16,11 +16,10 @@ AccessEngine::AccessEngine(const Topology& topo, const SimConfig& sim, AddressSp
       ibs_(ibs),
       walker_(walker),
       migrate_on_touch_(migrate_on_touch),
+      epoch_presketch_(presketch ? CountSketch(sim.profile_sketch.sketch_rows,
+                                               sim.profile_sketch.sketch_width)
+                                 : CountSketch()),
       presketch_enabled_(presketch) {
-  if (presketch_enabled_) {
-    epoch_presketch_ =
-        CountSketch(sim_.profile_sketch.sketch_rows, sim_.profile_sketch.sketch_width);
-  }
   shard_ctx_.reserve(static_cast<std::size_t>(topo_.num_cores()));
   Rng seeder(sim_.seed ^ 0x7777u);
   for (int c = 0; c < topo_.num_cores(); ++c) {
@@ -29,18 +28,12 @@ AccessEngine::AccessEngine(const Topology& topo, const SimConfig& sim, AddressSp
   }
   shard_pool_ = std::make_unique<ShardPool>(
       ResolveShardCount(sim_.shards, sim_.shards_force, topo_.num_cores()));
-  AddNewRegions();
-}
-
-void AccessEngine::AddNewRegions() {
-  for (int r = static_cast<int>(region_mlp_.size()); r < workload_->num_regions(); ++r) {
-    const SourceRegion region = workload_->region(r);
-    region_mlp_.push_back(region.mlp);
-    region_intensity_.push_back(region.dram_intensity);
-  }
 }
 
 void AccessEngine::Execute(bool epoch_in_setup) {
+  if (presketch_enabled_) {
+    epoch_presketch_.Reset();
+  }
   for (ShardContext& ctx : shard_ctx_) {
     ctx.fault_parts = FaultCycleParts{};
   }
@@ -79,6 +72,7 @@ int AccessEngine::CoreOfThread(int thread) const {
   // Round-robin pinning across CPU-bearing nodes (the Linux scatter the
   // paper's workloads run under): thread t -> node t % N, so on all-CPU
   // machines exactly the seed's (t % nodes) * cores_per_node + t / nodes.
+  // Far-memory nodes have no cores and never appear in the rotation.
   const std::vector<int>& cpu = topo_.cpu_nodes();
   const int n = static_cast<int>(cpu.size());
   const NodeInfo& node = topo_.node(cpu[static_cast<std::size_t>(thread % n)]);
@@ -245,6 +239,11 @@ bool AccessEngine::ProcessSlice(ShardContext& ctx, const WorkloadAccess* accesse
 }
 
 void AccessEngine::FillBatches() {
+  for (int r = static_cast<int>(region_mlp_.size()); r < workload_->num_regions(); ++r) {
+    const SourceRegion region = workload_->region(r);
+    region_mlp_.push_back(region.mlp);
+    region_intensity_.push_back(region.dram_intensity);
+  }
   const std::size_t accesses = sim_.accesses_per_thread_per_epoch;
   const int cores = topo_.num_cores();
   const int shards = shard_pool_->shards();
@@ -286,7 +285,8 @@ void AccessEngine::ExecuteEpochAccesses(bool epoch_in_setup) {
       window_rounds_ = std::min(kMaxWindowRounds, window_rounds_ * 2);
     } else {
       // Replay the window serially, then stay serial for a penalty span:
-      // aborts cluster (fault bursts, post-split lazy placement).
+      // aborts cluster (fault bursts, post-split lazy placement), and each
+      // costs a snapshot, a partial run and a rollback on top of the replay.
       const std::uint64_t faults_before = counters_.TotalFaults();
       RunRoundsSerial(round, round + span);
       ++(counters_.TotalFaults() > faults_before ? speculation_.windows_fault_aborted

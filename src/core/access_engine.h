@@ -42,21 +42,23 @@ class AccessEngine {
 
   int shards() const { return shard_pool_->shards(); }
   int CoreOfThread(int thread) const;
-  // Appends cost-table entries for regions the source mapped since.
-  void AddNewRegions();
-  // Fills every thread's epoch batch on the shard pool: worker w fills the
-  // threads t ≡ w mod S whose slices it runs (AccessSource::FillBatch).
+  // Adds cost-table entries for regions the source mapped since the last
+  // call, then fills every thread's epoch batch on the shard pool: worker w
+  // fills the threads t ≡ w mod S whose slices it runs
+  // (AccessSource::FillBatch).
   void FillBatches();
   const std::vector<WorkloadAccess>& batch(int thread) const {
     return shard_ctx_[static_cast<std::size_t>(CoreOfThread(thread))].batch;
   }
-  // Runs the epoch's batches, then scales each core's fixed fault cycles by
-  // the epoch's fault concurrency (page-table-lock contention).
+  // Runs the epoch's batches into a fresh presketch, then scales each core's
+  // fixed fault cycles by the epoch's fault concurrency.
   void Execute(bool epoch_in_setup);
   // Invalidates the pages, then the ranges, in every core's TLB.
   void Shootdown(std::span<const PageShootdown> pages, std::span<const RangeShootdown> ranges);
   // The epoch presketch, or nullptr when it is off.
-  CountSketch* presketch() { return presketch_enabled_ ? &epoch_presketch_ : nullptr; }
+  const CountSketch* presketch() const {
+    return presketch_enabled_ ? &epoch_presketch_ : nullptr;
+  }
   // The epoch's hinting-fault copy cycles and migrated pages; resets both.
   std::pair<Cycles, std::uint64_t> TakeHintMigrations() {
     return {std::exchange(hint_kernel_cycles_, 0), std::exchange(hint_migrations_, 0)};

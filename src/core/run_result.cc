@@ -28,18 +28,6 @@ void RunResult::AddEpoch(const EpochRecord& record, const EpochCounters& counter
   epochs = static_cast<int>(history.size());
 }
 
-void RunResult::RecordFaults(const FaultCounters& counters, std::uint64_t retried_migrations,
-                             std::uint64_t abandoned_pages) {
-  fault_alloc_failures = counters.alloc_failures;
-  fault_migration_failures = counters.migration_failures;
-  fault_split_failures = counters.split_failures;
-  fault_truncated_plans = counters.truncated_plans;
-  fault_pressure_epochs = counters.pressure_epochs;
-  fault_promote_backoffs = counters.promote_backoffs;
-  fault_retried_migrations = retried_migrations;
-  fault_abandoned_pages = abandoned_pages;
-}
-
 void RunResult::RecordAllocatorState(const PhysicalMemory& phys) {
   // Worst per-node fragmentation, the largest order any node can serve, and
   // the residual 2MB capacity.

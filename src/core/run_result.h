@@ -120,8 +120,6 @@ struct RunResult {
 
   // Appends a finished epoch's record and adds its counters to the totals.
   void AddEpoch(const EpochRecord& record, const EpochCounters& counters);
-  void RecordFaults(const FaultCounters& counters, std::uint64_t retried_migrations,
-                    std::uint64_t abandoned_pages);
   // Fills the buddy-allocator telemetry from the run-end allocator state.
   void RecordAllocatorState(const PhysicalMemory& phys);
 

@@ -97,8 +97,6 @@ Simulation::Simulation(const Topology& topo, const WorkloadSpec& workload,
   }
 }
 
-Simulation::~Simulation() = default;
-
 RunResult Simulation::Run() {
   RunResult result;
   result.workload = workload_spec_.name;
@@ -127,7 +125,30 @@ RunResult Simulation::Run() {
       break;
     }
   }
-  FinishRun(result);
+  result.final_thp_coverage = address_space_->LargePageCoverage();
+  if (fault_plan_ != nullptr) {
+    const FaultCounters& fc = fault_plan_->counters();
+    result.fault_alloc_failures = fc.alloc_failures;
+    result.fault_migration_failures = fc.migration_failures;
+    result.fault_split_failures = fc.split_failures;
+    result.fault_truncated_plans = fc.truncated_plans;
+    result.fault_pressure_epochs = fc.pressure_epochs;
+    result.fault_promote_backoffs = fc.promote_backoffs;
+    result.fault_retried_migrations = carrefour_.retried_migrations();
+    result.fault_abandoned_pages = carrefour_.abandoned_pages();
+  }
+  result.thp_fallback_faults = address_space_->thp_fallback_faults();
+  result.trace_source = trace_provenance_;
+  if (capture_ != nullptr) {
+    capture_->Finish(result.completed);
+  }
+  result.RecordAllocatorState(phys_);
+  result.profile_peak_entries = window_.peak_entries();
+  result.profile_state_bytes = window_.peak_state_bytes();
+  result.profile_admission_misses = window_.admission_misses();
+  result.speculation = engine_->speculation();
+  result.cumulative_pages = std::move(cumulative_pages_);
+  cumulative_pages_ = PageAggMap{};
   return result;
 }
 
@@ -151,12 +172,11 @@ Simulation::EpochState Simulation::BeginEpoch(int epoch) {
 
 void Simulation::GenerateAccesses(const EpochState& state, RunResult& result) {
   workload_->BeginEpoch();
-  // Trace mmap churn: regions the source mapped enter the engine's cost
-  // tables, the counters and the capture.
+  // Trace mmap churn: regions the source mapped enter the counters and the
+  // capture (FillBatches adds them to the engine's cost tables).
   std::vector<RegionMapEvent> map_events;
   workload_->DrainMapEvents(&map_events);
   result.region_maps += map_events.size();
-  engine_->AddNewRegions();
   engine_->FillBatches();
   if (capture_ != nullptr) {
     // The serial capture point, invariant across jobs × shards (DESIGN.md §14).
@@ -203,11 +223,7 @@ void Simulation::Profile(EpochState& state) {
   if (!placement_active_) {
     return;
   }
-  CountSketch* presketch = engine_->presketch();
-  window_.PushEpoch(std::move(state.fresh), presketch);
-  if (presketch != nullptr) {
-    presketch->Reset();
-  }
+  window_.PushEpoch(std::move(state.fresh), engine_->presketch());
   // Sketch mode prunes Carrefour's state for 2MB windows whose last sample
   // retired (DESIGN.md Section 11).
   if (policy_.use_carrefour) {
@@ -286,7 +302,6 @@ void Simulation::SplitPages(const std::vector<std::pair<Addr, PageSize>>& pages,
     } else {
       state.shootdowns.emplace_back(base, size);
     }
-    state.did_split = true;
     const std::uint64_t step = BytesOf(size == PageSize::k1G ? PageSize::k2M : PageSize::k4K);
     std::uint64_t moved_pages = 0;
     std::uint64_t moved_bytes = 0;
@@ -297,7 +312,8 @@ void Simulation::SplitPages(const std::vector<std::pair<Addr, PageSize>>& pages,
             policy_rng_.Uniform(static_cast<std::uint64_t>(cpu.size())))];
       } else {
         // Split-time placement (DESIGN.md Section 8.4): sampled pieces move
-        // to their majority node now; the hint mark lets the next toucher
+        // to their majority node now, with no per-piece shootdowns (they have
+        // no cached translations yet); the hint mark lets the next toucher
         // correct a misplacement.
         migrate_on_touch_.Insert(p);
         target = window_.MajorityReqNodeIn(p, step, sim_.costs.split_place_min_samples);
@@ -327,8 +343,8 @@ void Simulation::RunCarrefourPlan(EpochState& state) {
   if (!carrefour_.ShouldRun(metrics.lar_pct, metrics.imbalance_pct, dram_rate)) {
     return;
   }
-  if (state.did_split) {
-    // Re-fold so the plan sees the post-split granularity.
+  if (state.record.splits > 0) {
+    // Re-fold so the plan sees this epoch's post-split granularity.
     state.window_pages = window_.FoldToMapping(*address_space_);
   }
   const int epoch = state.record.epoch;
@@ -393,8 +409,9 @@ void Simulation::Promote(EpochState& state) {
       }
     }
   }
-  // khugepaged runs only while THP is enabled, and skips windows whose
-  // pieces await hinting-fault placement (it would undo their split).
+  // khugepaged runs only while THP is enabled (splitting disables
+  // allocation, parking the scanner, which would otherwise undo every split)
+  // and skips windows whose pieces still await hinting-fault placement.
   if (!thp_state_.promote_enabled || !thp_state_.alloc_enabled) {
     return;
   }
@@ -469,26 +486,6 @@ bool Simulation::EndEpoch(RunResult& result) {
     capture_->EndEpoch(done);
   }
   return done;
-}
-
-void Simulation::FinishRun(RunResult& result) {
-  result.final_thp_coverage = address_space_->LargePageCoverage();
-  if (fault_plan_ != nullptr) {
-    result.RecordFaults(fault_plan_->counters(), carrefour_.retried_migrations(),
-                        carrefour_.abandoned_pages());
-  }
-  result.thp_fallback_faults = address_space_->thp_fallback_faults();
-  result.trace_source = trace_provenance_;
-  if (capture_ != nullptr) {
-    capture_->Finish(result.completed);
-  }
-  result.RecordAllocatorState(phys_);
-  result.profile_peak_entries = window_.peak_entries();
-  result.profile_state_bytes = window_.peak_state_bytes();
-  result.profile_admission_misses = window_.admission_misses();
-  result.speculation = engine_->speculation();
-  result.cumulative_pages = std::move(cumulative_pages_);
-  cumulative_pages_ = PageAggMap{};
 }
 
 }  // namespace numalp

@@ -39,7 +39,6 @@ class Simulation {
  public:
   Simulation(const Topology& topo, const WorkloadSpec& workload, const PolicyConfig& policy,
              const SimConfig& sim);
-  ~Simulation();
 
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
@@ -78,7 +77,6 @@ class Simulation {
     std::vector<AccessEngine::PageShootdown> shootdowns;
     std::vector<AccessEngine::RangeShootdown> shootdown_ranges;
     Cycles kernel_cycles = 0;
-    bool did_split = false;
   };
 
   // The epoch pipeline, called by Run() in this order.
@@ -92,7 +90,6 @@ class Simulation {
   void Account(EpochState& state, RunResult& result);
   // Applies the epoch's munmap events; true when the source is done.
   bool EndEpoch(RunResult& result);
-  void FinishRun(RunResult& result);
 
   // Execute-stage passes.
   void SplitPages(const std::vector<std::pair<Addr, PageSize>>& pages, bool hot,

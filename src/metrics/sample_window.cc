@@ -309,7 +309,6 @@ bool SampleWindow::HasSamplesIn(Addr base, std::uint64_t bytes) const {
 
 std::vector<Addr> SampleWindow::EmptiedWindows(std::uint64_t bytes) const {
   std::vector<Addr> windows;
-  windows.reserve(retired_pages_.size());
   for (const Addr base : retired_pages_) {
     windows.push_back(AlignDown(base, bytes));
   }

@@ -149,7 +149,7 @@ TEST(TopologyTest, CxlFarMemoryTier) {
   }
 }
 
-// CoreOfThread's round-robin pinning (simulation.cc) indexes
+// CoreOfThread's round-robin pinning (access_engine.cc) indexes
 // cpu_nodes()[t % n].first_core + t / n; the preset core layout must keep
 // first_core contiguous across CPU-bearing nodes for that to cover every
 // core exactly once.
