@@ -37,11 +37,7 @@ class AccessEngine {
                AccessSource& source, EpochCounters& counters, IbsEngine& ibs,
                const PageWalker& walker, FlatSet<Addr>& migrate_on_touch, bool presketch);
 
-  AccessEngine(const AccessEngine&) = delete;
-  AccessEngine& operator=(const AccessEngine&) = delete;
-
   int shards() const { return shard_pool_->shards(); }
-  int CoreOfThread(int thread) const;
   // Adds cost-table entries for regions the source mapped since the last
   // call, then fills every thread's epoch batch on the shard pool: worker w
   // fills the threads t ≡ w mod S whose slices it runs
@@ -78,6 +74,7 @@ class AccessEngine {
   static constexpr std::size_t kMinWindowRounds = 8;
   static constexpr std::size_t kMaxWindowRounds = 256;
 
+  int CoreOfThread(int thread) const;
   // Executes one slice of a thread's access batch on the context's core,
   // each access exactly as the seed's per-call engine did. kSpeculative runs
   // the same arithmetic against frozen shared state: shared counters go to

@@ -97,12 +97,12 @@ long long PositiveEnvInt(const char* name) {
   return parsed > 0 ? parsed : 0;
 }
 
-std::optional<double> ParsePercent(std::string_view text) {
-  const std::string copy(text);
+double ParsePercent(const std::string& setting, const char* text) {
   char* end = nullptr;
-  const double value = std::strtod(copy.c_str(), &end);
-  if (copy.empty() || end != copy.c_str() + copy.size() || !(value >= 0.0 && value <= 100.0)) {
-    return std::nullopt;
+  const double value = std::strtod(text, &end);
+  if (*text == '\0' || *end != '\0' || !(value >= 0.0 && value <= 100.0)) {
+    throw std::invalid_argument(setting + ": expected a percentage in [0, 100], got '" + text +
+                                "'");
   }
   return value;
 }
@@ -146,11 +146,7 @@ SimConfig WithEnvOverrides(SimConfig sim) {
       {"NUMALP_FAULT_PRESSURE_PCT", &sim.faults.pressure_pct}};
   for (const auto& [name, pct] : percents) {
     if (const char* value = std::getenv(name); value != nullptr) {
-      const std::optional<double> parsed = ParsePercent(value);
-      if (!parsed) {
-        reject(name, value, "a percentage in [0, 100]");
-      }
-      *pct = *parsed;
+      *pct = ParsePercent(name, value);
     }
   }
   return sim;

@@ -3,7 +3,7 @@
 #define NUMALP_SRC_CORE_CONFIG_H_
 
 #include <cstdint>
-#include <optional>
+#include <string>
 #include <string_view>
 
 #include "src/carrefour/carrefour.h"
@@ -284,8 +284,9 @@ long long PositiveEnvInt(const char* name);
 // NUMALP_PROFILE_SKETCH_WIDTH overriding the sketch knobs. Malformed mode,
 // fault-profile or NUMALP_FAULT_*_PCT values throw std::invalid_argument.
 SimConfig WithEnvOverrides(SimConfig sim);
-// The whole of `text` as a number in [0, 100], or nullopt.
-std::optional<double> ParsePercent(std::string_view text);
+// The whole of `text` as a number in [0, 100]; anything else throws
+// std::invalid_argument naming `setting`.
+double ParsePercent(const std::string& setting, const char* text);
 
 }  // namespace numalp
 

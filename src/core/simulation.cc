@@ -71,14 +71,13 @@ Simulation::Simulation(const Topology& topo, const WorkloadSpec& workload,
                                            sim_.seed);
   }
   if (!workload_spec_.capture_file.empty()) {
-    trace::TraceHeader header{
-        .machine = topo_.name(),
-        .workload = workload_spec_.name,
-        .seed = sim_.seed,
-        .threads = static_cast<std::uint32_t>(topo_.num_cores()),
-        .accesses_per_thread_per_epoch =
-            static_cast<std::uint32_t>(sim_.accesses_per_thread_per_epoch),
-        .regions = {}};
+    trace::TraceHeader header;
+    header.machine = topo_.name();
+    header.workload = workload_spec_.name;
+    header.seed = sim_.seed;
+    header.threads = static_cast<std::uint32_t>(topo_.num_cores());
+    header.accesses_per_thread_per_epoch =
+        static_cast<std::uint32_t>(sim_.accesses_per_thread_per_epoch);
     for (int r = 0; r < workload_->num_regions(); ++r) {
       header.regions.push_back(workload_->region(r));
     }
@@ -195,14 +194,9 @@ void Simulation::ResolveLatencies(EpochState& state) {
       sim_.mem_ctrl.capacity_fraction * static_cast<double>(topo_.num_cores()) *
       static_cast<double>(sim_.accesses_per_thread_per_epoch) /
       static_cast<double>(topo_.num_nodes()));
-  auto latencies = mem_ctrl_.Latencies(counters_.node_requests, ctrl_capacity);
-  // A CXL expander's flat service premium (DESIGN.md Section 13).
-  for (int n = 0; n < topo_.num_nodes(); ++n) {
-    latencies[static_cast<std::size_t>(n)] += topo_.node(n).extra_latency;
-  }
   state.remote_dram_premium = counters_.ResolveDramCycles(
-      topo_, latencies, interconnect_.RemoteLatencies(counters_.node_incoming_remote),
-      sim_.interconnect.per_hop);
+      topo_, mem_ctrl_.Latencies(counters_.node_requests, ctrl_capacity),
+      interconnect_.RemoteLatencies(counters_.node_incoming_remote), sim_.interconnect.per_hop);
   for (const auto& core : counters_.cores) {
     state.app_wall = std::max(state.app_wall, core.total_cycles());
   }

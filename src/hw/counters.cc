@@ -45,9 +45,12 @@ void EpochCounters::Reset() {
   }
 }
 
-Cycles EpochCounters::ResolveDramCycles(const Topology& topo, std::span<const Cycles> latencies,
+Cycles EpochCounters::ResolveDramCycles(const Topology& topo, std::vector<Cycles> latencies,
                                         const std::vector<std::vector<Cycles>>& remote,
                                         Cycles hop_floor) {
+  for (std::size_t n = 0; n < latencies.size(); ++n) {
+    latencies[n] += topo.node(static_cast<int>(n)).extra_latency;
+  }
   double premium_sum = 0.0;
   std::uint64_t remote_requests = 0;
   for (std::size_t c = 0; c < cores.size(); ++c) {

@@ -6,7 +6,6 @@
 #define NUMALP_SRC_HW_COUNTERS_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "src/common/units.h"
@@ -50,10 +49,11 @@ struct EpochCounters {
   std::vector<std::vector<std::uint64_t>> core_node_requests;
 
   // One pass over core_node_requests: sets each core's dram_cycles from the
-  // controller `latencies` and [src][dst] `remote` hop latencies, and returns
-  // the mean extra cost of a remote request over a local one at its
+  // controller `latencies` plus each node's flat far-memory premium
+  // (DESIGN.md Section 13) and the [src][dst] `remote` hop latencies, and
+  // returns the mean extra cost of a remote request over a local one at its
   // requester, floored at `hop_floor` (also the value with no remote traffic).
-  Cycles ResolveDramCycles(const Topology& topo, std::span<const Cycles> latencies,
+  Cycles ResolveDramCycles(const Topology& topo, std::vector<Cycles> latencies,
                            const std::vector<std::vector<Cycles>>& remote, Cycles hop_floor);
 
   std::uint64_t TotalAccesses() const;

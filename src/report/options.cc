@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <stdexcept>
 #include <string_view>
 
@@ -75,30 +74,16 @@ void PrintUsage(std::FILE* out, const ToolInfo& info) {
   }
 }
 
-}  // namespace
-
-Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
-                      const std::vector<ExtraFlag>& extras) {
+// ParseToolArgs without the handling of malformed settings, which throw
+// std::invalid_argument.
+Options ParseArgs(int argc, char** argv, const ToolInfo& info,
+                  const std::vector<ExtraFlag>& extras) {
   Options options;
-  try {
-    options.sim = WithEnvOverrides(SimConfig{});
-  } catch (const std::invalid_argument& error) {
-    std::fprintf(stderr, "%s: %s\n", info.name, error.what());
-    std::exit(2);
-  }
+  options.sim = WithEnvOverrides(SimConfig{});
 
   auto fail = [&]() {
     PrintUsage(stderr, info);
     std::exit(2);
-  };
-  auto percent = [&](const std::string& flag, const char* value) {
-    const std::optional<double> pct = ParsePercent(value);
-    if (!pct) {
-      std::fprintf(stderr, "%s: %s: expected a percentage in [0, 100], got '%s'\n", info.name,
-                   flag.c_str(), value);
-      fail();
-    }
-    return pct.value_or(0.0);
   };
 
   for (int i = 1; i < argc; ++i) {
@@ -144,13 +129,13 @@ Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
       }
       options.sim.faults.profile = *profile;
     } else if (arg == "--fault-alloc-pct") {
-      options.sim.faults.alloc_fail_pct = percent(arg, next());
+      options.sim.faults.alloc_fail_pct = ParsePercent(arg, next());
     } else if (arg == "--fault-migrate-pct") {
-      options.sim.faults.migrate_fail_pct = percent(arg, next());
+      options.sim.faults.migrate_fail_pct = ParsePercent(arg, next());
     } else if (arg == "--fault-large-migrate-pct") {
-      options.sim.faults.large_migrate_fail_pct = percent(arg, next());
+      options.sim.faults.large_migrate_fail_pct = ParsePercent(arg, next());
     } else if (arg == "--fault-pressure-pct") {
-      options.sim.faults.pressure_pct = percent(arg, next());
+      options.sim.faults.pressure_pct = ParsePercent(arg, next());
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg == "--cell-deadline-ms") {
@@ -175,6 +160,18 @@ Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
     }
   }
   return options;
+}
+
+}  // namespace
+
+Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
+                      const std::vector<ExtraFlag>& extras) {
+  try {
+    return ParseArgs(argc, argv, info, extras);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "%s: %s\n", info.name, error.what());
+    std::exit(2);
+  }
 }
 
 std::optional<BenchmarkId> ParseWorkloadName(const std::string& name) {
