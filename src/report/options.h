@@ -57,7 +57,9 @@ struct Options {
 // Parses argv. Standard flags: --format, --out-dir, --jobs, --seed,
 // --epochs, --accesses, --shards, --profile-mode, --profile-threshold,
 // --profile-capacity, --help (prints uniform usage, exits 0).
-// Unknown flags or bad values print usage to stderr and exit 2.
+// Unknown flags or bad values print usage to stderr and exit 2; a malformed
+// fault or profile setting (flag or environment) prints a message naming it
+// and exits 2.
 Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
                       const std::vector<ExtraFlag>& extras = {});
 

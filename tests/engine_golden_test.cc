@@ -17,6 +17,8 @@
 // change regenerates the file by copying that output over the golden.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -114,7 +116,9 @@ std::vector<GoldenCell> GoldenCells(const std::string& trace_path) {
 // "cell|row|field=value|..." line with the cell's result row.
 std::string RenderGolden() {
   const std::string trace_path =
-      (std::filesystem::path(::testing::TempDir()) / "engine_golden_churn.bin").string();
+      (std::filesystem::path(::testing::TempDir()) /
+       ("engine_golden_churn_" + std::to_string(::getpid()) + ".bin"))
+          .string();
   trace::TracegenOptions gen;
   gen.profile = "ckpt-churn";
   gen.topo = Topology::MachineA();
