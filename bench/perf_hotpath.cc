@@ -112,89 +112,10 @@ std::vector<ShardPoint> RunShardSweep(const numalp::Topology& topo, numalp::SimC
   return points;
 }
 
-// One run of the profile-metadata sweep: the same cell under exact and
-// sketch profiling, recording the tracked-state high-water marks RunResult
-// carries (deliberately outside the JSONL surface) next to the placement
-// decisions, so the JSON shows the ISSUE's claim directly: same decisions,
-// an order of magnitude less profiling state on the sparse cell.
-struct ProfilePoint {
-  std::string cell;
-  std::string mode;  // "exact" | "sketch"
-  std::uint64_t peak_entries = 0;
-  std::uint64_t state_bytes = 0;
-  std::uint64_t admission_misses = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t splits = 0;
-  std::uint64_t promotions = 0;
-  numalp::Cycles measured_cycles = 0;
-};
-
-ProfilePoint RunProfileCell(const char* cell, const numalp::Topology& topo,
-                            numalp::BenchmarkId bench, numalp::PolicyKind kind,
-                            const numalp::SimConfig& sim) {
-  const numalp::RunResult result = numalp::RunBenchmark(topo, bench, kind, sim);
-  ProfilePoint p;
-  p.cell = cell;
-  p.mode = std::string(numalp::NameOf(sim.profile_mode));
-  p.peak_entries = result.profile_peak_entries;
-  p.state_bytes = result.profile_state_bytes;
-  p.admission_misses = result.profile_admission_misses;
-  p.migrations = result.total_migrations;
-  p.splits = result.total_splits;
-  p.promotions = result.total_promotions;
-  p.measured_cycles = result.measured_cycles;
-  std::fprintf(stderr,
-               "perf_hotpath: profile %-24s %-6s peak_entries=%llu state_bytes=%llu "
-               "misses=%llu migrations=%llu\n",
-               p.cell.c_str(), p.mode.c_str(), (unsigned long long)p.peak_entries,
-               (unsigned long long)p.state_bytes, (unsigned long long)p.admission_misses,
-               (unsigned long long)p.migrations);
-  return p;
-}
-
-// Exact-vs-sketch state sweep: the sparse-footprint stressor (where bounded
-// state is the whole point) plus the flagship CG.D cell at the bit-identical
-// default threshold. The sweep densifies sampling (interval 32 on both
-// sides — state scales with distinct sampled pages, and the comparison must
-// be like against like) and gives sketch mode a fixed small budget: a
-// 32Ki-slot filter (64KB) and a 4x32Ki count-sketch (512KB) — sized so the
-// sketch's per-row aliasing load stays below one count per cell for the
-// cell's ~35K unadmitted samples (a saturated count-sketch over-admits
-// everything and the bound evaporates) — versus exact mode's one FlatMap
-// entry per sampled 4KB page of a threads x 32MiB footprint. Threshold 4 on
-// the sparse cell keeps once-or-twice-sampled
-// cold pages out of the exact aggregate; every such page is strictly local
-// and below Carrefour's per-page floor, so decisions cannot move (the
-// runner_test grid pins the threshold-1 identity bit-for-bit).
-std::vector<ProfilePoint> RunProfileSweep(const numalp::Topology& topo,
-                                          numalp::SimConfig sim) {
-  sim.ibs_interval = 32;
-  std::vector<ProfilePoint> points;
-  numalp::SimConfig sketch = sim;
-  sketch.profile_mode = numalp::ProfileMode::kSketch;
-  sketch.profile_sketch.admit_threshold = 4;
-  sketch.profile_sketch.filter_capacity = 32768;
-  sketch.profile_sketch.sketch_width = 32768;
-  points.push_back(RunProfileCell("sparse-footprint/carrefour-2m", topo,
-                                  numalp::BenchmarkId::kSparseFootprint,
-                                  numalp::PolicyKind::kCarrefour2M, sim));
-  points.push_back(RunProfileCell("sparse-footprint/carrefour-2m", topo,
-                                  numalp::BenchmarkId::kSparseFootprint,
-                                  numalp::PolicyKind::kCarrefour2M, sketch));
-  numalp::SimConfig sketch_default = sim;
-  sketch_default.profile_mode = numalp::ProfileMode::kSketch;
-  points.push_back(RunProfileCell("CG.D/carrefour-lp", topo, numalp::BenchmarkId::kCG_D,
-                                  numalp::PolicyKind::kCarrefourLp, sim));
-  points.push_back(RunProfileCell("CG.D/carrefour-lp", topo, numalp::BenchmarkId::kCG_D,
-                                  numalp::PolicyKind::kCarrefourLp, sketch_default));
-  return points;
-}
-
 void WriteJson(std::ostream& out, const numalp::SimConfig& sim, int jobs,
                const std::vector<Measurement>& cells,
                const std::vector<Measurement>& grids,
-               const std::vector<ShardPoint>& shard_scaling,
-               const std::vector<ProfilePoint>& profile_sweep) {
+               const std::vector<ShardPoint>& shard_scaling) {
   const auto emit = [&out](const Measurement& m, const char* kind) {
     out << "    {\"" << kind << "\":\"" << m.name << "\",\"seconds\":" << m.seconds
         << ",\"accesses\":" << m.accesses
@@ -239,20 +160,6 @@ void WriteJson(std::ostream& out, const numalp::SimConfig& sim, int jobs,
     }
     out << "  ]";
   }
-  if (!profile_sweep.empty()) {
-    out << ",\n  \"profile_sweep\": [\n";
-    for (std::size_t i = 0; i < profile_sweep.size(); ++i) {
-      const ProfilePoint& p = profile_sweep[i];
-      out << "    {\"cell\":\"" << p.cell << "\",\"mode\":\"" << p.mode
-          << "\",\"peak_entries\":" << p.peak_entries << ",\"state_bytes\":" << p.state_bytes
-          << ",\"admission_misses\":" << p.admission_misses
-          << ",\"migrations\":" << p.migrations << ",\"splits\":" << p.splits
-          << ",\"promotions\":" << p.promotions
-          << ",\"measured_cycles\":" << p.measured_cycles << "}"
-          << (i + 1 < profile_sweep.size() ? ",\n" : "\n");
-    }
-    out << "  ]";
-  }
   out << "\n}\n";
 }
 
@@ -281,8 +188,6 @@ int main(int argc, char** argv) {
   double tolerance = 2.0;
   bool shard_sweep = false;
   double min_shard_scaling = 0.0;
-  bool profile_sweep_on = false;
-  double min_profile_reduction = 0.0;
   const numalp::report::ToolInfo info = {
       "perf_hotpath", "perf",
       "simulator wall-clock: accesses/sec per policy and fig2+fig3 grid seconds",
@@ -292,13 +197,7 @@ int main(int argc, char** argv) {
       "  --shard-sweep          time the CG.D/Carrefour-LP cell at 1/2/4/8 forced\n"
       "                         shards (results are identical; only wall clock moves)\n"
       "  --min-shard-scaling X  fail when shards=4 speeds up less than Xx over\n"
-      "                         shards=1 (skipped on hosts with < 4 cores)\n"
-      "  --profile-sweep        record exact-vs-sketch profiling state high-water\n"
-      "                         marks (sparse-footprint + CG.D cells)\n"
-      "  --min-profile-reduction X\n"
-      "                         fail when sketch mode tracks less than Xx less\n"
-      "                         state than exact on the sparse cell, or when any\n"
-      "                         swept cell's placement decisions differ\n"};
+      "                         shards=1 (skipped on hosts with < 4 cores)\n"};
   const numalp::report::Options options = numalp::report::ParseToolArgs(
       argc, argv, info,
       {{"--out", true, [&](const char* v) { out_path = v; return true; }},
@@ -311,12 +210,6 @@ int main(int argc, char** argv) {
           shard_sweep = true;
           min_shard_scaling = std::atof(v);
           return min_shard_scaling > 0;
-        }},
-       {"--profile-sweep", false, [&](const char*) { profile_sweep_on = true; return true; }},
-       {"--min-profile-reduction", true, [&](const char* v) {
-          profile_sweep_on = true;
-          min_profile_reduction = std::atof(v);
-          return min_profile_reduction > 0;
         }}});
 
   // Per-policy cells: CG.D on machine B — the paper's flagship hot-page case
@@ -367,65 +260,15 @@ int main(int argc, char** argv) {
     shard_scaling = RunShardSweep(machine_b, options.sim);
   }
 
-  std::vector<ProfilePoint> profile_sweep;
-  if (profile_sweep_on) {
-    profile_sweep = RunProfileSweep(machine_b, options.sim);
-  }
-
   if (!out_path.empty()) {
     std::ofstream out(out_path, std::ios::trunc);
     if (!out) {
       std::fprintf(stderr, "perf_hotpath: cannot open %s\n", out_path.c_str());
       return 2;
     }
-    WriteJson(out, options.sim, options.jobs, cells, grids, shard_scaling, profile_sweep);
+    WriteJson(out, options.sim, options.jobs, cells, grids, shard_scaling);
   } else {
-    WriteJson(std::cout, options.sim, options.jobs, cells, grids, shard_scaling,
-              profile_sweep);
-  }
-
-  if (min_profile_reduction > 0) {
-    // The sweep emits exact/sketch pairs per cell; the gate demands identical
-    // decisions everywhere and the state reduction on the sparse cell. Both
-    // sides are deterministic simulations, so this is a hard equality gate,
-    // not a tolerance band.
-    bool failed = false;
-    double sparse_reduction = 0.0;
-    for (std::size_t i = 0; i + 1 < profile_sweep.size(); i += 2) {
-      const ProfilePoint& exact = profile_sweep[i];
-      const ProfilePoint& sk = profile_sweep[i + 1];
-      if (exact.migrations != sk.migrations || exact.splits != sk.splits ||
-          exact.promotions != sk.promotions || exact.measured_cycles != sk.measured_cycles) {
-        std::fprintf(stderr,
-                     "perf_hotpath: PROFILE DECISION DIVERGENCE on %s: exact "
-                     "(mig=%llu spl=%llu pro=%llu cyc=%llu) vs sketch "
-                     "(mig=%llu spl=%llu pro=%llu cyc=%llu)\n",
-                     exact.cell.c_str(), (unsigned long long)exact.migrations,
-                     (unsigned long long)exact.splits, (unsigned long long)exact.promotions,
-                     (unsigned long long)exact.measured_cycles,
-                     (unsigned long long)sk.migrations, (unsigned long long)sk.splits,
-                     (unsigned long long)sk.promotions,
-                     (unsigned long long)sk.measured_cycles);
-        failed = true;
-      }
-      if (exact.cell.find("sparse") != std::string::npos && sk.state_bytes > 0) {
-        sparse_reduction =
-            static_cast<double>(exact.state_bytes) / static_cast<double>(sk.state_bytes);
-      }
-    }
-    if (sparse_reduction < min_profile_reduction) {
-      std::fprintf(stderr,
-                   "perf_hotpath: PROFILE STATE REGRESSION: sparse cell reduction %.2fx, "
-                   "gate requires >= %.2fx\n",
-                   sparse_reduction, min_profile_reduction);
-      failed = true;
-    } else {
-      std::fprintf(stderr, "perf_hotpath: profile state ok: sparse reduction %.2fx (gate %.2fx)\n",
-                   sparse_reduction, min_profile_reduction);
-    }
-    if (failed) {
-      return 1;
-    }
+    WriteJson(std::cout, options.sim, options.jobs, cells, grids, shard_scaling);
   }
 
   if (min_shard_scaling > 0) {

@@ -6,8 +6,7 @@ namespace numalp {
 
 AccessEngine::AccessEngine(const Topology& topo, const SimConfig& sim, AddressSpace& address_space,
                            AccessSource& source, EpochCounters& counters, IbsEngine& ibs,
-                           const PageWalker& walker, FlatSet<Addr>& migrate_on_touch,
-                           bool presketch)
+                           const PageWalker& walker, FlatSet<Addr>& migrate_on_touch)
     : topo_(topo),
       sim_(sim),
       address_space_(&address_space),
@@ -15,11 +14,7 @@ AccessEngine::AccessEngine(const Topology& topo, const SimConfig& sim, AddressSp
       counters_(counters),
       ibs_(ibs),
       walker_(walker),
-      migrate_on_touch_(migrate_on_touch),
-      epoch_presketch_(presketch ? CountSketch(sim.profile_sketch.sketch_rows,
-                                               sim.profile_sketch.sketch_width)
-                                 : CountSketch()),
-      presketch_enabled_(presketch) {
+      migrate_on_touch_(migrate_on_touch) {
   shard_ctx_.reserve(static_cast<std::size_t>(topo_.num_cores()));
   Rng seeder(sim_.seed ^ 0x7777u);
   for (int c = 0; c < topo_.num_cores(); ++c) {
@@ -31,9 +26,6 @@ AccessEngine::AccessEngine(const Topology& topo, const SimConfig& sim, AddressSp
 }
 
 void AccessEngine::Execute(bool epoch_in_setup) {
-  if (presketch_enabled_) {
-    epoch_presketch_.Reset();
-  }
   for (ShardContext& ctx : shard_ctx_) {
     ctx.fault_parts = FaultCycleParts{};
   }
@@ -216,14 +208,8 @@ bool AccessEngine::ProcessSlice(ShardContext& ctx, const WorkloadAccess* accesse
         // in serial (round, thread) order.
         ctx.pending_samples.push_back(
             ShardContext::PendingSample{access.va, base_index + i, home, dram});
-        if (presketch_enabled_) {
-          ctx.spec_sketch_pages.push_back(AlignDown(access.va, kBytes4K));
-        }
       } else {
         ibs_.Sample(access.va, core, node, home, dram);
-        if (presketch_enabled_) {
-          epoch_presketch_.Add(AlignDown(access.va, kBytes4K), +1);
-        }
       }
     }
     exec_cycles += cost;
@@ -372,7 +358,6 @@ void AccessEngine::RestoreShard(ShardContext& ctx) {
   std::fill(ctx.spec_node_incoming_remote.begin(), ctx.spec_node_incoming_remote.end(), 0);
   ctx.pending_samples.clear();
   ctx.pending_cursor = 0;
-  ctx.spec_sketch_pages.clear();
 }
 
 void AccessEngine::CommitWindow(std::size_t first_round, std::size_t last_round) {
@@ -386,11 +371,6 @@ void AccessEngine::CommitWindow(std::size_t first_round, std::size_t last_round)
       ctx.spec_node_requests[idx] = 0;
       ctx.spec_node_incoming_remote[idx] = 0;
     }
-    // Presketch deltas (sketch profile mode): counted sums, likewise.
-    for (const Addr page : ctx.spec_sketch_pages) {
-      epoch_presketch_.Add(page, +1);
-    }
-    ctx.spec_sketch_pages.clear();
   }
   // Replay pending IBS samples in exact serial (round, thread) order:
   // draining each thread's index-ordered queue up to the round boundary

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/count_sketch.h"
 #include "src/common/flat_map.h"
 #include "src/core/config.h"
 #include "src/core/run_result.h"
@@ -31,11 +30,10 @@ class AccessEngine {
   using PageShootdown = std::pair<Addr, PageSize>;
   using RangeShootdown = std::pair<Addr, std::uint64_t>;
 
-  // Every reference must outlive the engine. `presketch` enables the sketch
-  // profile mode's epoch presketch.
+  // Every reference must outlive the engine.
   AccessEngine(const Topology& topo, const SimConfig& sim, AddressSpace& address_space,
                AccessSource& source, EpochCounters& counters, IbsEngine& ibs,
-               const PageWalker& walker, FlatSet<Addr>& migrate_on_touch, bool presketch);
+               const PageWalker& walker, FlatSet<Addr>& migrate_on_touch);
 
   int shards() const { return shard_pool_->shards(); }
   // Adds cost-table entries for regions the source mapped since the last
@@ -46,15 +44,11 @@ class AccessEngine {
   const std::vector<WorkloadAccess>& batch(int thread) const {
     return shard_ctx_[static_cast<std::size_t>(CoreOfThread(thread))].batch;
   }
-  // Runs the epoch's batches into a fresh presketch, then scales each core's
-  // fixed fault cycles by the epoch's fault concurrency.
+  // Runs the epoch's batches, then scales each core's fixed fault cycles by
+  // the epoch's fault concurrency.
   void Execute(bool epoch_in_setup);
   // Invalidates the pages, then the ranges, in every core's TLB.
   void Shootdown(std::span<const PageShootdown> pages, std::span<const RangeShootdown> ranges);
-  // The epoch presketch, or nullptr when it is off.
-  const CountSketch* presketch() const {
-    return presketch_enabled_ ? &epoch_presketch_ : nullptr;
-  }
   // The epoch's hinting-fault copy cycles and migrated pages; resets both.
   std::pair<Cycles, std::uint64_t> TakeHintMigrations() {
     return {std::exchange(hint_kernel_cycles_, 0), std::exchange(hint_migrations_, 0)};
@@ -116,12 +110,6 @@ class AccessEngine {
   Cycles hint_kernel_cycles_ = 0;
   std::uint64_t hint_migrations_ = 0;
 
-  // Sketch profile mode's epoch presketch (DESIGN.md Section 11.3): the
-  // epoch's sampled 4KB page bases, counted as they are sampled. Speculative
-  // slices stage theirs in ShardContext::spec_sketch_pages; CommitWindow
-  // folds them (commutative sums).
-  CountSketch epoch_presketch_;
-  bool presketch_enabled_ = false;
   // One execution context per core, owning all slice-local state. Indexed
   // by core; thread t's batch lives in CoreOfThread(t)'s context.
   std::vector<ShardContext> shard_ctx_;

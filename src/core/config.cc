@@ -1,5 +1,7 @@
 #include "src/core/config.h"
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -24,28 +26,6 @@ std::string_view NameOf(PolicyKind kind) {
       return "Carrefour-LP";
   }
   return "?";
-}
-
-std::string_view NameOf(ProfileMode mode) {
-  switch (mode) {
-    case ProfileMode::kExact:
-      return "exact";
-    case ProfileMode::kSketch:
-      return "sketch";
-  }
-  return "?";
-}
-
-bool ParseProfileMode(std::string_view text, ProfileMode* out) {
-  if (text == "exact") {
-    *out = ProfileMode::kExact;
-    return true;
-  }
-  if (text == "sketch") {
-    *out = ProfileMode::kSketch;
-    return true;
-  }
-  return false;
 }
 
 PolicyConfig MakePolicyConfig(PolicyKind kind) {
@@ -107,30 +87,36 @@ double ParsePercent(const std::string& setting, const char* text) {
   return value;
 }
 
+long long ParseInt(const std::string& setting, const char* text, long long min, long long max) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text, &end, 10);
+  if (*text == '\0' || *end != '\0' || errno == ERANGE || value < min || value > max) {
+    throw std::invalid_argument(setting + ": expected an integer in [" + std::to_string(min) +
+                                ", " + std::to_string(max) + "], got '" + text + "'");
+  }
+  return value;
+}
+
 SimConfig WithEnvOverrides(SimConfig sim) {
   const auto reject = [](const char* name, const char* value, const char* expected) {
     throw std::invalid_argument(std::string(name) + ": expected " + expected + ", got '" +
                                 value + "'");
   };
-  const auto positive = [](const char* name, auto& field) {
-    if (const long long value = PositiveEnvInt(name); value > 0) {
-      field = static_cast<std::remove_reference_t<decltype(field)>>(value);
+  // Integer overrides, ranged as docs/KNOBS.md types them.
+  const auto integer = [](const char* name, long long min, long long max, auto& field) {
+    if (const char* value = std::getenv(name); value != nullptr) {
+      field = static_cast<std::remove_reference_t<decltype(field)>>(
+          ParseInt(name, value, min, max));
     }
   };
-  positive("NUMALP_MAX_EPOCHS", sim.max_epochs);
-  positive("NUMALP_ACCESSES_PER_EPOCH", sim.accesses_per_thread_per_epoch);
-  positive("NUMALP_SEED", sim.seed);
-  positive("NUMALP_SHARDS", sim.shards);
-  if (PositiveEnvInt("NUMALP_SHARDS_FORCE") > 0) {
-    sim.shards_force = true;
-  }
-  if (const char* mode = std::getenv("NUMALP_PROFILE_MODE");
-      mode != nullptr && !ParseProfileMode(mode, &sim.profile_mode)) {
-    reject("NUMALP_PROFILE_MODE", mode, "exact | sketch");
-  }
-  positive("NUMALP_PROFILE_THRESHOLD", sim.profile_sketch.admit_threshold);
-  positive("NUMALP_PROFILE_FILTER_CAPACITY", sim.profile_sketch.filter_capacity);
-  positive("NUMALP_PROFILE_SKETCH_WIDTH", sim.profile_sketch.sketch_width);
+  integer("NUMALP_MAX_EPOCHS", 1, INT_MAX, sim.max_epochs);
+  integer("NUMALP_ACCESSES_PER_EPOCH", 1, LLONG_MAX, sim.accesses_per_thread_per_epoch);
+  integer("NUMALP_SEED", 1, LLONG_MAX, sim.seed);
+  integer("NUMALP_SHARDS", 1, INT_MAX, sim.shards);
+  int force = 0;  // a boolean: positive enables, 0 stays off
+  integer("NUMALP_SHARDS_FORCE", 0, INT_MAX, force);
+  sim.shards_force = sim.shards_force || force > 0;
   if (const char* profile = std::getenv("NUMALP_FAULT_PROFILE"); profile != nullptr) {
     const auto parsed = ParseFaultProfile(profile);
     if (!parsed) {

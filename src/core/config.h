@@ -60,42 +60,6 @@ struct CostModel {
   double kernel_time_scale = 4.0;
 };
 
-// Profiling metadata mode (DESIGN.md Section 11). kExact keeps the seed
-// behavior: every sampled 4KB page owns an exact aggregate in the sampling
-// window, so tracked state grows with the touched footprint. kSketch puts a
-// cuckoo-fingerprint filter + count-min sketch in front of the exact map and
-// admits a page only once its estimated live sample count reaches the
-// admission threshold — state becomes O(sampled hot set) + a fixed sketch
-// budget. At the default threshold of 1 every sampled page admits on its
-// first sample, which makes sketch mode bit-identical to exact mode (the
-// correctness contract the identity tests pin); thresholds >= 2 trade
-// cold-page visibility for bounded state.
-enum class ProfileMode : std::uint8_t {
-  kExact,
-  kSketch,
-};
-
-std::string_view NameOf(ProfileMode mode);
-
-// Parses "exact"/"sketch"; returns false (leaving `out` untouched) on
-// anything else.
-bool ParseProfileMode(std::string_view text, ProfileMode* out);
-
-// Capacity knobs for ProfileMode::kSketch (env/flag overridable; see
-// WithEnvOverrides and --profile-* in the CLI).
-struct ProfileSketchConfig {
-  // Estimated live samples a page needs before it is admitted into the
-  // exact aggregate map. 1 = admit on first sample (bit-identical to exact
-  // mode); >= 2 bounds state on sparse footprints.
-  std::uint64_t admit_threshold = 1;
-  // Fingerprint-filter slots: one per live *unadmitted* sample. When full,
-  // further unadmitted samples go untracked (counted, never crashing).
-  std::uint64_t filter_capacity = 1u << 16;
-  // Count-min geometry for the persistent estimate.
-  int sketch_rows = 4;
-  std::uint32_t sketch_width = 1u << 12;
-};
-
 struct SimConfig {
   std::uint64_t seed = 42;
   std::uint64_t accesses_per_thread_per_epoch = 4096;
@@ -123,11 +87,6 @@ struct SimConfig {
   // real cross-thread windows even on small or busy hosts
   // (env: NUMALP_SHARDS_FORCE=1).
   bool shards_force = false;
-  // Profiling metadata mode + sketch capacity knobs (see ProfileMode above;
-  // env: NUMALP_PROFILE_MODE={exact,sketch}, NUMALP_PROFILE_THRESHOLD,
-  // NUMALP_PROFILE_FILTER_CAPACITY, NUMALP_PROFILE_SKETCH_WIDTH).
-  ProfileMode profile_mode = ProfileMode::kExact;
-  ProfileSketchConfig profile_sketch;
   // Deterministic fault injection (DESIGN.md Section 12; env:
   // NUMALP_FAULT_PROFILE={off,frag,pressure,churn} with NUMALP_FAULT_ALLOC_PCT,
   // NUMALP_FAULT_MIGRATE_PCT, NUMALP_FAULT_PRESSURE_PCT rate overrides). Off
@@ -277,16 +236,17 @@ long long PositiveEnvInt(const char* name);
 // and NUMALP_ACCESSES_PER_EPOCH bound run length (the ctest smoke tests use
 // them to keep the examples and CLI driver fast), NUMALP_SEED replaces the
 // base seed, NUMALP_SHARDS sets the intra-cell shard count (and
-// NUMALP_SHARDS_FORCE=1 bypasses the oversubscription clamp). Unset or
-// non-positive variables leave the field untouched. NUMALP_PROFILE_MODE
-// ("exact"/"sketch") selects the profiling metadata mode, with
-// NUMALP_PROFILE_THRESHOLD, NUMALP_PROFILE_FILTER_CAPACITY, and
-// NUMALP_PROFILE_SKETCH_WIDTH overriding the sketch knobs. Malformed mode,
-// fault-profile or NUMALP_FAULT_*_PCT values throw std::invalid_argument.
+// NUMALP_SHARDS_FORCE=1 bypasses the oversubscription clamp; 0 leaves it
+// off). Unset variables leave the field untouched. Integers outside their
+// range, and malformed fault-profile or NUMALP_FAULT_*_PCT values, throw
+// std::invalid_argument.
 SimConfig WithEnvOverrides(SimConfig sim);
 // The whole of `text` as a number in [0, 100]; anything else throws
 // std::invalid_argument naming `setting`.
 double ParsePercent(const std::string& setting, const char* text);
+// The whole of `text` as a base-10 integer in [min, max]; anything else
+// throws std::invalid_argument naming `setting`.
+long long ParseInt(const std::string& setting, const char* text, long long min, long long max);
 
 }  // namespace numalp
 

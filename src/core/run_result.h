@@ -105,15 +105,7 @@ struct RunResult {
   std::uint64_t buddy_free_2m_blocks = 0;
   std::uint64_t buddy_alloc_failures = 0;
 
-  // Profiler state accounting (DESIGN.md Section 11). Deliberately NOT part
-  // of ResultRow/JSONL output: profile modes must stay byte-identical on the
-  // report surface whenever their decisions are identical, and these fields
-  // differ by construction (sketch mode carries a fixed filter+sketch
-  // budget). The profile-sweep bench reads them directly.
-  std::uint64_t profile_peak_entries = 0;     // exact-aggregate entry high-water
-  std::uint64_t profile_state_bytes = 0;      // peak entries + filter/sketch bytes
-  std::uint64_t profile_admission_misses = 0; // samples the full filter dropped
-  // Engine telemetry, likewise kept off ResultRow: the serial oracle runs no
+  // Engine telemetry, kept off ResultRow: the serial oracle runs no
   // windows, so its counts differ from the windowed engine's while its rows
   // do not.
   SpeculationStats speculation;

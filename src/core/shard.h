@@ -70,12 +70,6 @@ struct ShardContext {
   };
   std::vector<PendingSample> pending_samples;
   std::size_t pending_cursor = 0;
-  // Sketch-profile-mode presketch delta: the 4KB page bases this core's
-  // speculative samples would have added to the engine's epoch presketch
-  // (access_engine.h). Kept sparse — a window carries only a handful of
-  // samples per core — and folded in canonical core order like the counter
-  // deltas. Cleared on commit and on rollback.
-  std::vector<Addr> spec_sketch_pages;
 
   // --- Window snapshot (rollback target when speculation fails) -----------
   Tlb tlb_backup;

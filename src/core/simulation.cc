@@ -51,7 +51,7 @@ Simulation::Simulation(const Topology& topo, const WorkloadSpec& workload,
       policy_rng_(sim_.seed ^ 0x9e37u),
       carrefour_(policy_.carrefour, topo_.cpu_nodes(), sim_.seed ^ 0xc4fu),
       khugepaged_(*address_space_),
-      window_(kSampleWindowEpochs, sim_.profile_mode, sim_.profile_sketch) {
+      window_(kSampleWindowEpochs) {
   thp_state_.alloc_enabled = policy_.initial_thp_alloc;
   thp_state_.promote_enabled = policy_.initial_thp_promote;
   // Fault injection (DESIGN.md Section 12) fragments the allocators before
@@ -86,11 +86,8 @@ Simulation::Simulation(const Topology& topo, const WorkloadSpec& workload,
       trace_provenance_ = header.Provenance();
     }
   }
-  // The epoch presketch exists only where the window is pushed in sketch
-  // mode — fixed at construction, so every shard count takes one branch.
-  engine_ = std::make_unique<AccessEngine>(
-      topo_, sim_, *address_space_, *workload_, counters_, ibs_, walker_, migrate_on_touch_,
-      sim_.profile_mode == ProfileMode::kSketch && placement_active_);
+  engine_ = std::make_unique<AccessEngine>(topo_, sim_, *address_space_, *workload_, counters_,
+                                           ibs_, walker_, migrate_on_touch_);
   if (policy_.use_reactive || policy_.use_conservative) {
     lp_ = std::make_unique<CarrefourLp>(policy_, thp_state_);
   }
@@ -142,9 +139,6 @@ RunResult Simulation::Run() {
     capture_->Finish(result.completed);
   }
   result.RecordAllocatorState(phys_);
-  result.profile_peak_entries = window_.peak_entries();
-  result.profile_state_bytes = window_.peak_state_bytes();
-  result.profile_admission_misses = window_.admission_misses();
   result.speculation = engine_->speculation();
   result.cumulative_pages = std::move(cumulative_pages_);
   cumulative_pages_ = PageAggMap{};
@@ -217,14 +211,7 @@ void Simulation::Profile(EpochState& state) {
   if (!placement_active_) {
     return;
   }
-  window_.PushEpoch(std::move(state.fresh), engine_->presketch());
-  // Sketch mode prunes Carrefour's state for 2MB windows whose last sample
-  // retired (DESIGN.md Section 11).
-  if (policy_.use_carrefour) {
-    for (const Addr w : window_.EmptiedWindows(kBytes2M)) {
-      carrefour_.ForgetRange(w, kBytes2M);
-    }
-  }
+  window_.PushEpoch(std::move(state.fresh));
   state.window_pages = window_.FoldToMapping(*address_space_);
 }
 

@@ -21,20 +21,6 @@
 // hits zero. All updates are integer-exact: FoldToMapping is bit-identical
 // to AggregateSamples over the concatenated window, the seed's computation
 // (tests/perf_structures_test.cc holds the two equal across mapping churn).
-//
-// ProfileMode::kSketch (DESIGN.md Section 11) puts a cuckoo-fingerprint
-// filter + count-min sketch in front of the exact aggregate: a page's
-// samples are tracked only as a filter occurrence + sketch increment until
-// the page's estimated live sample count reaches the admission threshold,
-// at which point its exact aggregate is reconstructed from the raw epochs
-// (integer ops commute, so the reconstruction equals what incremental
-// maintenance would have produced) and its filter entries are purged.
-// Retiring an unadmitted sample erases its filter occurrence and decrements
-// the sketch, so the front end holds state only for *live* unadmitted
-// samples — O(sampled set), never O(touched footprint). At the default
-// threshold of 1 every page admits on its first sample and the filter and
-// sketch are never populated at all, which is why sketch mode is
-// bit-identical to exact mode there (the identity-test contract).
 #ifndef NUMALP_SRC_METRICS_SAMPLE_WINDOW_H_
 #define NUMALP_SRC_METRICS_SAMPLE_WINDOW_H_
 
@@ -44,10 +30,7 @@
 #include <span>
 #include <vector>
 
-#include "src/common/count_sketch.h"
-#include "src/common/cuckoo_filter.h"
 #include "src/common/flat_map.h"
-#include "src/core/config.h"
 #include "src/hw/ibs.h"
 #include "src/metrics/numa_metrics.h"
 #include "src/vm/address_space.h"
@@ -58,31 +41,22 @@ class SampleWindow {
  public:
   // `max_epochs`: sliding-window length (the safety cap; Carrefour's kernel
   // module never resets its per-page statistics).
-  explicit SampleWindow(std::size_t max_epochs, ProfileMode mode = ProfileMode::kExact,
-                        const ProfileSketchConfig& sketch = {});
+  explicit SampleWindow(std::size_t max_epochs);
 
   // Appends one epoch of samples and retires the oldest epoch once more
   // than `max_epochs` are held (matching the seed's push-then-trim order).
-  // In sketch mode `presketch` is the epoch's own sample-count sketch (every
-  // sample of `samples` added at 4KB granularity) so the admission test sees
-  // the whole epoch eagerly; pass nullptr to have the window build it
-  // internally — the engine passes the one it accumulated during execution
-  // to spare the extra pass.
-  void PushEpoch(std::vector<IbsSample> samples,
-                 const CountSketch* presketch = nullptr);
+  void PushEpoch(std::vector<IbsSample> samples);
 
   // The mapping-granularity aggregate of every sample in the window,
   // translated against the current address space. Equal to
   // AggregateSamples(<concatenated window>, address_space, kMapping).
   PageAggMap FoldToMapping(const AddressSpace& address_space) const;
 
-  // Empties the window — stored epochs, running aggregate, sharer counts,
-  // and the sketch front end's live state (cumulative counters and
-  // high-water marks persist). The engine calls this once, at the
-  // setup→steady transition: the paper's benchmarks exclude initialization,
-  // and a 60-epoch run would otherwise carry the first-touch storm's
-  // cross-node samples in every policy decision for the rest of the run
-  // (DESIGN.md Section 8).
+  // Empties the window — stored epochs, running aggregate and sharer
+  // counts. The engine calls this once, at the setup→steady transition:
+  // the paper's benchmarks exclude initialization, and a 60-epoch run would
+  // otherwise carry the first-touch storm's cross-node samples in every
+  // policy decision for the rest of the run (DESIGN.md Section 8).
   void Clear();
 
   // The most recently pushed epoch's samples (the per-iteration estimator
@@ -110,85 +84,24 @@ class SampleWindow {
   // -1 when the range has no samples.
   double PieceLocalityPctIn(Addr base, std::uint64_t bytes) const;
 
-  // True when any aggregated sample falls in [base, base + bytes) — the
-  // Carrefour state-pruning probe (a fully retired 2MB window with no
-  // remaining samples can forget its mirrored per-page statistics).
-  bool HasSamplesIn(Addr base, std::uint64_t bytes) const;
-
-  // 4KB bases whose aggregates were fully retired by the most recent
-  // PushEpoch (sketch mode only; always empty in exact mode).
-  const std::vector<Addr>& retired_pages() const { return retired_pages_; }
-  // The `bytes`-aligned windows, ascending, holding such a page and no
-  // samples at all — the Carrefour state-pruning set.
-  std::vector<Addr> EmptiedWindows(std::uint64_t bytes) const;
-
   std::size_t epochs() const { return epochs_.size(); }
   // Distinct 4KB pages currently aggregated.
   std::size_t distinct_pages() const { return window_4k_.size(); }
-
-  ProfileMode profile_mode() const { return mode_; }
-  // Live unadmitted samples currently tracked by the fingerprint filter.
-  std::size_t filter_occupancy() const { return filter_.size(); }
-  // Samples that could not be tracked because the filter was full
-  // (cumulative over the run — the graceful-degradation counter; 0 in
-  // exact mode and whenever the filter is sized to the sampled set).
-  std::uint64_t admission_misses() const { return admission_misses_; }
-  // High-water mark of exact-aggregate entries (4KB aggregates +
-  // per-(page, core-bit) counts), cumulative over the run.
-  std::size_t peak_entries() const { return peak_4k_entries_ + peak_core_entries_; }
-  // High-water tracked-state bytes: peak exact entries at their storage
-  // cost plus the (fixed) filter + sketch budget — the number the
-  // profile-sweep bench records for the state-reduction claim.
-  std::size_t peak_state_bytes() const;
 
  private:
   // Running 4KB aggregate entry. home_node/size of PageAgg are not
   // maintained here (FoldToMapping re-derives both from the live mapping).
   void Apply(const IbsSample& sample, int direction);
 
-  // Sketch-mode insert: admitted pages update exactly; unadmitted samples
-  // park in the filter + sketch until the admission estimate (persistent
-  // sketch + this epoch's presketch) crosses the threshold.
-  void ApplySketched(const IbsSample& sample, std::span<const IbsSample> epoch,
-                     std::size_t index, const CountSketch& presketch);
-
-  // Purges the page's filter/sketch entries and reconstructs its exact
-  // aggregate from the raw window (prior epochs plus the first `prefix`
-  // samples of the epoch currently being pushed).
-  void AdmitPage(Addr base, std::span<const IbsSample> epoch, std::size_t prefix);
-
-  // Sketch-mode retirement of one oldest-epoch sample. Identical to
-  // Apply(sample, -1) for healthily admitted pages, but saturates instead
-  // of asserting — under filter exhaustion a page can be admitted with
-  // fewer reconstructed samples than are truly live, and the retirement
-  // stream then over-delivers.
-  void RetireSketched(const IbsSample& sample);
-
   static std::uint64_t CoreCountKey(Addr page_4k, int core) {
     return (page_4k >> kShift4K) << 6 | static_cast<std::uint64_t>(core % 64);
   }
 
   std::size_t max_epochs_;
-  ProfileMode mode_;
   std::deque<std::vector<IbsSample>> epochs_;
   FlatMap<Addr, PageAgg> window_4k_;
   // Samples per (4KB page, core bit) — makes the OR'd core_mask retirable.
   FlatMap<std::uint64_t, std::uint32_t> core_counts_;
-
-  // Sketch front end (allocated only in sketch mode; see file comment).
-  std::uint64_t admit_threshold_ = 1;
-  CuckooFilter filter_;
-  CountSketch sketch_;
-  CountSketch scratch_presketch_;
-  std::vector<Addr> retired_pages_;
-  std::uint64_t admission_misses_ = 0;
-  // Live samples the filter had no room for. While nonzero, admissions
-  // cannot trust "no filter entries" to mean "no live samples" and must
-  // scan the raw window; an upper bound (reconstruction heals misses
-  // without attribution), which only costs scans, never correctness.
-  std::uint64_t missed_live_ = 0;
-  std::size_t peak_4k_entries_ = 0;
-  std::size_t peak_core_entries_ = 0;
 };
 
 }  // namespace numalp

@@ -1,5 +1,7 @@
 #include "src/report/options.h"
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,16 +29,6 @@ void PrintUsage(std::FILE* out, const ToolInfo& info) {
                " (NUMALP_SHARDS);\n"
                "                         clamped to the host budget unless forced,"
                " never changes results\n"
-               "  --profile-mode M       profiling metadata: exact | sketch"
-               " (NUMALP_PROFILE_MODE;\n"
-               "                         default exact; sketch at the default"
-               " threshold of 1 is\n"
-               "                         bit-identical, >= 2 bounds state on sparse"
-               " footprints)\n"
-               "  --profile-threshold N  sketch admission threshold"
-               " (NUMALP_PROFILE_THRESHOLD)\n"
-               "  --profile-capacity N   sketch filter slots"
-               " (NUMALP_PROFILE_FILTER_CAPACITY)\n"
                "  --fault-profile P      deterministic fault injection: off |"
                " frag | pressure |\n"
                "                         churn (NUMALP_FAULT_PROFILE; default"
@@ -105,23 +97,16 @@ Options ParseArgs(int argc, char** argv, const ToolInfo& info,
     } else if (arg == "--out-dir") {
       options.out_dir = next();
     } else if (arg == "--jobs") {
-      options.jobs = std::atoi(next());
+      options.jobs = static_cast<int>(ParseInt(arg, next(), 1, INT_MAX));
     } else if (arg == "--seed") {
-      options.sim.seed = std::strtoull(next(), nullptr, 10);
+      options.sim.seed = static_cast<std::uint64_t>(ParseInt(arg, next(), 1, LLONG_MAX));
     } else if (arg == "--epochs") {
-      options.sim.max_epochs = std::atoi(next());
+      options.sim.max_epochs = static_cast<int>(ParseInt(arg, next(), 1, INT_MAX));
     } else if (arg == "--accesses") {
-      options.sim.accesses_per_thread_per_epoch = std::strtoull(next(), nullptr, 10);
+      options.sim.accesses_per_thread_per_epoch =
+          static_cast<std::uint64_t>(ParseInt(arg, next(), 1, LLONG_MAX));
     } else if (arg == "--shards") {
-      options.sim.shards = std::atoi(next());
-    } else if (arg == "--profile-mode") {
-      if (!ParseProfileMode(next(), &options.sim.profile_mode)) {
-        fail();
-      }
-    } else if (arg == "--profile-threshold") {
-      options.sim.profile_sketch.admit_threshold = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--profile-capacity") {
-      options.sim.profile_sketch.filter_capacity = std::strtoull(next(), nullptr, 10);
+      options.sim.shards = static_cast<int>(ParseInt(arg, next(), 1, INT_MAX));
     } else if (arg == "--fault-profile") {
       const auto profile = ParseFaultProfile(next());
       if (!profile) {
@@ -139,9 +124,9 @@ Options ParseArgs(int argc, char** argv, const ToolInfo& info,
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg == "--cell-deadline-ms") {
-      options.cell_deadline_ms = std::strtoll(next(), nullptr, 10);
+      options.cell_deadline_ms = ParseInt(arg, next(), 0, LLONG_MAX);
     } else if (arg == "--cell-retries") {
-      options.cell_retries = std::atoi(next());
+      options.cell_retries = static_cast<int>(ParseInt(arg, next(), 0, INT_MAX));
     } else {
       bool handled = false;
       for (const ExtraFlag& extra : extras) {
@@ -183,9 +168,6 @@ std::optional<BenchmarkId> ParseWorkloadName(const std::string& name) {
   if (name == "streamcluster" || name == NameOf(BenchmarkId::kStreamcluster)) {
     return BenchmarkId::kStreamcluster;
   }
-  if (name == NameOf(BenchmarkId::kSparseFootprint)) {
-    return BenchmarkId::kSparseFootprint;
-  }
   return std::nullopt;
 }
 
@@ -201,7 +183,6 @@ std::string KnownWorkloadNames() {
     add(NameOf(id));
   }
   add(NameOf(BenchmarkId::kStreamcluster));
-  add(NameOf(BenchmarkId::kSparseFootprint));
   return names;
 }
 

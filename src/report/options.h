@@ -1,7 +1,6 @@
 // The one command-line parser shared by every bench, example and tool, so
 // --help output and the results-pipeline flags (--format, --out-dir, --jobs,
-// --seed, --epochs, --accesses, --shards, --profile-mode,
-// --profile-threshold, --profile-capacity) are uniform across all binaries
+// --seed, --epochs, --accesses, --shards) are uniform across all binaries
 // (DESIGN.md Section 6). Binaries add tool-specific flags as ExtraFlags; the workload/
 // machine/policy name parsers that numalp_run and quickstart historically
 // each hand-rolled live here too.
@@ -55,10 +54,9 @@ struct Options {
 };
 
 // Parses argv. Standard flags: --format, --out-dir, --jobs, --seed,
-// --epochs, --accesses, --shards, --profile-mode, --profile-threshold,
-// --profile-capacity, --help (prints uniform usage, exits 0).
+// --epochs, --accesses, --shards, --help (prints uniform usage, exits 0).
 // Unknown flags or bad values print usage to stderr and exit 2; a malformed
-// fault or profile setting (flag or environment) prints a message naming it
+// integer or fault setting (flag or environment) prints a message naming it
 // and exits 2.
 Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
                       const std::vector<ExtraFlag>& extras = {});

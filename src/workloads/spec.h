@@ -119,15 +119,6 @@ enum class BenchmarkId {
   kSSCA,
   kSPECjbb,
   kStreamcluster,
-  // Synthetic sparse-footprint stressor (not a paper benchmark, and not part
-  // of FullSuite): a huge thread-partitioned cold region touched nearly
-  // uniformly — stand-in for TB-scale footprints where exact per-4KB
-  // profiling state explodes — plus a small all-thread hot-chunk set that
-  // carries every actionable placement decision. Cold pages are strictly
-  // local and below every Carrefour threshold, so a sketch profile that
-  // drops them makes the same decisions exact mode makes while tracking an
-  // order of magnitude less state (the perf_hotpath --profile-sweep claim).
-  kSparseFootprint,
 };
 
 std::string_view NameOf(BenchmarkId id);

@@ -70,8 +70,6 @@ std::string_view NameOf(BenchmarkId id) {
       return "SPECjbb";
     case BenchmarkId::kStreamcluster:
       return "streamcluster";
-    case BenchmarkId::kSparseFootprint:
-      return "sparse-footprint";
   }
   return "?";
 }
@@ -334,31 +332,6 @@ WorkloadSpec MakeWorkloadSpec(BenchmarkId id, const Topology& topo) {
       points.setup_owner = SetupOwner::kPartitionOwner;
       auto centers = Region("centers", 2 * kMiB, 0.15, PatternKind::kUniform, 0.5);
       spec.regions = {points, centers};
-      break;
-    }
-    case BenchmarkId::kSparseFootprint: {
-      // Synthetic sparse-footprint stressor (DESIGN.md Section 11; not a
-      // paper benchmark, not in FullSuite). The cold region models a
-      // TB-scale footprint at the repo's memory scale: 32MiB per thread of
-      // strictly-local partitioned data touched near-uniformly, so almost
-      // every sample lands on a page with at most one live sample in the
-      // window — the population that makes exact profiling state grow with
-      // the footprint while contributing nothing to placement (every cold
-      // page is local and below Carrefour's per-page minimums). Slices are
-      // whole 2MB windows (region bases are 1GB-aligned, 32MiB per slice),
-      // so no cold window is ever shared between nodes. The hot chunks are
-      // the actionable part: a small master-initialized set every thread
-      // hammers several samples per epoch — dense enough to cross any
-      // reasonable admission threshold on first sight.
-      auto cold = Region("cold-footprint", T * 32 * kMiB, 0.85, PatternKind::kPartitioned, 0.3);
-      cold.local_fraction = 1.0;
-      cold.setup_owner = SetupOwner::kPartitionOwner;
-      auto hot = Region("hot-set", 2 * kMiB, 0.15, PatternKind::kHotChunks, 0.9);
-      hot.chunk_bytes = 8 * kKiB;
-      hot.chunk_stride = 256 * kKiB;
-      hot.num_chunks = 8;
-      hot.setup_owner = SetupOwner::kThreadZero;
-      spec.regions = {cold, hot};
       break;
     }
   }

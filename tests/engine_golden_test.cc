@@ -3,11 +3,10 @@
 // A, B and epyc8 x CG.D (the hot-page path) / UA.B (the false-sharing
 // path) x Linux-4K / THP / Carrefour-2M / Carrefour-LP x faults off / frag,
 // plus machine B x CG.D x Carrefour-2M / Carrefour-LP x faults pressure /
-// churn (Carrefour-plan truncation, churn pins), machine A x CG.D x
-// Carrefour-LP in sketch profile mode (the presketch fold), and a ckpt-churn
-// trace replay under THP and under Carrefour-LP with memory pressure, each at
-// 1024 accesses x 25 epochs. Every EpochRecord field is
-// pinned, so a reordered policy stage fails at the first epoch it perturbs.
+// churn (Carrefour-plan truncation, churn pins), and a ckpt-churn trace
+// replay under THP and under Carrefour-LP with memory pressure, each at 1024
+// accesses x 25 epochs. Every EpochRecord field is pinned, so a reordered
+// policy stage fails at the first epoch it perturbs.
 // The first version of the file was generated before the seed engine's
 // algorithms left src/ (both engines wrote it byte for byte), so it pins
 // today's engine to the seed's results through every later refactor.
@@ -88,11 +87,6 @@ std::vector<GoldenCell> GoldenCells(const std::string& trace_path) {
       cells.push_back(MakeCell(Topology::MachineB(), BenchmarkId::kCG_D, kind, faults));
     }
   }
-  GoldenCell sketch = MakeCell(Topology::MachineA(), BenchmarkId::kCG_D,
-                               PolicyKind::kCarrefourLp, FaultProfile::kOff);
-  sketch.spec.sim.profile_mode = ProfileMode::kSketch;
-  sketch.name += "/profile=sketch";
-  cells.push_back(std::move(sketch));
   // The ckpt-churn replay under Carrefour-LP with memory pressure is the cell
   // where reactive re-promotion and khugepaged contend for the same epoch's
   // 2MB allocations, so it pins their order.

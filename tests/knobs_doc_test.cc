@@ -202,7 +202,7 @@ TEST(KnobsDoc, ScannerFindsTheKnownSurface) {
   EXPECT_TRUE(source.flags.count("--jobs"));
   EXPECT_TRUE(source.flags.count("--machine"));
   EXPECT_TRUE(source.flags.count("--from-summary"));
-  EXPECT_GE(source.env_knobs.size(), 15u);
+  EXPECT_GE(source.env_knobs.size(), 13u);
   EXPECT_GE(source.flags.size(), 30u);
 }
 

@@ -4,13 +4,16 @@
 // boundary), the TLB and access generator against their seed oracles
 // (tests/oracles/), ranged TLB shootdowns against per-page loops, the pooled
 // page table, the translate cache, and whole-engine bit-identity across
-// shards, profile modes and the pure serial loop.
+// shards and the pure serial loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <filesystem>
+#include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -257,6 +260,129 @@ TEST_F(SampleWindowTest, WindowBoundaryRetiresOldestEpoch) {
   EXPECT_EQ(page0->core_mask, (1ull << 0) | (1ull << 1));
   EXPECT_EQ(folded.Find(base + kBytes4K), nullptr);
   EXPECT_EQ(window.distinct_pages(), 1u);
+}
+
+// Brute-force answers to the window's placement queries: a scan of every
+// raw sample in the concatenated window, with no 4KB aggregate in between.
+// Ranges are 4KB-aligned, so "sample in range" equals "page in range".
+std::optional<int> OracleMajorityReqNode(const std::vector<IbsSample>& samples, Addr base,
+                                         std::uint64_t bytes, std::uint64_t min_samples) {
+  std::array<std::uint64_t, kMaxNodes> counts{};
+  std::uint64_t total = 0;
+  for (const IbsSample& s : samples) {
+    if (s.va >= base && s.va - base < bytes) {
+      ++counts[s.req_node];
+      ++total;
+    }
+  }
+  if (total == 0 || total < min_samples) {
+    return std::nullopt;
+  }
+  // max_element keeps the first maximum: ties go to the lowest node.
+  return static_cast<int>(std::max_element(counts.begin(), counts.end()) - counts.begin());
+}
+
+double OraclePieceLocalityPct(const std::vector<IbsSample>& samples, Addr base,
+                              std::uint64_t bytes) {
+  std::map<Addr, std::array<std::uint64_t, kMaxNodes>> pieces;
+  for (const IbsSample& s : samples) {
+    if (s.va >= base && s.va - base < bytes) {
+      ++pieces[AlignDown(s.va, kBytes4K)][s.req_node];
+    }
+  }
+  std::uint64_t majority = 0;
+  std::uint64_t total = 0;
+  for (const auto& [page, counts] : pieces) {
+    majority += *std::max_element(counts.begin(), counts.end());
+    for (const std::uint64_t count : counts) {
+      total += count;
+    }
+  }
+  return total == 0 ? -1.0 : 100.0 * static_cast<double>(majority) / static_cast<double>(total);
+}
+
+void ExpectPlacementQueriesMatchOracle(const SampleWindow& window,
+                                       const std::deque<std::vector<IbsSample>>& raw_epochs,
+                                       Addr base, std::uint64_t bytes) {
+  std::vector<IbsSample> concatenated;
+  for (const auto& epoch_samples : raw_epochs) {
+    concatenated.insert(concatenated.end(), epoch_samples.begin(), epoch_samples.end());
+  }
+  for (const std::uint64_t min_samples : {0, 1, 2, 3, 8, 40, 100000}) {
+    EXPECT_EQ(window.MajorityReqNodeIn(base, bytes, min_samples),
+              OracleMajorityReqNode(concatenated, base, bytes, min_samples))
+        << std::hex << base << "+" << bytes << std::dec << " min_samples=" << min_samples;
+  }
+  EXPECT_DOUBLE_EQ(window.PieceLocalityPctIn(base, bytes),
+                   OraclePieceLocalityPct(concatenated, base, bytes))
+      << std::hex << base << "+" << bytes;
+}
+
+// MajorityReqNodeIn, its min_samples cut-off and PieceLocalityPctIn against
+// the brute-force oracle while random epochs churn across the window
+// boundary. Samples crowd a few 4KB pieces of a 4MB span so ranges see
+// ties, sub-threshold counts, empty pieces and pieces whose last sample
+// retires.
+TEST_F(SampleWindowTest, PlacementQueriesMatchBruteForceAcrossChurn) {
+  constexpr Addr kBase = Addr{1} << 32;
+  constexpr std::size_t kMaxEpochs = 3;
+  SampleWindow window(kMaxEpochs);
+  std::deque<std::vector<IbsSample>> raw_epochs;
+  Rng rng(2024);
+  for (int epoch = 0; epoch < 16; ++epoch) {
+    std::vector<IbsSample> samples;
+    const auto count = static_cast<int>(rng.Uniform(40));
+    for (int i = 0; i < count; ++i) {
+      const Addr piece = rng.Uniform(24) * (kBytes2M / 8);
+      samples.push_back(Sample(kBase + piece + rng.Uniform(kBytes4K),
+                               static_cast<int>(rng.Uniform(8)),
+                               static_cast<int>(rng.Uniform(4))));
+    }
+    window.PushEpoch(samples);
+    raw_epochs.push_back(samples);
+    if (raw_epochs.size() > kMaxEpochs) {
+      raw_epochs.pop_front();
+    }
+    ASSERT_EQ(window.epochs(), raw_epochs.size());
+    for (Addr piece = 0; piece < 4 * kMiB; piece += kBytes2M / 8) {
+      ExpectPlacementQueriesMatchOracle(window, raw_epochs, kBase + piece, kBytes4K);
+    }
+    ExpectPlacementQueriesMatchOracle(window, raw_epochs, kBase, kBytes2M);
+    ExpectPlacementQueriesMatchOracle(window, raw_epochs, kBase + kBytes2M, kBytes2M);
+    ExpectPlacementQueriesMatchOracle(window, raw_epochs, kBase + kBytes2M / 2, kBytes2M);
+  }
+}
+
+// A 1GB candidate over a sparse window: the range holds far more 4KB pages
+// than the window aggregates, so the queries iterate the aggregate instead
+// of probing page by page. Samples also land just outside both ends of
+// each range, which the iterate path must exclude.
+TEST_F(SampleWindowTest, PlacementQueriesOverWideSparseRangeMatchBruteForce) {
+  constexpr Addr kBase = Addr{4} << 30;
+  constexpr std::size_t kMaxEpochs = 2;
+  SampleWindow window(kMaxEpochs);
+  std::deque<std::vector<IbsSample>> raw_epochs;
+  Rng rng(77);
+  for (int epoch = 0; epoch < 6; ++epoch) {
+    std::vector<IbsSample> samples;
+    for (int i = 0; i < 300; ++i) {
+      // 3GB of address space around the 1GB range at kBase.
+      const Addr va = kBase - kBytes1G + rng.Uniform(3 * kBytes1G);
+      samples.push_back(Sample(va, static_cast<int>(rng.Uniform(8)),
+                               static_cast<int>(rng.Uniform(4))));
+    }
+    samples.push_back(Sample(kBase - kBytes4K, 0, 3));
+    samples.push_back(Sample(kBase + kBytes1G, 0, 3));
+    window.PushEpoch(samples);
+    raw_epochs.push_back(samples);
+    if (raw_epochs.size() > kMaxEpochs) {
+      raw_epochs.pop_front();
+    }
+    ASSERT_GT(kBytes1G / kBytes4K, window.distinct_pages());
+    ExpectPlacementQueriesMatchOracle(window, raw_epochs, kBase, kBytes1G);
+    ExpectPlacementQueriesMatchOracle(window, raw_epochs, kBase + kBytes1G / 4, kBytes1G / 2);
+    ExpectPlacementQueriesMatchOracle(window, raw_epochs, kBase + 3 * kBytes1G, kBytes1G);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -533,43 +659,6 @@ TEST(EngineIdentityTest, WindowedEngineMatchesSerialOracle) {
   }
 }
 
-// Sketch profile mode at the default admission threshold must reproduce
-// exact mode bit for bit on every decision-bearing surface (DESIGN.md
-// Section 11's identity argument: the epoch presketch admits every page on
-// its first sample, so the exact aggregate sees the identical sample stream
-// and the filter/sketch are never consulted). Same cells as the engine
-// identity matrix — CG.D's hot-page churn and UA.B's demotion/hinting path —
-// plus absurdly small sketch knobs on a second pass, which must not matter
-// at threshold 1.
-TEST(EngineIdentityTest, SketchProfileModeIsBitIdentical) {
-  const Topology topo = Topology::MachineA();
-  for (const BenchmarkId bench : {BenchmarkId::kCG_D, BenchmarkId::kUA_B}) {
-    for (const PolicyKind kind :
-         {PolicyKind::kThp, PolicyKind::kCarrefour2M, PolicyKind::kCarrefourLp,
-          PolicyKind::kConservativeOnly}) {
-      SimConfig sim;
-      sim.accesses_per_thread_per_epoch = 1024;
-      sim.max_epochs = 25;
-      WorkloadSpec spec = MakeWorkloadSpec(bench, topo);
-      spec.steady_accesses_per_thread = 16'000;
-
-      Simulation exact(topo, spec, MakePolicyConfig(kind), sim);
-      const RunResult exact_result = exact.Run();
-
-      SimConfig sketch_sim = sim;
-      sketch_sim.profile_mode = ProfileMode::kSketch;
-      Simulation sketch(topo, spec, MakePolicyConfig(kind), sketch_sim);
-      ExpectIdenticalRuns(exact_result, sketch.Run());
-
-      SimConfig tiny_sim = sketch_sim;
-      tiny_sim.profile_sketch.filter_capacity = 16;
-      tiny_sim.profile_sketch.sketch_width = 16;
-      Simulation tiny(topo, spec, MakePolicyConfig(kind), tiny_sim);
-      ExpectIdenticalRuns(exact_result, tiny.Run());
-    }
-  }
-}
-
 // The acceptance-criteria regression for the sharded engine (DESIGN.md
 // Section 10): every shard count must reproduce the shards=1 engine bit for
 // bit, on both the hot-page driver (CG.D) and the UA.B path whose
@@ -607,9 +696,8 @@ TEST(EngineIdentityTest, ShardCountsAreBitIdentical) {
 // identity invariants as the paper machines (DESIGN.md Section 13.2's
 // argument: on all-CPU machines the cpu-node refactor is the identity, and
 // on far-memory machines every policy draw still happens at the same serial
-// sites). Each cell is pinned across all three axes at once: engine
-// (windowed vs the pure serial oracle), shards (1 vs forced 4), and profile
-// mode (exact vs sketch).
+// sites). Each cell is pinned across both axes at once: engine (windowed vs
+// the pure serial oracle) and shards (1 vs forced 4).
 TEST(EngineIdentityTest, DatacenterAndOneGigCellsAreBitIdentical) {
   struct Cell {
     Topology topo;
@@ -649,21 +737,15 @@ TEST(EngineIdentityTest, DatacenterAndOneGigCellsAreBitIdentical) {
     Simulation sharded(cell.topo, spec, policy, shard_sim);
     EXPECT_EQ(sharded.shard_count(), 4);
     ExpectIdenticalRuns(golden_result, sharded.Run());
-
-    SimConfig sketch_sim = sim;
-    sketch_sim.profile_mode = ProfileMode::kSketch;
-    Simulation sketch(cell.topo, spec, policy, sketch_sim);
-    ExpectIdenticalRuns(golden_result, sketch.Run());
   }
 }
 
 // The grid-level matrix, in miniature: a small grid at jobs={1,8} x
-// shards={1,4} x profile={exact,sketch} must produce one identical result
-// set — parallelism (between cells or inside one) never changes results,
-// and neither does the profiling metadata representation. (The serial
-// oracle is a cell-level friend and cannot reach inside RunGrid; the
-// cell-level tests above diff it.)
-TEST(EngineIdentityTest, JobsShardsAndProfileAxesAreBitIdentical) {
+// shards={1,4} must produce one identical result set — parallelism (between
+// cells or inside one) never changes results. (The serial oracle is a
+// cell-level friend and cannot reach inside RunGrid; the cell-level tests
+// above diff it.)
+TEST(EngineIdentityTest, JobsAndShardsAxesAreBitIdentical) {
   ExperimentGrid grid;
   grid.machines = {Topology::MachineA()};
   grid.workloads = {BenchmarkId::kCG_D, BenchmarkId::kUA_B};
@@ -673,16 +755,13 @@ TEST(EngineIdentityTest, JobsShardsAndProfileAxesAreBitIdentical) {
   grid.sim.max_epochs = 8;
 
   std::vector<GridResults> all;
-  for (const ProfileMode mode : {ProfileMode::kExact, ProfileMode::kSketch}) {
-    for (const int jobs : {1, 8}) {
-      for (const int shards : {1, 4}) {
-        ExperimentGrid g = grid;
-        g.sim.profile_mode = mode;
-        g.sim.shards = shards;
-        g.sim.shards_force = true;
-        const ExperimentRunner runner(jobs);
-        all.push_back(RunGrid(g, runner));
-      }
+  for (const int jobs : {1, 8}) {
+    for (const int shards : {1, 4}) {
+      ExperimentGrid g = grid;
+      g.sim.shards = shards;
+      g.sim.shards_force = true;
+      const ExperimentRunner runner(jobs);
+      all.push_back(RunGrid(g, runner));
     }
   }
   const GridResults& golden = all.front();

@@ -109,21 +109,18 @@ TEST(ExperimentRunnerTest, GridIsDeterministicAcrossJobCounts) {
   }
 }
 
-// End-to-end determinism across the jobs x shards x profile-mode matrix, at
-// the artifact level: the streamed JSONL a bench would write must be
-// byte-identical no matter how many grid workers or intra-cell shards ran
-// it, and no matter whether the profiler kept exact aggregates or ran the
-// sketch admission front end at its bit-identical default threshold (the
-// oracle CI job diffs exactly this, at full grid scale). The grid adds UA.B
-// — the false-sharing cell whose demotion/hinting path is the historically
+// End-to-end determinism across the jobs x shards matrix, at the artifact
+// level: the streamed JSONL a bench would write must be byte-identical no
+// matter how many grid workers or intra-cell shards ran it (the identity CI
+// job diffs exactly this, at full grid scale). The grid adds UA.B — the
+// false-sharing cell whose demotion/hinting path is the historically
 // fragile one — on top of TestGrid's CG.D and WC.
-TEST(ExperimentRunnerTest, GridJsonlIsByteIdenticalAcrossJobsShardsAndProfileModes) {
-  const auto render = [](int jobs, int shards, ProfileMode mode) {
+TEST(ExperimentRunnerTest, GridJsonlIsByteIdenticalAcrossJobsAndShards) {
+  const auto render = [](int jobs, int shards) {
     ExperimentGrid grid = TestGrid();
     grid.workloads.push_back(BenchmarkId::kUA_B);
     grid.sim.shards = shards;
     grid.sim.shards_force = true;  // real worker threads even on a busy host
-    grid.sim.profile_mode = mode;
     std::ostringstream out;
     {
       report::GridReport report(std::make_unique<report::JsonlSink>(out), "runner_test", jobs);
@@ -131,18 +128,14 @@ TEST(ExperimentRunnerTest, GridJsonlIsByteIdenticalAcrossJobsShardsAndProfileMod
     }
     return out.str();
   };
-  const std::string golden = render(/*jobs=*/1, /*shards=*/1, ProfileMode::kExact);
+  const std::string golden = render(/*jobs=*/1, /*shards=*/1);
   EXPECT_FALSE(golden.empty());
   for (const int jobs : {1, 8}) {
     for (const int shards : {1, 4}) {
-      for (const ProfileMode mode : {ProfileMode::kExact, ProfileMode::kSketch}) {
-        if (jobs == 1 && shards == 1 && mode == ProfileMode::kExact) {
-          continue;
-        }
-        EXPECT_EQ(render(jobs, shards, mode), golden)
-            << "jobs " << jobs << " shards " << shards << " profile "
-            << NameOf(mode);
+      if (jobs == 1 && shards == 1) {
+        continue;
       }
+      EXPECT_EQ(render(jobs, shards), golden) << "jobs " << jobs << " shards " << shards;
     }
   }
 }
@@ -253,18 +246,6 @@ TEST(ExperimentRunnerTest, ComparePoliciesMatchesGrid) {
   }
 }
 
-TEST(ExperimentRunnerTest, EnvOverridesParsePositiveValues) {
-  SimConfig sim;
-  const int default_epochs = sim.max_epochs;
-  ASSERT_EQ(unsetenv("NUMALP_MAX_EPOCHS"), 0);
-  EXPECT_EQ(WithEnvOverrides(sim).max_epochs, default_epochs);
-  ASSERT_EQ(setenv("NUMALP_MAX_EPOCHS", "7", 1), 0);
-  EXPECT_EQ(WithEnvOverrides(sim).max_epochs, 7);
-  ASSERT_EQ(setenv("NUMALP_MAX_EPOCHS", "-3", 1), 0);
-  EXPECT_EQ(WithEnvOverrides(sim).max_epochs, default_epochs);
-  ASSERT_EQ(unsetenv("NUMALP_MAX_EPOCHS"), 0);
-}
-
 // The message WithEnvOverrides rejects the environment with, or "" when it
 // accepts it.
 std::string EnvRejection(const SimConfig& sim) {
@@ -276,23 +257,49 @@ std::string EnvRejection(const SimConfig& sim) {
   return "";
 }
 
-TEST(ExperimentRunnerTest, ProfileModeEnvOverrides) {
+TEST(ExperimentRunnerTest, EnvOverridesParsePositiveValues) {
   SimConfig sim;
-  ASSERT_EQ(unsetenv("NUMALP_PROFILE_MODE"), 0);
-  EXPECT_EQ(WithEnvOverrides(sim).profile_mode, ProfileMode::kExact);
-  ASSERT_EQ(setenv("NUMALP_PROFILE_MODE", "sketch", 1), 0);
-  EXPECT_EQ(WithEnvOverrides(sim).profile_mode, ProfileMode::kSketch);
-  ASSERT_EQ(setenv("NUMALP_PROFILE_MODE", "bogus", 1), 0);
-  EXPECT_EQ(EnvRejection(sim), "NUMALP_PROFILE_MODE: expected exact | sketch, got 'bogus'");
-  ASSERT_EQ(setenv("NUMALP_PROFILE_MODE", "sketch", 1), 0);
-  ASSERT_EQ(setenv("NUMALP_PROFILE_THRESHOLD", "3", 1), 0);
-  ASSERT_EQ(setenv("NUMALP_PROFILE_FILTER_CAPACITY", "4096", 1), 0);
+  const int default_epochs = sim.max_epochs;
+  ASSERT_EQ(unsetenv("NUMALP_MAX_EPOCHS"), 0);
+  EXPECT_EQ(WithEnvOverrides(sim).max_epochs, default_epochs);
+  ASSERT_EQ(setenv("NUMALP_MAX_EPOCHS", "7", 1), 0);
+  EXPECT_EQ(WithEnvOverrides(sim).max_epochs, 7);
+  ASSERT_EQ(setenv("NUMALP_MAX_EPOCHS", "-3", 1), 0);
+  EXPECT_EQ(EnvRejection(sim),
+            "NUMALP_MAX_EPOCHS: expected an integer in [1, 2147483647], got '-3'");
+  ASSERT_EQ(unsetenv("NUMALP_MAX_EPOCHS"), 0);
+}
+
+// Malformed integer settings must not quietly change the run: a value that
+// does not parse completely, or falls outside the knob's range, is rejected
+// naming the variable. NUMALP_SHARDS_FORCE is a boolean, so 0 stays "off".
+TEST(ExperimentRunnerTest, IntegerEnvOverridesRejectMalformedValues) {
+  SimConfig sim;
+  for (const auto& [name, bad] :
+       {std::pair{"NUMALP_MAX_EPOCHS", "x3"}, std::pair{"NUMALP_MAX_EPOCHS", "4O"},
+        std::pair{"NUMALP_MAX_EPOCHS", "0"}, std::pair{"NUMALP_MAX_EPOCHS", "99999999999"},
+        std::pair{"NUMALP_ACCESSES_PER_EPOCH", ""}, std::pair{"NUMALP_ACCESSES_PER_EPOCH", "1e3"},
+        std::pair{"NUMALP_SEED", "abc"}, std::pair{"NUMALP_SEED", "99999999999999999999"},
+        std::pair{"NUMALP_SHARDS", "-4"}, std::pair{"NUMALP_SHARDS", "4 "},
+        std::pair{"NUMALP_SHARDS_FORCE", "yes"}, std::pair{"NUMALP_SHARDS_FORCE", "-1"}}) {
+    ASSERT_EQ(setenv(name, bad, 1), 0);
+    const std::string message = EnvRejection(sim);
+    EXPECT_EQ(message.rfind(std::string(name) + ": expected an integer in [", 0), 0u) << message;
+    EXPECT_NE(message.find(std::string("got '") + bad + "'"), std::string::npos) << message;
+    ASSERT_EQ(unsetenv(name), 0);
+  }
+  ASSERT_EQ(setenv("NUMALP_SHARDS_FORCE", "0", 1), 0);
+  EXPECT_FALSE(WithEnvOverrides(sim).shards_force);
+  ASSERT_EQ(setenv("NUMALP_SHARDS_FORCE", "1", 1), 0);
+  EXPECT_TRUE(WithEnvOverrides(sim).shards_force);
+  ASSERT_EQ(unsetenv("NUMALP_SHARDS_FORCE"), 0);
+  ASSERT_EQ(setenv("NUMALP_SEED", "123", 1), 0);
+  ASSERT_EQ(setenv("NUMALP_ACCESSES_PER_EPOCH", "512", 1), 0);
   const SimConfig overridden = WithEnvOverrides(sim);
-  EXPECT_EQ(overridden.profile_sketch.admit_threshold, 3u);
-  EXPECT_EQ(overridden.profile_sketch.filter_capacity, 4096u);
-  ASSERT_EQ(unsetenv("NUMALP_PROFILE_MODE"), 0);
-  ASSERT_EQ(unsetenv("NUMALP_PROFILE_THRESHOLD"), 0);
-  ASSERT_EQ(unsetenv("NUMALP_PROFILE_FILTER_CAPACITY"), 0);
+  EXPECT_EQ(overridden.seed, 123u);
+  EXPECT_EQ(overridden.accesses_per_thread_per_epoch, 512u);
+  ASSERT_EQ(unsetenv("NUMALP_SEED"), 0);
+  ASSERT_EQ(unsetenv("NUMALP_ACCESSES_PER_EPOCH"), 0);
 }
 
 // Malformed fault settings must not quietly change the run: an unknown
@@ -326,7 +333,7 @@ TEST(ExperimentRunnerTest, FaultEnvOverridesRejectMalformedValues) {
 
 // The CLI rejects the same malformed values, from flags and from the
 // environment alike: a message naming the flag or variable, then exit 2.
-TEST(ExperimentRunnerDeathTest, ToolArgsRejectMalformedFaultAndProfileSettings) {
+TEST(ExperimentRunnerDeathTest, ToolArgsRejectMalformedSettings) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const report::ToolInfo info{"tool", "tool", "test tool"};
   const auto parse = [&](std::vector<std::string> args) {
@@ -335,7 +342,7 @@ TEST(ExperimentRunnerDeathTest, ToolArgsRejectMalformedFaultAndProfileSettings) 
     for (std::string& arg : args) {
       argv.push_back(arg.data());
     }
-    report::ParseToolArgs(static_cast<int>(argv.size()), argv.data(), info);
+    return report::ParseToolArgs(static_cast<int>(argv.size()), argv.data(), info);
   };
   for (const char* flag : {"--fault-alloc-pct", "--fault-migrate-pct", "--fault-large-migrate-pct",
                            "--fault-pressure-pct"}) {
@@ -345,9 +352,19 @@ TEST(ExperimentRunnerDeathTest, ToolArgsRejectMalformedFaultAndProfileSettings) 
   }
   EXPECT_EXIT(parse({"--fault-profile", "bogus"}), ::testing::ExitedWithCode(2),
               "--fault-profile");
-  EXPECT_EXIT(parse({"--profile-mode", "bogus"}), ::testing::ExitedWithCode(2), "--profile-mode");
+  // Integer flags: each once parsed a prefix, a zero or a negative count.
+  for (const auto& [flag, bad] :
+       {std::pair{"--epochs", "4O"}, std::pair{"--seed", "abc"}, std::pair{"--shards", "-4"},
+        std::pair{"--jobs", "0"}, std::pair{"--accesses", "2k"},
+        std::pair{"--cell-deadline-ms", "-1"}, std::pair{"--cell-retries", "one"}}) {
+    EXPECT_EXIT(parse({flag, bad}), ::testing::ExitedWithCode(2),
+                std::string(flag) + ": expected an integer in \\[");
+  }
+  const report::Options zeros = parse({"--cell-deadline-ms", "0", "--cell-retries", "0"});
+  EXPECT_EQ(zeros.cell_deadline_ms, 0);
+  EXPECT_EQ(zeros.cell_retries, 0);
   for (const auto& [name, value] : {std::pair{"NUMALP_FAULT_PROFILE", "fargm"},
-                                    std::pair{"NUMALP_PROFILE_MODE", "bogus"},
+                                    std::pair{"NUMALP_MAX_EPOCHS", "x3"},
                                     std::pair{"NUMALP_FAULT_PRESSURE_PCT", "abc"}}) {
     ASSERT_EQ(setenv(name, value, 1), 0);
     EXPECT_EXIT(parse({}), ::testing::ExitedWithCode(2), name);

@@ -239,7 +239,7 @@ TEST(FillBatchConcurrencyTest, SuiteWorkloadsFillIdenticallyFromFourThreads) {
   PhysicalMemory phys(topo);
   ThpState thp;
   constexpr std::size_t kBatch = 1024;
-  for (int id = 0; id <= static_cast<int>(BenchmarkId::kSparseFootprint); ++id) {
+  for (int id = 0; id <= static_cast<int>(BenchmarkId::kStreamcluster); ++id) {
     WorkloadSpec spec = MakeWorkloadSpec(static_cast<BenchmarkId>(id), topo);
     spec.steady_accesses_per_thread = 2 * kBatch;
     AddressSpace serial_space(phys, topo, thp);

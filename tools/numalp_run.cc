@@ -32,8 +32,7 @@
 int main(int argc, char** argv) {
   const numalp::report::ToolInfo info = {
       "numalp_run", "run", "one experiment against its Linux-4K baseline",
-      "  --workload NAME        paper suite (BT.B CG.D ... SPECjbb) + streamcluster"
-      " sparse-footprint,\n"
+      "  --workload NAME        paper suite (BT.B CG.D ... SPECjbb) + streamcluster,\n"
       "                         or trace:FILE to replay a recorded trace"
       " (default CG.D)\n"
       "  --machine A|B          machine preset (default B)\n"
