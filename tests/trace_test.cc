@@ -369,6 +369,52 @@ TEST(TraceChurnTest, CkptChurnUnmapsFragmentTheBuddyAllocator) {
   std::filesystem::remove(calm_path);
 }
 
+// Synthesized traces are pinned byte for byte: file size and the FNV-1a of
+// the whole file, per profile, on a machine-A run long enough to reach every
+// phase the profile has (ckpt-churn: the storm, the growth region and the
+// recurring cycles behind them; the others: their shuffle cycles). Any
+// change to the generator's draw order or the encoding shows here first.
+TEST(TracegenTest, PinnedDigestsForEveryProfile) {
+  struct Pin {
+    const char* profile;
+    std::size_t bytes;
+    std::uint64_t fnv1a;
+    int unmaps;  // retired churn buffers: storm and cycles
+  };
+  const Pin pins[] = {
+      {"ckpt-churn", 1477259, 0xaf8473e90dca89c2ull, 3},
+      {"bert", 1750987, 0x656da6625c32e9f0ull, 7},
+      {"resnet50", 1637717, 0xa03460d7336868c4ull, 11},
+      {"lammps", 1694299, 0xd141ac7ec855f2cbull, 5},
+      {"namd", 1716937, 0x2b4008039f3af545ull, 7},
+  };
+  ASSERT_EQ(std::size(pins), trace::TracegenProfiles().size());
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.profile);
+    const std::string path = TempPath(std::string("trace_pinned_") + pin.profile + ".bin");
+    trace::TracegenOptions gen;
+    gen.profile = pin.profile;
+    gen.topo = Topology::MachineA();
+    gen.seed = 42;
+    gen.accesses_per_thread = 512;
+    gen.epochs = 24;
+    trace::GenerateTrace(gen, path);
+    const std::vector<std::uint8_t> bytes = ReadAll(path);
+    EXPECT_EQ(bytes.size(), pin.bytes);
+    EXPECT_EQ(trace::Fnv1a(bytes.data(), bytes.size()), pin.fnv1a)
+        << std::hex << "0x" << trace::Fnv1a(bytes.data(), bytes.size());
+
+    trace::TraceReader reader(path);
+    trace::TraceEpoch epoch;
+    int unmaps = 0;
+    while (reader.NextEpoch(&epoch)) {
+      unmaps += static_cast<int>(epoch.unmaps.size());
+    }
+    EXPECT_EQ(unmaps, pin.unmaps);
+    std::filesystem::remove(path);
+  }
+}
+
 // Replay refuses a trace recorded for a different thread count: silently
 // remapping threads would destroy the byte-identity contract.
 TEST(TraceWorkloadTest, RejectsThreadCountMismatch) {
