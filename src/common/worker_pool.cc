@@ -1,4 +1,4 @@
-#include "src/core/shard.h"
+#include "src/common/worker_pool.h"
 
 #include <algorithm>
 #include <atomic>

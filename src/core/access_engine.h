@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/common/flat_map.h"
+#include "src/common/worker_pool.h"
 #include "src/core/config.h"
 #include "src/core/run_result.h"
 #include "src/core/shard.h"

@@ -8,7 +8,7 @@
 #include <mutex>
 #include <thread>
 
-#include "src/core/shard.h"
+#include "src/common/worker_pool.h"
 
 namespace numalp {
 
@@ -122,7 +122,7 @@ std::vector<RunResult> ExperimentRunner::Run(const std::vector<RunSpec>& cells) 
   // Register this runner's worker count with the oversubscription guard for
   // the duration of the grid: simulations created inside run_cell clamp
   // their intra-cell shard count to the host budget divided by the active
-  // jobs (src/core/shard.h), so grid-level and intra-cell parallelism never
+  // jobs (src/common/worker_pool.h), so grid-level and intra-cell parallelism never
   // multiply into more threads than the host has.
   const ScopedActiveRunnerJobs jobs_guard(std::max(1, workers));
   if (workers <= 1 || cells.size() - skip <= 1) {

@@ -18,8 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/worker_pool.h"
 #include "src/core/config.h"
-#include "src/core/shard.h"
 #include "src/core/simulation.h"
 #include "src/mem/phys_mem.h"
 #include "src/topo/topology.h"
