@@ -130,6 +130,24 @@ inline void PutString(std::vector<std::uint8_t>& out, const std::string& s) {
   PutFixed(out, s.data(), s.size());
 }
 
+// One kBatch event: `thread`'s accesses, each VA delta-encoded against the
+// previous one. TraceWriter::Batch and tracegen's parallel encode both use
+// it, so a pre-encoded batch is byte-identical to one the writer encodes.
+inline void PutBatch(std::vector<std::uint8_t>& out, int thread,
+                     const std::vector<WorkloadAccess>& accesses) {
+  PutU8(out, static_cast<std::uint8_t>(EventKind::kBatch));
+  PutVarint(out, static_cast<std::uint64_t>(thread));
+  PutVarint(out, accesses.size());
+  Addr prev = 0;
+  for (const auto& access : accesses) {
+    PutU8(out, access.region);
+    const std::int64_t delta =
+        static_cast<std::int64_t>(access.va) - static_cast<std::int64_t>(prev);
+    PutVarint(out, (ZigZag(delta) << 1) | (access.write ? 1 : 0));
+    prev = access.va;
+  }
+}
+
 // --- Decoding from a byte buffer -----------------------------------------
 
 struct Cursor {

@@ -25,7 +25,7 @@ TraceWriter::TraceWriter(const std::string& path, const TraceHeader& header)
   for (const auto& region : header_.regions) {
     PutRegion(payload_, region);
   }
-  WriteChunk();
+  WriteChunk(payload_);
 }
 
 TraceWriter::~TraceWriter() {
@@ -59,33 +59,40 @@ void TraceWriter::RegionUnmap(const RegionUnmapEvent& event) {
 }
 
 void TraceWriter::Batch(int thread, const std::vector<WorkloadAccess>& accesses) {
-  PutU8(payload_, static_cast<std::uint8_t>(EventKind::kBatch));
-  PutVarint(payload_, static_cast<std::uint64_t>(thread));
-  PutVarint(payload_, accesses.size());
-  Addr prev = 0;
-  for (const auto& access : accesses) {
-    PutU8(payload_, access.region);
-    const std::int64_t delta =
-        static_cast<std::int64_t>(access.va) - static_cast<std::int64_t>(prev);
-    PutVarint(payload_, (ZigZag(delta) << 1) | (access.write ? 1 : 0));
-    prev = access.va;
-  }
+  PutBatch(payload_, thread, accesses);
+}
+
+void TraceWriter::AppendEncoded(const std::vector<std::uint8_t>& events) {
+  payload_.insert(payload_.end(), events.begin(), events.end());
 }
 
 void TraceWriter::EndEpoch(bool done_after) {
+  SealEpoch(done_after);
+  WriteSealed();
+}
+
+void TraceWriter::SealEpoch(bool done_after) {
+  WriteSealed();
   PutU8(payload_, static_cast<std::uint8_t>(EventKind::kEpochEnd));
   PutU8(payload_, done_after ? 1 : 0);
-  WriteChunk();
+  payload_.swap(sealed_);  // payload_ takes the written chunk's capacity
+}
+
+void TraceWriter::WriteSealed() {
+  if (!sealed_.empty()) {  // a sealed chunk holds at least its kEpochEnd
+    WriteChunk(sealed_);
+  }
 }
 
 void TraceWriter::Finish(bool completed) {
   if (file_ == nullptr) {
     return;
   }
+  WriteSealed();
   payload_.clear();
   PutU8(payload_, static_cast<std::uint8_t>(EventKind::kTraceEnd));
   PutU8(payload_, completed ? 1 : 0);
-  WriteChunk();
+  WriteChunk(payload_);
   const int rc = std::fclose(file_);
   file_ = nullptr;
   if (rc != 0) {
@@ -93,15 +100,15 @@ void TraceWriter::Finish(bool completed) {
   }
 }
 
-void TraceWriter::WriteChunk() {
-  const std::uint32_t len = static_cast<std::uint32_t>(payload_.size());
-  const std::uint64_t hash = Fnv1a(payload_.data(), payload_.size());
+void TraceWriter::WriteChunk(std::vector<std::uint8_t>& payload) {
+  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
+  const std::uint64_t hash = Fnv1a(payload.data(), payload.size());
   if (std::fwrite(&len, sizeof(len), 1, file_) != 1 ||
       std::fwrite(&hash, sizeof(hash), 1, file_) != 1 ||
-      (len != 0 && std::fwrite(payload_.data(), 1, len, file_) != len)) {
+      (len != 0 && std::fwrite(payload.data(), 1, len, file_) != len)) {
     throw std::runtime_error("trace: short write: " + path_);
   }
-  payload_.clear();
+  payload.clear();
 }
 
 }  // namespace numalp::trace

@@ -35,19 +35,30 @@ class TraceWriter {
   void RegionMap(const RegionMapEvent& event);
   void RegionUnmap(const RegionUnmapEvent& event);
   void Batch(int thread, const std::vector<WorkloadAccess>& accesses);
+  // Appends events already encoded with the trace_format.h encoders (a
+  // PutBatch buffer), so batches can be encoded off the writer's thread.
+  void AppendEncoded(const std::vector<std::uint8_t>& events);
   void EndEpoch(bool done_after);
+
+  // EndEpoch in two steps, so a caller can hash and write epoch e's chunk
+  // while it builds epoch e+1: SealEpoch ends the epoch and sets its chunk
+  // aside; WriteSealed frames and writes it. At most one chunk waits —
+  // SealEpoch and Finish write a pending one first.
+  void SealEpoch(bool done_after);
+  void WriteSealed();
 
   // Writes the trace-end chunk and closes the file. Implicitly called (with
   // completed=false) by the destructor if the caller never finished.
   void Finish(bool completed);
 
  private:
-  void WriteChunk();
+  void WriteChunk(std::vector<std::uint8_t>& payload);
 
   std::string path_;
   TraceHeader header_;
   std::FILE* file_ = nullptr;
   std::vector<std::uint8_t> payload_;
+  std::vector<std::uint8_t> sealed_;  // empty when no chunk waits
 };
 
 }  // namespace numalp::trace

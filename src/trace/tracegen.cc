@@ -1,12 +1,14 @@
 #include "src/trace/tracegen.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "src/common/rng.h"
+#include "src/common/worker_pool.h"
 #include "src/common/zipf.h"
 #include "src/trace/trace_writer.h"
 #include "src/workloads/access_source.h"
@@ -72,6 +74,15 @@ struct PoolRegion {
   std::uint64_t pages = 0;
 };
 
+// One thread's page slice [begin, end) of a churn buffer and the pages it has
+// streamed so far. The fill advances `cursor` from whichever worker claimed
+// the thread, so each slice has its own cache line.
+struct alignas(64) ChurnSlice {
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+  std::uint64_t cursor = 0;
+};
+
 // A buffer being streamed through by all threads in parallel, each owning a
 // contiguous page slice (so replayed first-touch lands per-node runs, like a
 // real parallel checkpoint writer). Optionally interleaves retained-log
@@ -87,16 +98,14 @@ struct ChurnTask {
   std::uint32_t retained_interval = 0;
   bool unmap_when_done = true;
   bool join_pool_when_done = false;
-  std::vector<std::uint64_t> cursor;       // per-thread pages streamed so far
-  std::vector<std::uint64_t> slice_begin;  // per-thread slice [begin, end)
-  std::vector<std::uint64_t> slice_end;
+  std::vector<ChurnSlice> slices;  // indexed by thread
 
   bool ThreadDone(int t) const {
-    const auto i = static_cast<std::size_t>(t);
-    return slice_begin[i] + cursor[i] >= slice_end[i];
+    const ChurnSlice& slice = slices[static_cast<std::size_t>(t)];
+    return slice.begin + slice.cursor >= slice.end;
   }
   bool Done() const {
-    for (int t = 0; t < static_cast<int>(cursor.size()); ++t) {
+    for (int t = 0; t < static_cast<int>(slices.size()); ++t) {
       if (!ThreadDone(t)) {
         return false;
       }
@@ -105,15 +114,24 @@ struct ChurnTask {
   }
 };
 
+// What filling one thread's batch mutates, plus the batch's encoding. Workers
+// claim threads dynamically, so neighbouring slots are written from different
+// cores: each slot has its own cache line.
+struct alignas(64) ThreadSlot {
+  Rng rng;
+  std::vector<std::uint8_t> encoded;  // this epoch's kBatch event
+};
+
 class Generator {
  public:
-  Generator(const Profile& profile, const TracegenOptions& options)
+  Generator(const Profile& profile, const TracegenOptions& options, int workers)
       : profile_(profile),
         threads_(options.topo.num_cores()),
         per_thread_(options.accesses_per_thread),
         steady_epochs_(options.epochs > 0 ? options.epochs : profile.default_epochs),
         total_dram_(options.topo.total_dram_bytes()),
-        seeder_(options.seed) {
+        seeder_(options.seed),
+        workers_(workers) {
     if (threads_ <= 0 || per_thread_ < 4) {
       throw std::runtime_error("tracegen: need >= 1 thread and >= 4 accesses per thread");
     }
@@ -145,7 +163,7 @@ class Generator {
                      act_pages_});
     zipf_ = std::make_unique<ZipfSampler>(model_pages_, profile.model_zipf_s);
     for (int t = 0; t < threads_; ++t) {
-      thread_rngs_.push_back(seeder_.Fork());
+      slots_.push_back({seeder_.Fork(), {}});
     }
   }
 
@@ -160,21 +178,29 @@ class Generator {
     return header;
   }
 
+  // Each epoch: schedule (map events) -> parallel fill + encode -> ordered
+  // append -> retire (unmap events) -> seal. The sealed chunk is hashed and
+  // written during the next epoch's fill (DESIGN.md Section 14).
   void Run(TraceWriter& writer) {
-    WriteSetupEpochs(writer);
+    const int setup_epochs = SetupEpochs();
+    for (int s = 0; s < setup_epochs; ++s) {
+      writer.BeginEpoch(/*in_setup=*/true);
+      FillEpoch(writer, [this, s](int t, std::vector<WorkloadAccess>* batch) {
+        FillSetupBatch(s, t, batch);
+      });
+      writer.SealEpoch(/*done_after=*/false);
+    }
     for (int e = 0; e < steady_epochs_; ++e) {
       std::vector<RegionMapEvent> maps = ScheduleEpoch(e);
       writer.BeginEpoch(/*in_setup=*/false);
       for (const RegionMapEvent& event : maps) {
         writer.RegionMap(event);
       }
-      std::vector<WorkloadAccess> batch;
-      for (int t = 0; t < threads_; ++t) {
-        FillSteadyBatch(t, &batch);
-        writer.Batch(t, batch);
-      }
+      FillEpoch(writer, [this](int t, std::vector<WorkloadAccess>* batch) {
+        FillSteadyBatch(t, batch);
+      });
       RetireFinishedTasks(writer);
-      writer.EndEpoch(/*done_after=*/e + 1 == steady_epochs_);
+      writer.SealEpoch(/*done_after=*/e + 1 == steady_epochs_);
     }
     writer.Finish(/*completed=*/true);
   }
@@ -208,41 +234,63 @@ class Generator {
     return static_cast<int>(regions_.size()) - 1;
   }
 
+  // Fills and encodes every thread's batch on the pool, then appends the
+  // encodings in thread order. Workers claim threads one at a time; worker 0
+  // (this thread) first writes the previous epoch's sealed chunk, so the
+  // hash and the write overlap the other workers' fill. A thread's batch
+  // depends only on its own slot and slices, so the bytes do not depend on
+  // which worker filled it.
+  template <typename Fill>
+  void FillEpoch(TraceWriter& writer, const Fill& fill) {
+    std::atomic<int> next_thread{0};
+    workers_.Run([&](int worker) {
+      if (worker == 0) {
+        writer.WriteSealed();
+      }
+      std::vector<WorkloadAccess> batch;
+      for (int t = next_thread.fetch_add(1, std::memory_order_relaxed); t < threads_;
+           t = next_thread.fetch_add(1, std::memory_order_relaxed)) {
+        fill(t, &batch);
+        std::vector<std::uint8_t>& encoded = slots_[static_cast<std::size_t>(t)].encoded;
+        encoded.clear();
+        PutBatch(encoded, t, batch);
+      }
+    });
+    for (const ThreadSlot& slot : slots_) {
+      writer.AppendEncoded(slot.encoded);
+    }
+  }
+
   // Setup: first-touch every persistent page, round-robin page p -> thread
   // p % T (the synthetic generators' kRoundRobinPage owner), as many
   // in_setup epochs as the footprint needs. Threads that exhaust their share
   // re-touch their own pages so every batch stays full.
-  void WriteSetupEpochs(TraceWriter& writer) {
+  int SetupEpochs() const {
     const std::uint64_t total_pages = model_pages_ + act_pages_;
     const std::uint64_t per_thread_pages =
         (total_pages + static_cast<std::uint64_t>(threads_) - 1) /
         static_cast<std::uint64_t>(threads_);
-    const int setup_epochs = static_cast<int>(
-        (per_thread_pages + per_thread_ - 1) / per_thread_);
-    std::vector<WorkloadAccess> batch;
-    for (int s = 0; s < setup_epochs; ++s) {
-      writer.BeginEpoch(/*in_setup=*/true);
-      for (int t = 0; t < threads_; ++t) {
-        batch.clear();
-        const std::uint64_t owned =
-            (total_pages - static_cast<std::uint64_t>(t) +
-             static_cast<std::uint64_t>(threads_) - 1) /
-            static_cast<std::uint64_t>(threads_);
-        for (std::uint32_t i = 0; i < per_thread_; ++i) {
-          std::uint64_t k = static_cast<std::uint64_t>(s) * per_thread_ + i;
-          if (owned == 0) {
-            break;
-          }
-          if (k >= owned) {
-            k %= owned;  // re-touch own pages once done
-          }
-          const std::uint64_t page =
-              static_cast<std::uint64_t>(t) + k * static_cast<std::uint64_t>(threads_);
-          batch.push_back(PersistentPageAccess(page));
-        }
-        writer.Batch(t, batch);
+    return static_cast<int>((per_thread_pages + per_thread_ - 1) / per_thread_);
+  }
+
+  void FillSetupBatch(int s, int t, std::vector<WorkloadAccess>* batch) const {
+    batch->clear();
+    const std::uint64_t total_pages = model_pages_ + act_pages_;
+    const std::uint64_t owned =
+        (total_pages - static_cast<std::uint64_t>(t) +
+         static_cast<std::uint64_t>(threads_) - 1) /
+        static_cast<std::uint64_t>(threads_);
+    for (std::uint32_t i = 0; i < per_thread_; ++i) {
+      std::uint64_t k = static_cast<std::uint64_t>(s) * per_thread_ + i;
+      if (owned == 0) {
+        break;
       }
-      writer.EndEpoch(/*done_after=*/false);
+      if (k >= owned) {
+        k %= owned;  // re-touch own pages once done
+      }
+      const std::uint64_t page =
+          static_cast<std::uint64_t>(t) + k * static_cast<std::uint64_t>(threads_);
+      batch->push_back(PersistentPageAccess(page));
     }
   }
 
@@ -315,9 +363,7 @@ class Generator {
     for (int t = 0; t < threads_; ++t) {
       const std::uint64_t begin =
           std::min(static_cast<std::uint64_t>(t) * slice, task.buffer_pages);
-      task.slice_begin.push_back(begin);
-      task.slice_end.push_back(std::min(begin + slice, task.buffer_pages));
-      task.cursor.push_back(0);
+      task.slices.push_back({begin, std::min(begin + slice, task.buffer_pages), 0});
     }
     active_.push_back(std::move(task));
   }
@@ -332,11 +378,11 @@ class Generator {
   }
 
   void ChurnTouch(ChurnTask& task, int t, std::vector<WorkloadAccess>* batch) {
-    const auto i = static_cast<std::size_t>(t);
-    const std::uint64_t global = task.slice_begin[i] + task.cursor[i];
+    ChurnSlice& slice = task.slices[static_cast<std::size_t>(t)];
+    const std::uint64_t global = slice.begin + slice.cursor;
     batch->push_back({task.buffer_base + global * kBytes4K,
                       static_cast<std::uint8_t>(task.buffer_region), true});
-    ++task.cursor[i];
+    ++slice.cursor;
     if (task.retained_region >= 0 && (global + 1) % task.retained_interval == 0) {
       const std::uint64_t log_page =
           std::min(global / task.retained_interval, task.retained_pages - 1);
@@ -388,7 +434,7 @@ class Generator {
 
   void FillSteadyBatch(int t, std::vector<WorkloadAccess>* batch) {
     batch->clear();
-    Rng& rng = thread_rngs_[static_cast<std::size_t>(t)];
+    Rng& rng = slots_[static_cast<std::size_t>(t)].rng;
     while (batch->size() < per_thread_) {
       ChurnTask* task = ActiveTaskFor(t);
       // A churn touch may carry a piggybacked retained-log touch; keep two
@@ -424,7 +470,8 @@ class Generator {
   const int steady_epochs_;
   const std::uint64_t total_dram_;
   Rng seeder_;
-  std::vector<Rng> thread_rngs_;
+  std::vector<ThreadSlot> slots_;  // indexed by thread
+  ShardPool workers_;
 
   Addr next_base_ = 1ull << 32;
   std::vector<SourceRegion> regions_;
@@ -456,6 +503,14 @@ const std::vector<std::string>& TracegenProfiles() {
 }
 
 void GenerateTrace(const TracegenOptions& options, const std::string& out_path) {
+  const int threads = options.topo.num_cores();
+  detail::GenerateTrace(options, out_path,
+                        ResolveShardCount(threads, /*force=*/false, threads));
+}
+
+namespace detail {
+
+void GenerateTrace(const TracegenOptions& options, const std::string& out_path, int workers) {
   const Profile* profile = FindProfile(options.profile);
   if (profile == nullptr) {
     std::string valid;
@@ -465,9 +520,11 @@ void GenerateTrace(const TracegenOptions& options, const std::string& out_path) 
     throw std::runtime_error("tracegen: unknown profile '" + options.profile +
                              "' (valid: " + valid + ")");
   }
-  Generator generator(*profile, options);
+  Generator generator(*profile, options, workers);
   TraceWriter writer(out_path, generator.Header(options));
   generator.Run(writer);
 }
+
+}  // namespace detail
 
 }  // namespace numalp::trace

@@ -1,15 +1,19 @@
 // Trace capture/replay tests (DESIGN.md Section 14): binary-format
 // round-trips, strict corruption rejection, capture -> replay ResultRow
-// byte-identity across shard counts and engines, and the unmap-churn ->
-// buddy-fragmentation regression the tracegen profiles exist to drive.
+// byte-identity across shard counts and engines, the unmap-churn ->
+// buddy-fragmentation regression the tracegen profiles exist to drive, and
+// tracegen's pinned bytes, worker-count independence and CLI parsing.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/config.h"
@@ -413,6 +417,65 @@ TEST(TracegenTest, PinnedDigestsForEveryProfile) {
     EXPECT_EQ(unmaps, pin.unmaps);
     std::filesystem::remove(path);
   }
+}
+
+// The pool's worker count is the host's (the oversubscription guard), so it
+// must not reach the bytes: one worker and several real ones, each claiming
+// threads in whatever order the scheduler allows, write the same file. The
+// storm and growth slices and the pipelined chunk writes are all in range.
+TEST(TracegenTest, BytesDoNotDependOnWorkerCount) {
+  trace::TracegenOptions gen;
+  gen.profile = "ckpt-churn";
+  gen.topo = Topology::MachineA();
+  gen.seed = 7;
+  gen.accesses_per_thread = 512;
+  gen.epochs = 24;
+  const auto generate = [&](int workers) {
+    const std::string path = TempPath("trace_workers_" + std::to_string(workers) + ".bin");
+    trace::detail::GenerateTrace(gen, path, workers);
+    std::vector<std::uint8_t> bytes = ReadAll(path);
+    std::filesystem::remove(path);
+    return bytes;
+  };
+  const std::vector<std::uint8_t> serial = generate(1);
+  ASSERT_FALSE(serial.empty());
+  for (const int workers : {2, 3, 4}) {
+    EXPECT_TRUE(generate(workers) == serial) << workers << " workers";
+  }
+}
+
+// numalp_tracegen once parsed integers leniently: `--seed abc` wrote seed 0,
+// `--epochs 4O` 4 epochs, `--epochs -3` the profile default and
+// `--accesses 4294967300` wrapped to 4, each exiting 0. Every malformed or
+// out-of-range value must now exit 2 naming the flag, before any file is
+// written.
+TEST(TracegenDeathTest, CliRejectsMalformedIntegers) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string out = TempPath("trace_cli_rejected.bin");
+  std::filesystem::remove(out);
+  const auto run = [&](std::vector<std::string> args) {
+    args.insert(args.begin(), {NUMALP_TRACEGEN, "--profile", "bert", "--out", out});
+    std::vector<char*> argv;
+    for (std::string& arg : args) {
+      argv.push_back(arg.data());
+    }
+    argv.push_back(nullptr);
+    ::execv(argv[0], argv.data());
+    std::_Exit(127);
+  };
+  for (const auto& [flag, bad] :
+       {std::pair{"--seed", "abc"}, std::pair{"--seed", "7x"}, std::pair{"--seed", "-1"},
+        std::pair{"--epochs", "4O"}, std::pair{"--epochs", "-3"},
+        std::pair{"--accesses", "4294967300"}, std::pair{"--accesses", "3"}}) {
+    EXPECT_EXIT(run({flag, bad}), ::testing::ExitedWithCode(2),
+                std::string(flag) + ": expected an integer in \\[");
+  }
+  EXPECT_FALSE(std::filesystem::exists(out));
+  // The range ends parse: --list-profiles exits 0 once every flag before it
+  // was accepted.
+  EXPECT_EXIT(run({"--seed", "0", "--epochs", "0", "--accesses", "4", "--accesses", "4294967295",
+                   "--list-profiles"}),
+              ::testing::ExitedWithCode(0), "");
 }
 
 // Replay refuses a trace recorded for a different thread count: silently

@@ -10,12 +10,15 @@
 // shuffle / checkpoint phase mixes of BERT, ResNet-50, LAMMPS and NAMD;
 // "ckpt-churn" adds the checkpoint-storm mmap churn whose retained log pages
 // fragment the buddy allocator on replay (DESIGN.md Section 14).
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
+#include <stdexcept>
 #include <string>
 
+#include "src/core/config.h"
 #include "src/report/options.h"
 #include "src/topo/topology.h"
 #include "src/trace/tracegen.h"
@@ -29,10 +32,11 @@ void PrintUsage(std::FILE* out) {
                "  --profile NAME   embedded phase profile (see --list-profiles)\n"
                "  --out FILE       output trace path\n"
                "  --machine M      target preset: A B epyc8 snc16 cxl (default A)\n"
-               "  --seed N         generator seed (default 42)\n"
-               "  --epochs N       steady epochs; 0 = profile default, shorter runs\n"
-               "                   compress the phase schedule proportionally\n"
-               "  --accesses N     accesses per thread per epoch (default 4096)\n"
+               "  --seed N         generator seed, >= 0 (default 42)\n"
+               "  --epochs N       steady epochs, >= 0; 0 = profile default, shorter\n"
+               "                   runs compress the phase schedule proportionally\n"
+               "  --accesses N     accesses per thread per epoch, in [4, 4294967295]\n"
+               "                   (default 4096)\n"
                "  --list-profiles  print the embedded profile names and exit\n"
                "  --help           this message\n");
 }
@@ -44,6 +48,16 @@ int main(int argc, char** argv) {
   options.topo = numalp::Topology::MachineA();
   std::string out_path;
 
+  // Malformed integers exit 2 naming the flag, like every other tool's.
+  const auto integer = [](const std::string& flag, const char* text, long long min,
+                          long long max) {
+    try {
+      return numalp::ParseInt(flag, text, min, max);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "numalp_tracegen: %s\n", e.what());
+      std::exit(2);
+    }
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -73,11 +87,12 @@ int main(int argc, char** argv) {
       }
       options.topo = *topo;
     } else if (arg == "--seed") {
-      options.seed = std::strtoull(next(), nullptr, 10);
+      options.seed = static_cast<std::uint64_t>(integer(arg, next(), 0, LLONG_MAX));
     } else if (arg == "--epochs") {
-      options.epochs = std::atoi(next());
+      options.epochs = static_cast<int>(integer(arg, next(), 0, INT_MAX));
     } else if (arg == "--accesses") {
-      options.accesses_per_thread = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      options.accesses_per_thread =
+          static_cast<std::uint32_t>(integer(arg, next(), 4, UINT32_MAX));
     } else {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       PrintUsage(stderr);
