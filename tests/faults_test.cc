@@ -317,21 +317,27 @@ TEST(RunnerResilienceTest, DeadlineCancelsOverrunningCell) {
   // A full-size cell (machine A, SSCA.20 at default epoch/access budgets)
   // takes a few hundred milliseconds serially — far past a 30ms deadline,
   // so the watchdog (25ms poll) reliably cancels it mid-run. A Tiny-topology
-  // cell would finish before the first poll.
+  // cell would finish before the first poll. At forced shards 4 the cell is
+  // cancelled with the next epoch's batch fill in flight on the pool's
+  // helpers; Run must join them before it returns (the TSan leg checks).
   const Topology topo = Topology::MachineA();
-  RunSpec spec;
-  spec.topo = topo;
-  spec.workload = MakeWorkloadSpec(BenchmarkId::kSSCA, topo);
-  spec.policy = MakePolicyConfig(PolicyKind::kThp);
-  spec.sim = SimConfig{};
+  for (const int shards : {1, 4}) {
+    RunSpec spec;
+    spec.topo = topo;
+    spec.workload = MakeWorkloadSpec(BenchmarkId::kSSCA, topo);
+    spec.policy = MakePolicyConfig(PolicyKind::kThp);
+    spec.sim = SimConfig{};
+    spec.sim.shards = shards;
+    spec.sim.shards_force = shards > 1;
 
-  ExperimentRunner runner(1);
-  runner.set_cell_deadline_ms(30);
-  runner.set_max_cell_retries(0);
-  const std::vector<RunResult> results = runner.Run({spec});
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].status, "deadline");
-  EXPECT_FALSE(results[0].completed);
+    ExperimentRunner runner(1);
+    runner.set_cell_deadline_ms(30);
+    runner.set_max_cell_retries(0);
+    const std::vector<RunResult> results = runner.Run({spec});
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].status, "deadline") << "shards=" << shards;
+    EXPECT_FALSE(results[0].completed) << "shards=" << shards;
+  }
 }
 
 TEST(RunnerResilienceTest, EnvKnobsConfigureWatchdogAndRetries) {

@@ -327,6 +327,60 @@ TEST(TraceCaptureReplayTest, CaptureIsByteIdenticalAcrossShards) {
   EXPECT_GT(steady_epochs, 0);
   std::filesystem::remove(serial_path);
   std::filesystem::remove(sharded_path);
+
+  // A ckpt-churn replay, recaptured: region maps and unmaps and the
+  // setup->steady transition all pass through the capture points, whose
+  // order relative to the batch fill must not depend on the shard count.
+  // Both the recaptured files and the rows must be byte-identical.
+  const std::string churn_path = TempPath("trace_capture_churn_source.bin");
+  trace::TracegenOptions gen;
+  gen.topo = topo;
+  gen.seed = 42;
+  gen.accesses_per_thread = 512;
+  gen.epochs = 24;
+  gen.profile = "ckpt-churn";
+  trace::GenerateTrace(gen, churn_path);
+  RunSpec churn;
+  churn.topo = topo;
+  churn.workload = MakeTraceWorkloadSpec(churn_path);
+  churn.policy = MakePolicyConfig(PolicyKind::kCarrefourLp);
+  churn.sim = sim;
+  churn.sim.max_epochs = 400;
+  churn.sim.accesses_per_thread_per_epoch = gen.accesses_per_thread;
+  const auto recapture = [&](int shards, const std::string& path) {
+    RunSpec spec = churn;
+    spec.workload.capture_file = path;
+    spec.sim.shards = shards;
+    spec.sim.shards_force = shards > 1;
+    Simulation s(topo, spec.workload, spec.policy, spec.sim);
+    EXPECT_EQ(s.shard_count(), shards);
+    const RunResult run = s.Run();
+    EXPECT_TRUE(run.completed) << "shards=" << shards;
+    EXPECT_GT(run.region_maps, 0u) << "shards=" << shards;
+    EXPECT_GT(run.region_unmaps, 0u) << "shards=" << shards;
+    return std::pair{ReadAll(path), SerializeRow(spec, run)};
+  };
+  const std::string churn_serial_path = TempPath("trace_recapture_shards1.bin");
+  const auto [churn_bytes, churn_row] = recapture(1, churn_serial_path);
+  ASSERT_FALSE(churn_bytes.empty());
+  for (const int shards : {2, 4}) {
+    const std::string path =
+        TempPath("trace_recapture_shards" + std::to_string(shards) + ".bin");
+    const auto [bytes, row] = recapture(shards, path);
+    EXPECT_TRUE(bytes == churn_bytes) << "shards=" << shards << ": " << bytes.size()
+                                      << " B vs " << churn_bytes.size() << " B";
+    EXPECT_EQ(row, churn_row) << "shards=" << shards;
+    std::filesystem::remove(path);
+  }
+  trace::TraceReader recaptured(churn_serial_path);
+  bool saw_setup = false;
+  bool saw_steady = false;
+  while (recaptured.NextEpoch(&epoch)) {
+    (epoch.in_setup ? saw_setup : saw_steady) = true;
+  }
+  EXPECT_TRUE(saw_setup && saw_steady);
+  std::filesystem::remove(churn_path);
+  std::filesystem::remove(churn_serial_path);
 }
 
 // The ckpt-churn profile's mmap/munmap storm must reach the buddy allocator:
@@ -559,6 +613,66 @@ TEST(TraceWorkloadTest, RejectsAccessToUnmappedRegion) {
   }
   std::filesystem::remove(mapped_path);
   std::filesystem::remove(crafted_path);
+}
+
+// A RegionMap whose recorded base is not what a fresh address space hands
+// out cannot be replayed: the VMA would sit elsewhere than the recorded
+// accesses. The map arrives in the second epoch, after a full first epoch,
+// and the cell fails with the same status at every shard count.
+TEST(TraceWorkloadTest, RejectsRegionMapAtAnotherBase) {
+  const Topology tiny = Topology::Tiny();
+  SourceRegion first;
+  first.bytes = 2 * kMiB;
+  first.dram_intensity = 0.5;
+  first.mlp = 1.0;
+  SourceRegion second = first;
+  {
+    PhysicalMemory phys(tiny);
+    ThpState thp;
+    AddressSpace space(phys, tiny, thp);
+    first.base = space.MmapAnon(first.bytes, VmaOptions{});
+    second.base = space.MmapAnon(second.bytes, VmaOptions{}) + 2 * kMiB;
+  }
+  trace::TraceHeader header;
+  header.machine = tiny.name();
+  header.workload = "crafted";
+  header.threads = static_cast<std::uint32_t>(tiny.num_cores());
+  header.accesses_per_thread_per_epoch = 8;
+  header.regions = {first};
+  const std::string path = TempPath("trace_region_base_mismatch.bin");
+  {
+    trace::TraceWriter writer(path, header);
+    writer.BeginEpoch(/*in_setup=*/false);
+    writer.Batch(0, {{first.base, 0, false}});
+    writer.EndEpoch(/*done_after=*/false);
+    writer.BeginEpoch(/*in_setup=*/false);
+    writer.RegionMap(RegionMapEvent{1, second});
+    writer.Batch(0, {{second.base, 1, true}});
+    writer.EndEpoch(/*done_after=*/true);
+    writer.Finish(/*completed=*/true);
+  }
+  DrainTrace(path);  // well-framed: the reader alone accepts it
+
+  std::vector<std::string> statuses;
+  for (const int shards : {1, 4}) {
+    RunSpec spec;
+    spec.topo = tiny;
+    spec.workload = MakeTraceWorkloadSpec(path);
+    spec.policy = MakePolicyConfig(PolicyKind::kCarrefourLp);
+    spec.sim.max_epochs = 4;
+    spec.sim.accesses_per_thread_per_epoch = 8;
+    spec.sim.shards = shards;
+    spec.sim.shards_force = shards > 1;
+    ExperimentRunner runner(1);
+    runner.set_max_cell_retries(0);
+    const std::vector<RunResult> results = runner.Run({spec});
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_NE(results[0].status.find("replayed VMA base mismatch"), std::string::npos)
+        << "shards=" << shards << ": " << results[0].status;
+    statuses.push_back(results[0].status);
+  }
+  EXPECT_EQ(statuses[0], statuses[1]);
+  std::filesystem::remove(path);
 }
 
 }  // namespace
