@@ -49,10 +49,11 @@ ShardPool::~ShardPool() {
 }
 
 void ShardPool::Run(const std::function<void(int)>& fn) {
-  if (shards_ <= 1) {
-    fn(0);
-    return;
-  }
+  Start(fn);
+  Join();
+}
+
+void ShardPool::Start(const std::function<void(int)>& fn) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     job_ = &fn;
@@ -60,11 +61,18 @@ void ShardPool::Run(const std::function<void(int)>& fn) {
     ++generation_;
   }
   start_cv_.notify_all();
-  // Helpers hold a pointer to `fn`: even when fn(0) throws, wait for all of
-  // them before the caller's frame (and `fn`) can unwind.
+}
+
+void ShardPool::Join() {
+  // Only this thread writes job_, so it reads it without the lock.
+  if (job_ == nullptr) {
+    return;
+  }
+  // Helpers hold a pointer to the job: even when fn(0) throws, wait for all
+  // of them before the caller's frame (and the job) can unwind.
   std::exception_ptr error;
   try {
-    fn(0);
+    (*job_)(0);
   } catch (...) {
     error = std::current_exception();
   }

@@ -65,8 +65,17 @@ class ShardPool {
   // needs a barrier: it reads what the workers wrote) — also when some
   // invocation throws: Run still waits for every worker, then rethrows on
   // the caller (fn(0)'s exception first, else the lowest-numbered helper's).
-  // The pool stays usable afterwards.
+  // The pool stays usable afterwards. Run is Start followed by Join.
   void Run(const std::function<void(int)>& fn);
+
+  // The asynchronous half of Run: Start invokes fn(worker) for worker in
+  // [1, shards) on the helpers and returns at once, so the caller can do
+  // other work meanwhile; `fn` must stay alive until Join. At one shard it
+  // starts nothing. Join runs fn(0) on the calling thread, waits for every
+  // helper and rethrows as Run does; without a started job it returns at
+  // once. No other dispatch may come between the two.
+  void Start(const std::function<void(int)>& fn);
+  void Join();
 
  private:
   void WorkerLoop(int worker);

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -172,6 +173,76 @@ TEST(ShardPoolTest, RunRethrowsAfterEveryWorkerFinishedAndStaysUsable) {
   }
 }
 
+// The asynchronous dispatch the access engine fills the next epoch with:
+// Start returns while the helpers still run, Join runs the caller's share,
+// waits, and rethrows with Run's contract — the lowest-numbered failing
+// helper's error, whatever order they failed in — and a normal Run works
+// afterwards.
+TEST(ShardPoolTest, StartJoinRethrowsLowestHelperErrorAtJoinAndStaysUsable) {
+  ShardPool pool(4);
+  std::atomic<bool> released{false};
+  std::atomic<bool> helper_saw_release{false};
+  std::vector<std::atomic<int>> ran(4);
+  for (auto& r : ran) {
+    r.store(0);
+  }
+  const std::function<void(int)> job = [&](int worker) {
+    ran[static_cast<std::size_t>(worker)].store(1);
+    if (worker == 1) {
+      // Blocks until the caller is past Start: a Start that waited for its
+      // helpers would time out here instead.
+      const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!released.load() && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+      helper_saw_release.store(released.load());
+    } else if (worker == 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));  // fails after worker 3
+      throw std::runtime_error("worker 2");
+    } else if (worker == 3) {
+      throw std::runtime_error("worker 3");
+    }
+  };
+  pool.Start(job);
+  released.store(true);
+  EXPECT_EQ(ran[0].load(), 0);  // the caller's share waits for Join
+  std::string caught;
+  try {
+    pool.Join();
+  } catch (const std::runtime_error& e) {
+    caught = e.what();
+  }
+  EXPECT_EQ(caught, "worker 2");
+  EXPECT_TRUE(helper_saw_release.load());
+  for (int w = 0; w < 4; ++w) {
+    EXPECT_EQ(ran[static_cast<std::size_t>(w)].load(), 1) << "worker " << w;
+  }
+  pool.Join();  // nothing in flight: returns at once
+
+  std::vector<std::atomic<int>> hits(4);
+  for (auto& h : hits) {
+    h.store(0);
+  }
+  pool.Run([&](int worker) { hits[static_cast<std::size_t>(worker)].fetch_add(1); });
+  for (int w = 0; w < 4; ++w) {
+    EXPECT_EQ(hits[static_cast<std::size_t>(w)].load(), 1) << "worker " << w;
+  }
+}
+
+// At one shard Start runs nothing and Join runs the whole job inline.
+TEST(ShardPoolTest, SingleShardStartDefersTheJobToJoin) {
+  ShardPool pool(1);
+  int calls = 0;
+  const std::function<void(int)> job = [&](int worker) {
+    EXPECT_EQ(worker, 0);
+    ++calls;
+  };
+  pool.Start(job);
+  EXPECT_EQ(calls, 0);
+  pool.Join();
+  EXPECT_EQ(calls, 1);
+}
+
 // --- The FillBatch concurrency contract (access_source.h) ------------------
 
 bool SameBatch(const std::vector<WorkloadAccess>& a, const std::vector<WorkloadAccess>& b) {
@@ -190,9 +261,9 @@ constexpr int kFillers = 4;
 
 // Fills every thread's batch epoch by epoch: `serial` on this thread in
 // thread order, `parallel` from kFillers std::threads with filler w taking
-// threads t ≡ w (mod kFillers) — the split the sharded engine uses. Batches,
-// SetupDone() and Done() must agree after every epoch. Returns the number
-// of setup epochs seen.
+// threads t ≡ w (mod kFillers). The engine claims threads dynamically, so
+// any split must give the same batches. Batches, SetupDone() and Done()
+// must agree after every epoch. Returns the number of setup epochs seen.
 int ExpectConcurrentFillMatchesSerial(AccessSource& serial, AccessSource& parallel,
                                       std::size_t n, int max_epochs, const std::string& label) {
   const auto threads = static_cast<std::size_t>(serial.num_threads());
