@@ -20,7 +20,18 @@ AccessEngine::AccessEngine(const Topology& topo, const SimConfig& sim, AddressSp
   for (int c = 0; c < topo_.num_cores(); ++c) {
     shard_ctx_.emplace_back(sim_.tlb, topo_.num_nodes(), c, topo_.NodeOfCore(c));
     shard_ctx_.back().rng = seeder.Fork();
+    // Sized once here: a fill then never allocates, whichever worker claims
+    // the thread (FillBatch produces at most this many accesses).
+    shard_ctx_.back().batch.reserve(sim_.accesses_per_thread_per_epoch);
   }
+  fill_job_ = [this](int /*worker*/) {
+    const std::size_t accesses = sim_.accesses_per_thread_per_epoch;
+    const int cores = topo_.num_cores();
+    for (int t = next_fill_thread_.fetch_add(1, std::memory_order_relaxed); t < cores;
+         t = next_fill_thread_.fetch_add(1, std::memory_order_relaxed)) {
+      workload_->FillBatch(t, accesses, shard_ctx_[static_cast<std::size_t>(CoreOfThread(t))].batch);
+    }
+  };
   shard_pool_ = std::make_unique<ShardPool>(
       ResolveShardCount(sim_.shards, sim_.shards_force, topo_.num_cores()));
 }
@@ -224,21 +235,25 @@ bool AccessEngine::ProcessSlice(ShardContext& ctx, const WorkloadAccess* accesse
   return true;
 }
 
-void AccessEngine::FillBatches() {
+void AccessEngine::StartFill() {
   for (int r = static_cast<int>(region_mlp_.size()); r < workload_->num_regions(); ++r) {
     const SourceRegion region = workload_->region(r);
     region_mlp_.push_back(region.mlp);
     region_intensity_.push_back(region.dram_intensity);
   }
-  const std::size_t accesses = sim_.accesses_per_thread_per_epoch;
-  const int cores = topo_.num_cores();
-  const int shards = shard_pool_->shards();
-  shard_pool_->Run([&](int worker) {
-    for (int t = worker; t < cores; t += shards) {
-      auto& batch = shard_ctx_[static_cast<std::size_t>(CoreOfThread(t))].batch;
-      workload_->FillBatch(t, accesses, batch);
-    }
-  });
+  next_fill_thread_.store(0, std::memory_order_relaxed);
+  shard_pool_->Start(fill_job_);
+}
+
+void AccessEngine::FinishFill() { shard_pool_->Join(); }
+
+void AccessEngine::AbandonFill() noexcept {
+  next_fill_thread_.store(topo_.num_cores(), std::memory_order_relaxed);
+  try {
+    shard_pool_->Join();
+  } catch (...) {
+    // The fill's epoch is not run, so its error has no one to report to.
+  }
 }
 
 void AccessEngine::ExecuteEpochAccesses(bool epoch_in_setup) {

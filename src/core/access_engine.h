@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <utility>
@@ -37,11 +38,20 @@ class AccessEngine {
                const PageWalker& walker, FlatSet<Addr>& migrate_on_touch);
 
   int shards() const { return shard_pool_->shards(); }
-  // Adds cost-table entries for regions the source mapped since the last
-  // call, then fills every thread's epoch batch on the shard pool: worker w
-  // fills the threads t ≡ w mod S whose slices it runs
-  // (AccessSource::FillBatch).
-  void FillBatches();
+  // Adds cost-table entries for regions the source registered since the
+  // last call, then starts filling every thread's next epoch batch
+  // (AccessSource::FillBatch) on the shard pool's helpers and returns: the
+  // caller runs the previous epoch's serial stages meanwhile. Workers claim
+  // threads from a shared counter. Call after Execute: the batches it read
+  // are refilled in place.
+  void StartFill();
+  // Claims the threads still unfilled on the calling thread, waits for the
+  // helpers and rethrows a fill's exception (ShardPool::Join). At one shard
+  // the whole fill runs here.
+  void FinishFill();
+  // Stops claiming and waits for the helpers, dropping any fill error: the
+  // epoch the fill was for will not run. A no-op without a fill in flight.
+  void AbandonFill() noexcept;
   const std::vector<WorkloadAccess>& batch(int thread) const {
     return shard_ctx_[static_cast<std::size_t>(CoreOfThread(thread))].batch;
   }
@@ -114,6 +124,11 @@ class AccessEngine {
   // One execution context per core, owning all slice-local state. Indexed
   // by core; thread t's batch lives in CoreOfThread(t)'s context.
   std::vector<ShardContext> shard_ctx_;
+  // The fill job every worker runs: claim the next unfilled thread from
+  // next_fill_thread_ until none is left. Declared before the pool, which
+  // must be destroyed (its helpers joined) first.
+  std::function<void(int)> fill_job_;
+  std::atomic<int> next_fill_thread_{0};
   // A one-shard pool spawns no thread and runs each dispatch inline.
   std::unique_ptr<ShardPool> shard_pool_;
   std::atomic<bool> spec_failed_{false};

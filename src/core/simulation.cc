@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <exception>
 #include <optional>
+#include <utility>
 
 #include "src/workloads/trace_workload.h"
 
@@ -100,6 +102,16 @@ RunResult Simulation::Run() {
   result.policy = policy_.kind;
   result.core_totals.resize(static_cast<std::size_t>(topo_.num_cores()));
   result.node_request_totals.assign(static_cast<std::size_t>(topo_.num_nodes()), 0);
+  // A run that stops early — cancelled, or unwound by a stage's exception —
+  // may leave the next epoch's fill in flight; join it before returning.
+  struct FillJoin {
+    AccessEngine& engine;
+    ~FillJoin() { engine.AbandonFill(); }
+  } fill_join{*engine_};
+  if (sim_.max_epochs > 0) {
+    next_.in_setup = !workload_->SetupDone();
+    BeginSourceEpoch();
+  }
   for (int epoch = 0; epoch < sim_.max_epochs; ++epoch) {
     // Watchdog cancellation only at epoch boundaries keeps a cancelled run a
     // deterministic prefix of the uncancelled one.
@@ -110,13 +122,14 @@ RunResult Simulation::Run() {
     EpochState state = BeginEpoch(epoch);
     GenerateAccesses(state, result);
     engine_->Execute(state.record.in_setup);
+    StartNextEpoch(state);
     ResolveLatencies(state);
     Sample(state);
     Profile(state);
     Decide(state);
     Execute(state);
     Account(state, result);
-    if (EndEpoch(result)) {
+    if (EndEpoch(state, result)) {
       result.completed = true;
       break;
     }
@@ -152,7 +165,7 @@ Simulation::EpochState Simulation::BeginEpoch(int epoch) {
   counters_.Reset();
   EpochState state;
   state.record.epoch = epoch;
-  state.record.in_setup = !workload_->SetupDone();
+  state.record.in_setup = next_.in_setup;
   if (!state.record.in_setup && !steady_transition_done_) {
     // The first-touch storm is over: the policies decide on steady state,
     // as the paper's benchmarks measure it (DESIGN.md §8).
@@ -163,14 +176,29 @@ Simulation::EpochState Simulation::BeginEpoch(int epoch) {
   return state;
 }
 
+void Simulation::BeginSourceEpoch() {
+  try {
+    workload_->BeginEpoch();
+  } catch (...) {
+    // Reported when the epoch would have run, so a cancellation that comes
+    // first still wins (GenerateAccesses).
+    next_.error = std::current_exception();
+    return;
+  }
+  engine_->StartFill();
+}
+
 void Simulation::GenerateAccesses(const EpochState& state, RunResult& result) {
-  workload_->BeginEpoch();
-  // Trace mmap churn: regions the source mapped enter the counters and the
-  // capture (FillBatches adds them to the engine's cost tables).
+  if (next_.error != nullptr) {
+    std::rethrow_exception(std::exchange(next_.error, nullptr));
+  }
+  // Trace mmap churn: draining the map events maps the source's new regions
+  // at this serial point (access_source.h), after the previous epoch's
+  // unmaps; they enter the counters and the capture.
   std::vector<RegionMapEvent> map_events;
   workload_->DrainMapEvents(&map_events);
   result.region_maps += map_events.size();
-  engine_->FillBatches();
+  engine_->FinishFill();
   if (capture_ != nullptr) {
     // The serial capture point, invariant across jobs × shards (DESIGN.md §14).
     capture_->BeginEpoch(state.record.in_setup);
@@ -180,6 +208,18 @@ void Simulation::GenerateAccesses(const EpochState& state, RunResult& result) {
     for (int t = 0; t < topo_.num_cores(); ++t) {
       capture_->Batch(t, engine_->batch(t));
     }
+  }
+}
+
+void Simulation::StartNextEpoch(EpochState& state) {
+  // Read everything this epoch's stages still need from the source before
+  // its BeginEpoch moves it on: the next epoch's batches then fill on the
+  // pool's helpers while this epoch's serial stages run (DESIGN.md §3).
+  state.source_done = workload_->Done();
+  next_.in_setup = !workload_->SetupDone();
+  workload_->DrainUnmapEvents(&state.unmap_events);
+  if (!state.source_done && state.record.epoch + 1 < sim_.max_epochs) {
+    BeginSourceEpoch();
   }
 }
 
@@ -449,11 +489,9 @@ void Simulation::Account(EpochState& state, RunResult& result) {
   result.AddEpoch(record, counters_);
 }
 
-bool Simulation::EndEpoch(RunResult& result) {
+bool Simulation::EndEpoch(const EpochState& state, RunResult& result) {
   // munmap churn returns frames to the buddy allocator (DESIGN.md §14).
-  std::vector<RegionUnmapEvent> unmap_events;
-  workload_->DrainUnmapEvents(&unmap_events);
-  for (const auto& event : unmap_events) {
+  for (const auto& event : state.unmap_events) {
     if (capture_ != nullptr) {
       capture_->RegionUnmap(event);
     }
@@ -462,11 +500,10 @@ bool Simulation::EndEpoch(RunResult& result) {
     ++result.region_unmaps;
     engine_->Shootdown({}, std::array{AccessEngine::RangeShootdown{event.base, event.bytes}});
   }
-  const bool done = workload_->Done();
   if (capture_ != nullptr) {
-    capture_->EndEpoch(done);
+    capture_->EndEpoch(state.source_done);
   }
-  return done;
+  return state.source_done;
 }
 
 }  // namespace numalp

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
 #include <utility>
@@ -77,11 +78,20 @@ class Simulation {
     std::vector<AccessEngine::PageShootdown> shootdowns;
     std::vector<AccessEngine::RangeShootdown> shootdown_ranges;
     Cycles kernel_cycles = 0;
+    // The source's answers once the epoch's accesses ran, read before the
+    // next epoch's BeginEpoch: its Done() and its munmap events.
+    bool source_done = false;
+    std::vector<RegionUnmapEvent> unmap_events;
   };
 
   // The epoch pipeline, called by Run() in this order.
   EpochState BeginEpoch(int epoch);
+  // Rethrows a failed source BeginEpoch, drains (and so maps) the epoch's
+  // region maps, joins the batch fill and feeds the capture.
   void GenerateAccesses(const EpochState& state, RunResult& result);
+  // Records the source's end-of-epoch answers, then begins its next epoch
+  // and starts that epoch's fill unless the run ends here.
+  void StartNextEpoch(EpochState& state);
   void ResolveLatencies(EpochState& state);
   void Sample(EpochState& state);
   void Profile(EpochState& state);
@@ -89,7 +99,11 @@ class Simulation {
   void Execute(EpochState& state);
   void Account(EpochState& state, RunResult& result);
   // Applies the epoch's munmap events; true when the source is done.
-  bool EndEpoch(RunResult& result);
+  bool EndEpoch(const EpochState& state, RunResult& result);
+
+  // The source's BeginEpoch, then the engine's StartFill; an exception is
+  // kept in next_ for GenerateAccesses.
+  void BeginSourceEpoch();
 
   // Execute-stage passes.
   void SplitPages(const std::vector<std::pair<Addr, PageSize>>& pages, bool hot,
@@ -147,6 +161,12 @@ class Simulation {
   FlatSet<Addr> migrate_on_touch_;
   std::unique_ptr<AccessEngine> engine_;
   bool steady_transition_done_ = false;
+  // The next epoch as far as it began while the current one still runs.
+  struct NextEpoch {
+    bool in_setup = true;      // !SetupDone() before its BeginEpoch
+    std::exception_ptr error;  // its BeginEpoch threw; no fill started
+  };
+  NextEpoch next_;
 };
 
 }  // namespace numalp

@@ -37,9 +37,10 @@ struct SourceRegion {
   double mlp = 1.0;
 };
 
-// A region mapped mid-run (mmap churn). The source performs the MmapAnon
-// itself during BeginEpoch (the batch it emits may touch the region); the
-// simulation drains the event for churn accounting and trace capture.
+// A region mapped mid-run (mmap churn). BeginEpoch registers its metadata;
+// the MmapAnon happens when the simulation drains the event, at the serial
+// epoch boundary and before the epoch's batch executes (see DrainMapEvents),
+// which also feeds churn accounting and trace capture.
 struct RegionMapEvent {
   int region = 0;  // the id accesses will carry
   SourceRegion desc;
@@ -59,22 +60,30 @@ class AccessSource {
  public:
   virtual ~AccessSource() = default;
 
-  // Marks an epoch boundary. Sources with lifetime events apply this epoch's
-  // RegionMap mmaps here (before any FillBatch) and stage the events for
-  // DrainMapEvents.
+  // Marks an epoch boundary. Sources with lifetime events register this
+  // epoch's new regions here (num_regions() grows) and stage the events for
+  // the drains.
+  //
+  // BeginEpoch and FillBatch never touch the address space. The simulation
+  // begins epoch e+1 and starts its fill as soon as epoch e's accesses have
+  // run, and finishes epoch e's policy stages — splits, migrations,
+  // munmaps, all address-space work — while the fill is in flight
+  // (DESIGN.md §3).
   virtual void BeginEpoch() = 0;
 
   // Appends up to `n` accesses for `thread` to `out` (cleared first).
   //
   // Concurrency contract: between BeginEpoch and the epoch's end, calls for
-  // *distinct* threads may run concurrently (the sharded engine fills each
-  // thread on the shard worker that runs its slices). A call may mutate
-  // only `thread`'s own state, and that thread's stream must depend only on
-  // that state, so the batch is the same whichever host thread builds it.
-  // Every other member is called from one thread, outside the fill.
+  // *distinct* threads may run concurrently, on whichever shard worker
+  // claims the thread. A call may mutate only `thread`'s own state, and
+  // that thread's stream must depend only on that state, so the batch is
+  // the same whichever host thread builds it. Every other member is called
+  // from one thread; while a fill is in flight, only DrainMapEvents, which
+  // must not touch what FillBatch reads.
   virtual void FillBatch(int thread, std::size_t n, std::vector<WorkloadAccess>& out) = 0;
 
-  // True once the stream is exhausted (checked after each epoch).
+  // True once the stream is exhausted. Read once per epoch, after its
+  // accesses ran and before the next BeginEpoch.
   virtual bool Done() const = 0;
 
   // True once the setup (first-touch) phase is over. Queried *before*
@@ -90,9 +99,13 @@ class AccessSource {
   // Total bytes of every region ever mapped (monotonic under churn).
   virtual std::uint64_t footprint_bytes() const = 0;
 
-  // Lifetime events staged since the last drain (empty for the synthetic
-  // generators, whose regions live for the whole run). Map events are
-  // drained right after BeginEpoch; unmap events at the epoch's end.
+  // Lifetime events staged by the last BeginEpoch (empty for the synthetic
+  // generators, whose regions live for the whole run). DrainMapEvents also
+  // maps the new regions into the address space: the simulation calls it at
+  // the epoch's serial boundary, after the previous epoch's unmaps, before
+  // the epoch's batch executes. Unmap events are drained after the epoch's
+  // accesses ran, before the next BeginEpoch, and the simulation applies
+  // them at the epoch's end.
   virtual void DrainMapEvents(std::vector<RegionMapEvent>* out) { out->clear(); }
   virtual void DrainUnmapEvents(std::vector<RegionUnmapEvent>* out) { out->clear(); }
 };

@@ -15,27 +15,35 @@ TraceWorkload::TraceWorkload(const std::string& path, AddressSpace& address_spac
   }
   regions_.reserve(header.regions.size());
   for (std::size_t r = 0; r < header.regions.size(); ++r) {
-    MapRegion(static_cast<int>(r), header.regions[r]);
+    AddRegion(static_cast<int>(r), header.regions[r]);
   }
+  MapAddedRegions();
   next_valid_ = reader_.NextEpoch(&next_);
 }
 
-void TraceWorkload::MapRegion(int region_id, const SourceRegion& desc) {
+void TraceWorkload::AddRegion(int region_id, const SourceRegion& desc) {
+  // Region ids travel as one byte per access.
   if (region_id != static_cast<int>(regions_.size()) || region_id >= 256) {
     throw std::runtime_error("trace: non-sequential or overflowing region id");
   }
-  VmaOptions opts;
-  opts.name = "trace-region-" + std::to_string(region_id);
-  opts.thp_eligible = desc.thp_eligible;
-  opts.explicit_page = desc.explicit_page;
-  const Addr base = address_space_.MmapAnon(desc.bytes, opts);
-  if (base != desc.base) {
-    // MmapAnon is deterministic, so this only happens when the address space
-    // is not fresh — replay composed with something else that mmaps first.
-    throw std::runtime_error("trace: replayed VMA base mismatch (address space not fresh)");
-  }
   regions_.push_back(desc);
   footprint_bytes_ += desc.bytes;
+}
+
+void TraceWorkload::MapAddedRegions() {
+  for (; mapped_regions_ < regions_.size(); ++mapped_regions_) {
+    const SourceRegion& desc = regions_[mapped_regions_];
+    VmaOptions opts;
+    opts.name = "trace-region-" + std::to_string(mapped_regions_);
+    opts.thp_eligible = desc.thp_eligible;
+    opts.explicit_page = desc.explicit_page;
+    if (address_space_.MmapAnon(desc.bytes, opts) != desc.base) {
+      // MmapAnon is deterministic, so this only happens when the address
+      // space is not fresh — replay composed with something else that mmaps
+      // first — or when a crafted trace records another base.
+      throw std::runtime_error("trace: replayed VMA base mismatch (address space not fresh)");
+    }
+  }
 }
 
 bool TraceWorkload::SetupDone() const {
@@ -57,7 +65,7 @@ void TraceWorkload::BeginEpoch() {
   }
   current_ = std::move(next_);
   for (const auto& event : current_.maps) {
-    MapRegion(event.region, event.desc);
+    AddRegion(event.region, event.desc);
   }
   // The checksum is not a MAC: a crafted file can name a region that does
   // not exist, and the engine indexes its per-region cost tables by it.
@@ -90,6 +98,7 @@ bool TraceWorkload::Done() const {
 
 void TraceWorkload::DrainMapEvents(std::vector<RegionMapEvent>* out) {
   *out = current_.maps;
+  MapAddedRegions();
 }
 
 void TraceWorkload::DrainUnmapEvents(std::vector<RegionUnmapEvent>* out) {

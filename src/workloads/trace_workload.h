@@ -7,7 +7,9 @@
 // honored. Lifetime events make this the first source whose regions die
 // mid-run: RegionUnmap events flow back to the simulation, which applies
 // them through AddressSpace::MunmapRange — real frames return to the buddy
-// allocator and long-lived churn fragments it organically.
+// allocator and long-lived churn fragments it organically. RegionMap
+// events are mapped when the simulation drains them, at the same serial
+// epoch boundary; BeginEpoch only registers the new regions' metadata.
 #ifndef NUMALP_SRC_WORKLOADS_TRACE_WORKLOAD_H_
 #define NUMALP_SRC_WORKLOADS_TRACE_WORKLOAD_H_
 
@@ -29,6 +31,8 @@ class TraceWorkload : public AccessSource {
   // thread-count mismatch with the recorded machine.
   TraceWorkload(const std::string& path, AddressSpace& address_space, int num_threads);
 
+  // Decodes the next recorded epoch and registers its new regions; maps
+  // nothing (see DrainMapEvents).
   void BeginEpoch() override;
   // Copies the recorded batch out of the decoded epoch; reads `current_`
   // only, so concurrent fills for distinct threads are safe.
@@ -43,18 +47,26 @@ class TraceWorkload : public AccessSource {
   }
   std::uint64_t footprint_bytes() const override { return footprint_bytes_; }
 
+  // Returns the epoch's RegionMap events and maps every region registered
+  // since the last call at its recorded base; a base MmapAnon does not
+  // reproduce throws std::runtime_error.
   void DrainMapEvents(std::vector<RegionMapEvent>* out) override;
   void DrainUnmapEvents(std::vector<RegionUnmapEvent>* out) override;
 
   const trace::TraceHeader& header() const { return reader_.header(); }
 
  private:
-  void MapRegion(int region_id, const SourceRegion& desc);
+  // Registers region `region_id`'s metadata; ids must arrive in order and
+  // stay below 256.
+  void AddRegion(int region_id, const SourceRegion& desc);
+  // MmapAnon for every registered region not yet mapped.
+  void MapAddedRegions();
 
   trace::TraceReader reader_;
   AddressSpace& address_space_;
   int num_threads_ = 0;
   std::vector<SourceRegion> regions_;  // by id; unmapped ids keep their entry
+  std::size_t mapped_regions_ = 0;     // regions_[0, mapped_regions_) have VMAs
   std::uint64_t footprint_bytes_ = 0;
   trace::TraceEpoch current_;
   trace::TraceEpoch next_;
