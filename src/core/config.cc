@@ -68,15 +68,6 @@ PolicyConfig MakePolicyConfig(PolicyKind kind) {
   return config;
 }
 
-long long PositiveEnvInt(const char* name) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) {
-    return 0;
-  }
-  const long long parsed = std::atoll(value);
-  return parsed > 0 ? parsed : 0;
-}
-
 double ParsePercent(const std::string& setting, const char* text) {
   char* end = nullptr;
   const double value = std::strtod(text, &end);
@@ -98,6 +89,14 @@ long long ParseInt(const std::string& setting, const char* text, long long min, 
   return value;
 }
 
+std::optional<long long> EnvInt(const char* name, long long min, long long max) {
+  const char* value = std::getenv(name);
+  if (value == nullptr) {
+    return std::nullopt;
+  }
+  return ParseInt(name, value, min, max);
+}
+
 SimConfig WithEnvOverrides(SimConfig sim) {
   const auto reject = [](const char* name, const char* value, const char* expected) {
     throw std::invalid_argument(std::string(name) + ": expected " + expected + ", got '" +
@@ -105,9 +104,8 @@ SimConfig WithEnvOverrides(SimConfig sim) {
   };
   // Integer overrides, ranged as docs/KNOBS.md types them.
   const auto integer = [](const char* name, long long min, long long max, auto& field) {
-    if (const char* value = std::getenv(name); value != nullptr) {
-      field = static_cast<std::remove_reference_t<decltype(field)>>(
-          ParseInt(name, value, min, max));
+    if (const auto value = EnvInt(name, min, max)) {
+      field = static_cast<std::remove_reference_t<decltype(field)>>(*value);
     }
   };
   integer("NUMALP_MAX_EPOCHS", 1, INT_MAX, sim.max_epochs);

@@ -3,6 +3,7 @@
 #define NUMALP_SRC_CORE_CONFIG_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -228,10 +229,6 @@ struct PolicyConfig {
 
 PolicyConfig MakePolicyConfig(PolicyKind kind);
 
-// Parses environment variable `name` as a positive integer; returns 0 when
-// unset, non-numeric, or non-positive.
-long long PositiveEnvInt(const char* name);
-
 // Applies environment overrides to `sim` and returns it: NUMALP_MAX_EPOCHS
 // and NUMALP_ACCESSES_PER_EPOCH bound run length (the ctest smoke tests use
 // them to keep the examples and CLI driver fast), NUMALP_SEED replaces the
@@ -247,6 +244,8 @@ double ParsePercent(const std::string& setting, const char* text);
 // The whole of `text` as a base-10 integer in [min, max]; anything else
 // throws std::invalid_argument naming `setting`.
 long long ParseInt(const std::string& setting, const char* text, long long min, long long max);
+// Environment variable `name` through ParseInt; std::nullopt when unset.
+std::optional<long long> EnvInt(const char* name, long long min, long long max);
 
 }  // namespace numalp
 

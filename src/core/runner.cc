@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -16,26 +15,8 @@ std::uint64_t CellSeed(std::uint64_t base_seed, int seed_index) {
   return base_seed + static_cast<std::uint64_t>(seed_index) * 7919;
 }
 
-int JobsFromEnv() { return static_cast<int>(PositiveEnvInt("NUMALP_JOBS")); }
-
-ExperimentRunner::ExperimentRunner(int jobs) {
-  if (jobs <= 0) {
-    jobs = JobsFromEnv();
-  }
-  if (jobs <= 0) {
-    jobs = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  jobs_ = std::max(1, jobs);
-  cell_deadline_ms_ = static_cast<std::int64_t>(PositiveEnvInt("NUMALP_CELL_DEADLINE_MS"));
-  // Raw parse (not PositiveEnvInt): 0 retries is a legitimate setting.
-  if (const char* env = std::getenv("NUMALP_CELL_RETRIES")) {
-    char* end = nullptr;
-    const long value = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && value >= 0) {
-      max_cell_retries_ = static_cast<int>(value);
-    }
-  }
-}
+ExperimentRunner::ExperimentRunner(int jobs)
+    : jobs_(jobs > 0 ? jobs : std::max(1, static_cast<int>(std::thread::hardware_concurrency()))) {}
 
 namespace {
 

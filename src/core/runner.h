@@ -32,9 +32,6 @@ struct RunSpec {
 // order — which is what makes parallel grids deterministic.
 std::uint64_t CellSeed(std::uint64_t base_seed, int seed_index);
 
-// Parses the NUMALP_JOBS environment variable (0 when unset/invalid).
-int JobsFromEnv();
-
 // Observes cell completions during ExperimentRunner::Run. Invoked once per
 // cell in ascending cell-index order — cell i+1 is reported only after cell
 // i, regardless of the worker count or execution order — which is what lets
@@ -45,8 +42,9 @@ using RunObserver =
 
 class ExperimentRunner {
  public:
-  // jobs <= 0 selects NUMALP_JOBS from the environment, falling back to the
-  // hardware concurrency.
+  // jobs <= 0 selects the hardware concurrency. The runner reads no
+  // environment: tools pass NUMALP_JOBS and NUMALP_CELL_* in through
+  // report::ParseToolArgs, which rejects malformed values.
   explicit ExperimentRunner(int jobs = 0);
 
   int jobs() const { return jobs_; }

@@ -72,6 +72,16 @@ Options ParseArgs(int argc, char** argv, const ToolInfo& info,
                   const std::vector<ExtraFlag>& extras) {
   Options options;
   options.sim = WithEnvOverrides(SimConfig{});
+  // The runner's knobs; the flags below override them.
+  if (const auto jobs = EnvInt("NUMALP_JOBS", 1, INT_MAX)) {
+    options.jobs = static_cast<int>(*jobs);
+  }
+  if (const auto deadline_ms = EnvInt("NUMALP_CELL_DEADLINE_MS", 0, LLONG_MAX)) {
+    options.cell_deadline_ms = *deadline_ms;
+  }
+  if (const auto retries = EnvInt("NUMALP_CELL_RETRIES", 0, INT_MAX)) {
+    options.cell_retries = static_cast<int>(*retries);
+  }
 
   auto fail = [&]() {
     PrintUsage(stderr, info);

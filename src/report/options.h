@@ -38,12 +38,13 @@ struct ExtraFlag {
 struct Options {
   std::string format = "md";  // stdout format: md | csv | jsonl
   std::string out_dir;        // also write <out_dir>/<bench_id>.{csv,jsonl}
-  int jobs = 0;               // 0 = NUMALP_JOBS, then hardware concurrency
+  int jobs = 0;               // NUMALP_JOBS, then --jobs; 0 = hardware concurrency
   SimConfig sim;              // env overrides applied, then flags
 
   // Runner resilience (DESIGN.md Section 12). resume continues a crashed
-  // --out-dir grid from its manifest; -1 keeps the runner's env-derived
-  // defaults for the watchdog deadline and the retry budget.
+  // --out-dir grid from its manifest; the watchdog deadline and the retry
+  // budget come from NUMALP_CELL_*, then the flags; -1 keeps the runner's
+  // defaults (watchdog off, 1 retry).
   bool resume = false;
   long long cell_deadline_ms = -1;
   int cell_retries = -1;

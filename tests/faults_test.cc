@@ -340,16 +340,27 @@ TEST(RunnerResilienceTest, DeadlineCancelsOverrunningCell) {
   }
 }
 
+// The env knobs reach the runner through the tools' settings parser
+// (report::ParseToolArgs, which rejects malformed values); the runner itself
+// reads no environment.
 TEST(RunnerResilienceTest, EnvKnobsConfigureWatchdogAndRetries) {
+  const report::ToolInfo info{"tool", "tool", "test tool"};
+  char tool[] = "tool";
+  char* argv[] = {tool};
   ::setenv("NUMALP_CELL_DEADLINE_MS", "1234", 1);
   ::setenv("NUMALP_CELL_RETRIES", "0", 1);
   {
+    const report::Options options = report::ParseToolArgs(1, argv, info);
+    EXPECT_EQ(options.cell_deadline_ms, 1234);
+    EXPECT_EQ(options.cell_retries, 0);
     ExperimentRunner runner(1);
-    EXPECT_EQ(runner.cell_deadline_ms(), 1234);
-    EXPECT_EQ(runner.max_cell_retries(), 0);
+    EXPECT_EQ(runner.cell_deadline_ms(), 0);
   }
   ::unsetenv("NUMALP_CELL_DEADLINE_MS");
   ::unsetenv("NUMALP_CELL_RETRIES");
+  const report::Options unset = report::ParseToolArgs(1, argv, info);
+  EXPECT_EQ(unset.cell_deadline_ms, -1);  // keeps the runner's defaults
+  EXPECT_EQ(unset.cell_retries, -1);
   ExperimentRunner plain(1);
   EXPECT_EQ(plain.cell_deadline_ms(), 0);  // watchdog off by default
   EXPECT_EQ(plain.max_cell_retries(), 1);

@@ -372,5 +372,42 @@ TEST(ExperimentRunnerDeathTest, ToolArgsRejectMalformedSettings) {
   }
 }
 
+// The runner's env knobs once fell back silently: NUMALP_JOBS=4x ran 4
+// jobs, NUMALP_JOBS=abc the hardware concurrency, NUMALP_CELL_DEADLINE_MS=-5
+// turned the watchdog off and NUMALP_CELL_RETRIES=one kept 1 retry. Now they
+// are read with the other settings: exit 2, naming the variable.
+TEST(ExperimentRunnerDeathTest, ToolArgsRejectMalformedRunnerEnv) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const report::ToolInfo info{"tool", "tool", "test tool"};
+  char tool[] = "tool";
+  char* argv[] = {tool};
+  const auto parse = [&]() { return report::ParseToolArgs(1, argv, info); };
+  for (const auto& [name, bad] :
+       {std::pair{"NUMALP_JOBS", "4x"}, std::pair{"NUMALP_JOBS", "abc"},
+        std::pair{"NUMALP_JOBS", "0"}, std::pair{"NUMALP_CELL_DEADLINE_MS", "-5"},
+        std::pair{"NUMALP_CELL_DEADLINE_MS", "30ms"}, std::pair{"NUMALP_CELL_RETRIES", "one"},
+        std::pair{"NUMALP_CELL_RETRIES", "-1"}}) {
+    ASSERT_EQ(setenv(name, bad, 1), 0);
+    EXPECT_EXIT(parse(), ::testing::ExitedWithCode(2),
+                std::string(name) + ": expected an integer in \\[.*got '" + bad + "'");
+    ASSERT_EQ(unsetenv(name), 0);
+  }
+  ASSERT_EQ(setenv("NUMALP_JOBS", "3", 1), 0);
+  ASSERT_EQ(setenv("NUMALP_CELL_DEADLINE_MS", "0", 1), 0);
+  ASSERT_EQ(setenv("NUMALP_CELL_RETRIES", "0", 1), 0);
+  const report::Options options = parse();
+  EXPECT_EQ(options.jobs, 3);
+  EXPECT_EQ(options.cell_deadline_ms, 0);
+  EXPECT_EQ(options.cell_retries, 0);
+  // Flags override the environment.
+  char jobs_flag[] = "--jobs";
+  char jobs_value[] = "2";
+  char* with_flag[] = {tool, jobs_flag, jobs_value};
+  EXPECT_EQ(report::ParseToolArgs(3, with_flag, info).jobs, 2);
+  ASSERT_EQ(unsetenv("NUMALP_JOBS"), 0);
+  ASSERT_EQ(unsetenv("NUMALP_CELL_DEADLINE_MS"), 0);
+  ASSERT_EQ(unsetenv("NUMALP_CELL_RETRIES"), 0);
+}
+
 }  // namespace
 }  // namespace numalp
