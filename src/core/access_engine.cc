@@ -29,7 +29,8 @@ AccessEngine::AccessEngine(const Topology& topo, const SimConfig& sim, AddressSp
     const int cores = topo_.num_cores();
     for (int t = next_fill_thread_.fetch_add(1, std::memory_order_relaxed); t < cores;
          t = next_fill_thread_.fetch_add(1, std::memory_order_relaxed)) {
-      workload_->FillBatch(t, accesses, shard_ctx_[static_cast<std::size_t>(CoreOfThread(t))].batch);
+      auto& batch = shard_ctx_[static_cast<std::size_t>(CoreOfThread(t))].batch;
+      workload_->FillBatch(t, accesses, batch);
     }
   };
   shard_pool_ = std::make_unique<ShardPool>(
