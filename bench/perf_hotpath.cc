@@ -190,27 +190,21 @@ int main(int argc, char** argv) {
   double min_shard_scaling = 0.0;
   const numalp::report::ToolInfo info = {
       "perf_hotpath", "perf",
-      "simulator wall-clock: accesses/sec per policy and fig2+fig3 grid seconds",
-      "  --out FILE             write the measurements as BENCH_perf.json-style JSON\n"
-      "  --against FILE         fail when a grid exceeds tolerance x FILE's seconds\n"
-      "  --tolerance X          gate factor for --against (default 2.0)\n"
-      "  --shard-sweep          time the CG.D/Carrefour-LP cell at 1/2/4/8 forced\n"
-      "                         shards (results are identical; only wall clock moves)\n"
-      "  --min-shard-scaling X  fail when shards=4 speeds up less than Xx over\n"
-      "                         shards=1 (skipped on hosts with < 4 cores)\n"};
+      "simulator wall-clock: accesses/sec per policy and fig2+fig3 grid seconds"};
   const numalp::report::Options options = numalp::report::ParseToolArgs(
       argc, argv, info,
-      {{"--out", true, [&](const char* v) { out_path = v; return true; }},
-       {"--against", true, [&](const char* v) { against_path = v; return true; }},
-       {"--tolerance", true,
-        [&](const char* v) { tolerance = std::atof(v); return tolerance > 0; }},
-       {"--shard-sweep", false, [&](const char*) { shard_sweep = true; return true; }},
-       {"--min-shard-scaling", true,
-        [&](const char* v) {
-          shard_sweep = true;
-          min_shard_scaling = std::atof(v);
-          return min_shard_scaling > 0;
-        }}});
+      {{"--out", nullptr, numalp::report::Text(&out_path, "FILE"),
+        "write the measurements as BENCH_perf.json-style JSON"},
+       {"--against", nullptr, numalp::report::Text(&against_path, "FILE"),
+        "fail when a grid exceeds tolerance x FILE's seconds"},
+       {"--tolerance", nullptr, numalp::report::Factor(&tolerance),
+        "gate factor for --against (default 2.0)"},
+       {"--shard-sweep", nullptr, numalp::report::Presence(&shard_sweep),
+        "time the CG.D/Carrefour-LP cell at 1/2/4/8 forced shards"},
+       {"--min-shard-scaling", nullptr, numalp::report::Factor(&min_shard_scaling),
+        "fail when shards=4 speeds up less than Xx over shards=1 (implies --shard-sweep;"
+        " skipped below 4 cores)"}});
+  shard_sweep = shard_sweep || min_shard_scaling > 0;
 
   // Per-policy cells: CG.D on machine B — the paper's flagship hot-page case
   // exercises every engine path (THP faults, splits, migrations, promotions).

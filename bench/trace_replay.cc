@@ -11,8 +11,8 @@
 // Traces are generated into --trace-dir (default: the system temp dir) at
 // bench startup; only the summary (BENCH_trace.json shape) is committed —
 // the binary traces are reproducible from (profile, machine, seed).
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -31,31 +31,17 @@ int main(int argc, char** argv) {
   const numalp::report::ToolInfo info = {
       "trace_replay", "trace",
       "Trace replay: tracegen profiles x 4 policies x seeds on machine A, "
-      "with mmap churn fragmenting the buddy allocator organically",
-      "  --trace-dir DIR        where generated traces are written (default: "
-      "system temp dir)\n"
-      "  --trace-epochs N       steady epochs per generated trace (0 = each "
-      "profile's default;\n"
-      "                         smoke runs shrink this and the phase schedule "
-      "compresses)\n"};
+      "with mmap churn fragmenting the buddy allocator organically"};
 
   std::string trace_dir =
       (std::filesystem::temp_directory_path() / "numalp_traces").string();
   int trace_epochs = 0;
-  const std::vector<numalp::report::ExtraFlag> extras = {
-      {"--trace-dir", true,
-       [&trace_dir](const char* value) {
-         trace_dir = value;
-         return !trace_dir.empty();
-       }},
-      {"--trace-epochs", true,
-       [&trace_epochs](const char* value) {
-         trace_epochs = std::atoi(value);
-         return trace_epochs >= 0;
-       }},
-  };
-  const numalp::report::Options options =
-      numalp::report::ParseToolArgs(argc, argv, info, extras);
+  const numalp::report::Options options = numalp::report::ParseToolArgs(
+      argc, argv, info,
+      {{"--trace-dir", nullptr, numalp::report::Text(&trace_dir, "DIR"),
+        "where generated traces are written (default: system temp dir)"},
+       {"--trace-epochs", nullptr, numalp::report::Int(&trace_epochs, 0, INT_MAX),
+        "steady epochs per generated trace (0 = each profile's default)"}});
   const numalp::Topology topo = numalp::Topology::MachineA();
   constexpr int kSeeds = 3;
 

@@ -17,8 +17,7 @@
 int main(int argc, char** argv) {
   const numalp::report::ToolInfo info = {
       "false_sharing_detector", "false_sharing",
-      "PSP / LAR under 4KB vs THP, and Carrefour-LP recovering the locality",
-      "  --machine A|B          machine preset (default A)\n"};
+      "PSP / LAR under 4KB vs THP, and Carrefour-LP recovering the locality"};
   numalp::Topology topo = numalp::Topology::MachineA();
   const numalp::report::Options options = numalp::report::ParseToolArgs(
       argc, argv, info, {numalp::report::MachineFlag(&topo)});

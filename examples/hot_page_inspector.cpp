@@ -23,8 +23,7 @@
 int main(int argc, char** argv) {
   const numalp::report::ToolInfo info = {
       "hot_page_inspector", "hot_page",
-      "the per-page access distribution behind the hot-page effect",
-      "  --machine A|B          machine preset (default B)\n"};
+      "the per-page access distribution behind the hot-page effect"};
   numalp::Topology topo = numalp::Topology::MachineB();
   const numalp::report::Options options = numalp::report::ParseToolArgs(
       argc, argv, info, {numalp::report::MachineFlag(&topo)});

@@ -19,10 +19,7 @@
 int main(int argc, char** argv) {
   const numalp::report::ToolInfo info = {
       "quickstart", "quickstart",
-      "one benchmark under the four main system configurations",
-      "  --workload NAME        benchmark to run (default CG.D; paper suite +"
-      " streamcluster)\n"
-      "  --machine A|B          machine preset (default B)\n"};
+      "one benchmark under the four main system configurations"};
   numalp::BenchmarkId bench = numalp::BenchmarkId::kCG_D;
   numalp::Topology topo = numalp::Topology::MachineB();
   const numalp::report::Options options = numalp::report::ParseToolArgs(

@@ -3,7 +3,6 @@
 #define NUMALP_SRC_CORE_CONFIG_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -80,19 +79,15 @@ struct SimConfig {
   // wall-clock changes. <= 1 runs the windows on the calling thread. The
   // effective count is clamped to the host budget (hardware concurrency
   // divided by active ExperimentRunner jobs) so grid parallelism and shard
-  // parallelism cannot multiply into oversubscription
-  // (env: NUMALP_SHARDS).
+  // parallelism cannot multiply into oversubscription.
   int shards = 1;
   // Bypass the oversubscription clamp and spawn exactly `shards` workers —
   // for scaling measurements and the determinism tests, which must exercise
-  // real cross-thread windows even on small or busy hosts
-  // (env: NUMALP_SHARDS_FORCE=1).
+  // real cross-thread windows even on small or busy hosts.
   bool shards_force = false;
-  // Deterministic fault injection (DESIGN.md Section 12; env:
-  // NUMALP_FAULT_PROFILE={off,frag,pressure,churn} with NUMALP_FAULT_ALLOC_PCT,
-  // NUMALP_FAULT_MIGRATE_PCT, NUMALP_FAULT_PRESSURE_PCT rate overrides). Off
-  // by default: no FaultPlan is constructed and runs are byte-identical to
-  // fault-free builds.
+  // Deterministic fault injection (DESIGN.md Section 12; --fault-profile
+  // and the --fault-*-pct rate overrides). Off by default: no FaultPlan is
+  // constructed and runs are byte-identical to fault-free builds.
   FaultConfig faults;
 
   TlbConfig tlb;
@@ -228,24 +223,6 @@ struct PolicyConfig {
 };
 
 PolicyConfig MakePolicyConfig(PolicyKind kind);
-
-// Applies environment overrides to `sim` and returns it: NUMALP_MAX_EPOCHS
-// and NUMALP_ACCESSES_PER_EPOCH bound run length (the ctest smoke tests use
-// them to keep the examples and CLI driver fast), NUMALP_SEED replaces the
-// base seed, NUMALP_SHARDS sets the intra-cell shard count (and
-// NUMALP_SHARDS_FORCE=1 bypasses the oversubscription clamp; 0 leaves it
-// off). Unset variables leave the field untouched. Integers outside their
-// range, and malformed fault-profile or NUMALP_FAULT_*_PCT values, throw
-// std::invalid_argument.
-SimConfig WithEnvOverrides(SimConfig sim);
-// The whole of `text` as a number in [0, 100]; anything else throws
-// std::invalid_argument naming `setting`.
-double ParsePercent(const std::string& setting, const char* text);
-// The whole of `text` as a base-10 integer in [min, max]; anything else
-// throws std::invalid_argument naming `setting`.
-long long ParseInt(const std::string& setting, const char* text, long long min, long long max);
-// Environment variable `name` through ParseInt; std::nullopt when unset.
-std::optional<long long> EnvInt(const char* name, long long min, long long max);
 
 }  // namespace numalp
 

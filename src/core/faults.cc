@@ -1,6 +1,7 @@
 #include "src/core/faults.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/mem/phys_mem.h"
 
@@ -48,22 +49,6 @@ std::string_view NameOf(FaultProfile profile) {
       return "churn";
   }
   return "?";
-}
-
-std::optional<FaultProfile> ParseFaultProfile(std::string_view name) {
-  if (name == "off") {
-    return FaultProfile::kOff;
-  }
-  if (name == "frag") {
-    return FaultProfile::kFrag;
-  }
-  if (name == "pressure") {
-    return FaultProfile::kPressure;
-  }
-  if (name == "churn") {
-    return FaultProfile::kChurn;
-  }
-  return std::nullopt;
 }
 
 FaultPlan::FaultPlan(const FaultConfig& config, std::uint64_t seed)

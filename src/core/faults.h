@@ -14,7 +14,6 @@
 #define NUMALP_SRC_CORE_FAULTS_H_
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -45,7 +44,6 @@ enum class FaultProfile : std::uint8_t {
 };
 
 std::string_view NameOf(FaultProfile profile);
-std::optional<FaultProfile> ParseFaultProfile(std::string_view name);
 
 // Per-cell fault configuration. Rates are percentages; a negative value
 // means "use the profile's default", so profiles stay one-word knobs and

@@ -1,166 +1,240 @@
 #include "src/report/options.h"
 
+#include <algorithm>
+#include <cerrno>
 #include <climits>
-#include <cstdint>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string_view>
 
-#include "src/report/sink.h"
+extern char** environ;
 
 namespace numalp::report {
 
 namespace {
 
-void PrintUsage(std::FILE* out, const ToolInfo& info) {
-  std::fprintf(out, "%s — %s\n\n", info.name, info.description);
-  std::fprintf(out,
-               "usage: %s [options]\n"
-               "  --format md|csv|jsonl  stdout format (default: md, an aligned table)\n"
-               "  --out-dir DIR          also write DIR/%s.csv and DIR/%s.jsonl\n"
-               "  --jobs N               worker threads (default: NUMALP_JOBS, then cores)\n"
-               "  --seed N               base seed of the sweep's seed axis\n"
-               "  --epochs N             cap epochs per run (NUMALP_MAX_EPOCHS)\n"
-               "  --accesses N           accesses per thread per epoch"
-               " (NUMALP_ACCESSES_PER_EPOCH)\n"
-               "  --shards N             intra-cell shard threads per simulation"
-               " (NUMALP_SHARDS);\n"
-               "                         clamped to the host budget unless forced,"
-               " never changes results\n"
-               "  --fault-profile P      deterministic fault injection: off |"
-               " frag | pressure |\n"
-               "                         churn (NUMALP_FAULT_PROFILE; default"
-               " off — byte-identical\n"
-               "                         to a build without fault support)\n"
-               "  --fault-alloc-pct X    override the profile's large-page"
-               " allocation failure %%\n"
-               "                         (NUMALP_FAULT_ALLOC_PCT)\n"
-               "  --fault-migrate-pct X  override the profile's 4KB migration"
-               " failure %% (NUMALP_FAULT_MIGRATE_PCT)\n"
-               "  --fault-large-migrate-pct X  override the profile's 2MB"
-               " migration failure %%\n"
-               "                         (NUMALP_FAULT_LARGE_MIGRATE_PCT; needs"
-               " target-node contiguity,\n"
-               "                         so profiles default it well above the"
-               " 4KB rate)\n"
-               "  --fault-pressure-pct X override the profile's node-pressure"
-               " entry %% (NUMALP_FAULT_PRESSURE_PCT)\n"
-               "  --resume               continue a crashed --out-dir grid"
-               " from its manifest;\n"
-               "                         completed cells are skipped and the"
-               " final files are\n"
-               "                         byte-identical to an uninterrupted"
-               " run\n"
-               "  --cell-deadline-ms N   watchdog soft deadline per grid cell"
-               " (NUMALP_CELL_DEADLINE_MS;\n"
-               "                         0 disables, the default)\n"
-               "  --cell-retries N       retry budget for failed or overrun"
-               " cells\n"
-               "                         (NUMALP_CELL_RETRIES; default 1)\n"
-               "  --help                 this message\n",
-               info.name, info.bench_id, info.bench_id);
-  if (info.extra_usage != nullptr && info.extra_usage[0] != '\0') {
-    std::fprintf(out, "%s", info.extra_usage);
+// The whole of `text` as a number that satisfies `valid`; anything else
+// throws std::invalid_argument naming `setting` and what was `expected`.
+double ParseReal(const std::string& setting, const char* text, const char* expected,
+                 bool (*valid)(double)) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (*text == '\0' || *end != '\0' || !valid(value)) {
+    throw std::invalid_argument(setting + ": expected " + expected + ", got '" + text + "'");
+  }
+  return value;
+}
+
+std::string ChoiceName(const std::string& choice) { return choice; }
+std::string ChoiceName(FaultProfile choice) { return std::string(NameOf(choice)); }
+
+// One of `choices`, named by ChoiceName.
+template <typename T>
+SettingValue Enum(T* field, std::vector<T> choices) {
+  std::string names;
+  for (const T& choice : choices) {
+    names += (names.empty() ? "" : "|") + ChoiceName(choice);
+  }
+  return {names, [=](const std::string& setting, const char* text) {
+            for (const T& choice : choices) {
+              if (ChoiceName(choice) == text) {
+                *field = choice;
+                return;
+              }
+            }
+            throw std::invalid_argument(setting + ": expected " + names + ", got '" + text + "'");
+          }};
+}
+
+SettingValue Percent(double* field) {
+  return {"PCT", [field](const std::string& setting, const char* text) {
+            *field = ParseReal(setting, text, "a percentage in [0, 100]",
+                               [](double value) { return value >= 0.0 && value <= 100.0; });
+          }};
+}
+
+// An integer >= 0 read as a switch: positive enables, 0 leaves it off.
+SettingValue Enables(bool* field) {
+  return {"N", [field](const std::string& setting, const char* text) {
+            *field = ParseInt(setting, text, 0, INT_MAX) > 0;
+          }};
+}
+
+// A name parser's result, or a message naming the setting and `names`.
+template <typename T, typename Parse>
+Setting NameFlag(const char* flag, T* out, Parse parse, const char* names, std::string help) {
+  return {flag, nullptr,
+          {names,
+           [out, parse, names](const std::string& setting, const char* text) {
+             const auto parsed = parse(text);
+             if (!parsed) {
+               throw std::invalid_argument(setting + ": expected " + names + ", got '" + text +
+                                           "'");
+             }
+             *out = *parsed;
+           }},
+          std::move(help)};
+}
+
+void PrintUsage(std::FILE* out, const ToolInfo& info, const std::vector<Setting>& settings) {
+  std::fprintf(out, "%s — %s (bench id: %s)\n\nusage: %s [options]\n", info.name,
+               info.description, info.bench_id, info.name);
+  const auto line = [out](std::string left, const std::string& help) {
+    if (left.size() > 24) {
+      left += "\n" + std::string(26, ' ');
+    }
+    std::fprintf(out, "  %-24s %s\n", left.c_str(), help.c_str());
+  };
+  for (const Setting& setting : settings) {
+    const std::string& placeholder = setting.value.placeholder;
+    if (setting.flag == nullptr) {
+      line(std::string(setting.env) + "=" + placeholder, setting.help);
+    } else {
+      line(placeholder.empty() ? setting.flag : std::string(setting.flag) + " " + placeholder,
+           setting.env == nullptr ? setting.help : setting.help + " [" + setting.env + "]");
+    }
+  }
+  line("--help", "this message");
+  std::fprintf(out, "[VAR]: the environment variable that also sets it; the flag wins\n");
+}
+
+// A NUMALP_* variable outside the table's env column is a typo or a deleted
+// knob; either way it would be silently ignored, so it is refused instead.
+void RejectUnknownEnv(const std::vector<Setting>& settings) {
+  std::string known;
+  for (const Setting& setting : settings) {
+    if (setting.env != nullptr) {
+      known += std::string(known.empty() ? "" : ", ") + setting.env;
+    }
+  }
+  for (char** entry = environ; *entry != nullptr; ++entry) {
+    const std::string_view variable(*entry);
+    if (variable.rfind("NUMALP_", 0) != 0) {
+      continue;
+    }
+    const std::string name(variable.substr(0, variable.find('=')));
+    if (std::none_of(settings.begin(), settings.end(), [&](const Setting& setting) {
+          return setting.env != nullptr && name == setting.env;
+        })) {
+      throw std::invalid_argument(name + ": not a setting; the environment sets only " + known);
+    }
   }
 }
 
 // ParseToolArgs without the handling of malformed settings, which throw
 // std::invalid_argument.
 Options ParseArgs(int argc, char** argv, const ToolInfo& info,
-                  const std::vector<ExtraFlag>& extras) {
+                  const std::vector<Setting>& extras) {
   Options options;
-  options.sim = WithEnvOverrides(SimConfig{});
-  // The runner's knobs; the flags below override them.
-  if (const auto jobs = EnvInt("NUMALP_JOBS", 1, INT_MAX)) {
-    options.jobs = static_cast<int>(*jobs);
+  std::vector<Setting> settings = UniformSettings(&options);
+  settings.insert(settings.end(), extras.begin(), extras.end());
+  RejectUnknownEnv(settings);
+  for (const Setting& setting : settings) {
+    if (setting.env == nullptr) {
+      continue;
+    }
+    if (const char* text = std::getenv(setting.env); text != nullptr) {
+      setting.value.store(setting.env, text);
+    }
   }
-  if (const auto deadline_ms = EnvInt("NUMALP_CELL_DEADLINE_MS", 0, LLONG_MAX)) {
-    options.cell_deadline_ms = *deadline_ms;
-  }
-  if (const auto retries = EnvInt("NUMALP_CELL_RETRIES", 0, INT_MAX)) {
-    options.cell_retries = static_cast<int>(*retries);
-  }
-
-  auto fail = [&]() {
-    PrintUsage(stderr, info);
-    std::exit(2);
-  };
-
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        fail();
-      }
-      return argv[++i];
-    };
     if (arg == "--help" || arg == "-h") {
-      PrintUsage(stdout, info);
+      PrintUsage(stdout, info, settings);
       std::exit(0);
-    } else if (arg == "--format") {
-      options.format = next();
-      if (!IsKnownFormat(options.format)) {
-        fail();
-      }
-    } else if (arg == "--out-dir") {
-      options.out_dir = next();
-    } else if (arg == "--jobs") {
-      options.jobs = static_cast<int>(ParseInt(arg, next(), 1, INT_MAX));
-    } else if (arg == "--seed") {
-      options.sim.seed = static_cast<std::uint64_t>(ParseInt(arg, next(), 1, LLONG_MAX));
-    } else if (arg == "--epochs") {
-      options.sim.max_epochs = static_cast<int>(ParseInt(arg, next(), 1, INT_MAX));
-    } else if (arg == "--accesses") {
-      options.sim.accesses_per_thread_per_epoch =
-          static_cast<std::uint64_t>(ParseInt(arg, next(), 1, LLONG_MAX));
-    } else if (arg == "--shards") {
-      options.sim.shards = static_cast<int>(ParseInt(arg, next(), 1, INT_MAX));
-    } else if (arg == "--fault-profile") {
-      const auto profile = ParseFaultProfile(next());
-      if (!profile) {
-        fail();
-      }
-      options.sim.faults.profile = *profile;
-    } else if (arg == "--fault-alloc-pct") {
-      options.sim.faults.alloc_fail_pct = ParsePercent(arg, next());
-    } else if (arg == "--fault-migrate-pct") {
-      options.sim.faults.migrate_fail_pct = ParsePercent(arg, next());
-    } else if (arg == "--fault-large-migrate-pct") {
-      options.sim.faults.large_migrate_fail_pct = ParsePercent(arg, next());
-    } else if (arg == "--fault-pressure-pct") {
-      options.sim.faults.pressure_pct = ParsePercent(arg, next());
-    } else if (arg == "--resume") {
-      options.resume = true;
-    } else if (arg == "--cell-deadline-ms") {
-      options.cell_deadline_ms = ParseInt(arg, next(), 0, LLONG_MAX);
-    } else if (arg == "--cell-retries") {
-      options.cell_retries = static_cast<int>(ParseInt(arg, next(), 0, INT_MAX));
-    } else {
-      bool handled = false;
-      for (const ExtraFlag& extra : extras) {
-        if (arg == extra.flag) {
-          const char* value = extra.takes_value ? next() : nullptr;
-          if (!extra.handle(value)) {
-            fail();
-          }
-          handled = true;
-          break;
-        }
-      }
-      if (!handled) {
-        fail();
-      }
     }
+    const auto row = std::find_if(settings.begin(), settings.end(), [&](const Setting& setting) {
+      return setting.flag != nullptr && arg == setting.flag;
+    });
+    const bool takes_value = row != settings.end() && !row->value.placeholder.empty();
+    if (row == settings.end() || (takes_value && i + 1 >= argc)) {
+      PrintUsage(stderr, info, settings);
+      std::exit(2);
+    }
+    row->value.store(arg, takes_value ? argv[++i] : nullptr);
   }
   return options;
 }
 
 }  // namespace
 
+long long ParseInt(const std::string& setting, const char* text, long long min, long long max) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text, &end, 10);
+  if (*text == '\0' || *end != '\0' || errno == ERANGE || value < min || value > max) {
+    throw std::invalid_argument(setting + ": expected an integer in [" + std::to_string(min) +
+                                ", " + std::to_string(max) + "], got '" + text + "'");
+  }
+  return value;
+}
+
+SettingValue Factor(double* field) {
+  return {"X", [field](const std::string& setting, const char* text) {
+            *field = ParseReal(setting, text, "a number > 0",
+                               [](double value) { return value > 0.0 && std::isfinite(value); });
+          }};
+}
+
+SettingValue Text(std::string* field, const char* placeholder) {
+  return {placeholder, [field](const std::string& setting, const char* text) {
+            if (*text == '\0') {
+              throw std::invalid_argument(setting + ": expected a non-empty value");
+            }
+            *field = text;
+          }};
+}
+
+SettingValue Presence(bool* field) {
+  return {"", [field](const std::string&, const char*) { *field = true; }};
+}
+
+std::vector<Setting> UniformSettings(Options* options) {
+  SimConfig& sim = options->sim;
+  FaultConfig& faults = sim.faults;
+  return {
+      {"--format", nullptr, Enum<std::string>(&options->format, {"md", "csv", "jsonl"}),
+       "stdout format (default md, an aligned table)"},
+      {"--out-dir", nullptr, Text(&options->out_dir, "DIR"),
+       "also write the rows to DIR/<bench id>.{csv,jsonl}"},
+      {"--jobs", "NUMALP_JOBS", Int(&options->jobs, 1, INT_MAX),
+       "grid worker threads (default: the host's cores)"},
+      {"--seed", nullptr, Int(&sim.seed, 1, LLONG_MAX),
+       "base seed of the sweep's seed axis (default 42)"},
+      {"--epochs", "NUMALP_MAX_EPOCHS", Int(&sim.max_epochs, 1, INT_MAX),
+       "cap epochs per run (default 600)"},
+      {"--accesses", "NUMALP_ACCESSES_PER_EPOCH",
+       Int(&sim.accesses_per_thread_per_epoch, 1, LLONG_MAX),
+       "accesses per thread per epoch (default 4096)"},
+      {"--shards", "NUMALP_SHARDS", Int(&sim.shards, 1, INT_MAX),
+       "intra-cell shard threads, clamped to the host budget; never changes results"},
+      {nullptr, "NUMALP_SHARDS_FORCE", Enables(&sim.shards_force),
+       "positive: spawn exactly the requested shards, bypassing the clamp"},
+      {"--fault-profile", nullptr,
+       Enum(&faults.profile, {FaultProfile::kOff, FaultProfile::kFrag, FaultProfile::kPressure,
+                              FaultProfile::kChurn}),
+       "deterministic fault injection (default off, byte-identical to no fault support)"},
+      {"--fault-alloc-pct", nullptr, Percent(&faults.alloc_fail_pct),
+       "override the profile's large-page allocation failure %"},
+      {"--fault-migrate-pct", nullptr, Percent(&faults.migrate_fail_pct),
+       "override the profile's 4KB migration failure %"},
+      {"--fault-large-migrate-pct", nullptr, Percent(&faults.large_migrate_fail_pct),
+       "override the profile's 2MB migration failure %"},
+      {"--fault-pressure-pct", nullptr, Percent(&faults.pressure_pct),
+       "override the profile's node-pressure entry %"},
+      {"--resume", nullptr, Presence(&options->resume),
+       "continue a crashed --out-dir grid from its manifest, byte-identically"},
+      {"--cell-deadline-ms", nullptr, Int(&options->cell_deadline_ms, 0, LLONG_MAX),
+       "watchdog soft deadline per grid cell (default 0: off)"},
+      {"--cell-retries", nullptr, Int(&options->cell_retries, 0, INT_MAX),
+       "retry budget for failed or overrun cells (default 1)"},
+  };
+}
+
 Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
-                      const std::vector<ExtraFlag>& extras) {
+                      const std::vector<Setting>& extras) {
   try {
     return ParseArgs(argc, argv, info, extras);
   } catch (const std::invalid_argument& error) {
@@ -237,54 +311,37 @@ std::optional<Topology> ParseMachineName(const std::string& name) {
   return std::nullopt;
 }
 
-namespace {
-
-template <typename T, typename Parse>
-ExtraFlag AssigningFlag(const char* flag, T* out, Parse parse) {
-  return {flag, true, [out, parse](const char* value) {
-            const auto parsed = parse(value);
-            if (parsed) {
-              *out = *parsed;
-            }
-            return parsed.has_value();
-          }};
+Setting WorkloadFlag(BenchmarkId* out, std::string* trace_file) {
+  const std::string names = KnownWorkloadNames();
+  return {"--workload",
+          nullptr,
+          {trace_file != nullptr ? "NAME|trace:FILE" : "NAME",
+           [out, trace_file, names](const std::string& setting, const char* text) {
+             const std::string name = text;
+             if (trace_file != nullptr && name.rfind("trace:", 0) == 0 && name.size() > 6) {
+               *trace_file = name.substr(6);
+               return;
+             }
+             const auto parsed = ParseWorkloadName(name);
+             if (!parsed) {
+               throw std::invalid_argument(
+                   setting + ": unknown workload '" + name + "'; valid names: " + names +
+                   (trace_file != nullptr ? ", or trace:FILE (replay a recorded trace)" : ""));
+             }
+             *out = *parsed;
+           }},
+          "workload (default " + std::string(NameOf(*out)) + ")"};
 }
 
-}  // namespace
-
-ExtraFlag WorkloadFlag(BenchmarkId* out, std::string* trace_file) {
-  return {"--workload", true, [out, trace_file](const char* value) {
-            const std::string name = value;
-            if (name.rfind("trace:", 0) == 0) {
-              if (trace_file == nullptr) {
-                std::fprintf(stderr, "%s: this tool does not support trace replay\n",
-                             value);
-                return false;
-              }
-              *trace_file = name.substr(6);
-              return !trace_file->empty();
-            }
-            const auto parsed = ParseWorkloadName(name);
-            if (!parsed) {
-              std::fprintf(stderr,
-                           "unknown workload '%s'; valid names: %s%s\n", value,
-                           KnownWorkloadNames().c_str(),
-                           trace_file != nullptr
-                               ? ", or trace:FILE (replay a recorded trace)"
-                               : "");
-              return false;
-            }
-            *out = *parsed;
-            return true;
-          }};
+Setting MachineFlag(Topology* out) {
+  return NameFlag("--machine", out, ParseMachineName, "A|B|epyc8|snc16|cxl",
+                  "machine preset (default " + out->name() + ")");
 }
 
-ExtraFlag MachineFlag(Topology* out) {
-  return AssigningFlag("--machine", out, ParseMachineName);
-}
-
-ExtraFlag PolicyFlag(PolicyKind* out) {
-  return AssigningFlag("--policy", out, ParsePolicyName);
+Setting PolicyFlag(PolicyKind* out) {
+  return NameFlag("--policy", out, ParsePolicyName,
+                  "linux-4k|thp|carrefour-2m|reactive|conservative|carrefour-lp",
+                  "policy (default " + std::string(NameOf(*out)) + ")");
 }
 
 }  // namespace numalp::report

@@ -1,9 +1,12 @@
-// The one command-line parser shared by every bench, example and tool, so
+// The one settings parser shared by every bench, example and tool, so
 // --help output and the results-pipeline flags (--format, --out-dir, --jobs,
 // --seed, --epochs, --accesses, --shards) are uniform across all binaries
-// (DESIGN.md Section 6). Binaries add tool-specific flags as ExtraFlags; the workload/
-// machine/policy name parsers that numalp_run and quickstart historically
-// each hand-rolled live here too.
+// (DESIGN.md Section 6). Every setting is one row of a table: its flag, the
+// environment variable that also sets it, its value's kind and range, where
+// the value goes, and its --help line. UniformSettings is the shared table;
+// binaries pass their own rows to ParseToolArgs. The workload/machine/policy
+// name parsers that numalp_run and quickstart historically each hand-rolled
+// live here too.
 #ifndef NUMALP_SRC_REPORT_OPTIONS_H_
 #define NUMALP_SRC_REPORT_OPTIONS_H_
 
@@ -24,27 +27,17 @@ struct ToolInfo {
   const char* name;         // binary name, e.g. "fig1_thp_vs_linux"
   const char* bench_id;     // ResultRow::bench value and out-dir file stem
   const char* description;  // one line for --help
-  const char* extra_usage = "";  // help text for tool-specific flags
-};
-
-// A tool-specific flag. `handle` receives the value (nullptr when
-// takes_value is false) and returns false to reject it.
-struct ExtraFlag {
-  const char* flag;
-  bool takes_value = true;
-  std::function<bool(const char* value)> handle;
 };
 
 struct Options {
   std::string format = "md";  // stdout format: md | csv | jsonl
   std::string out_dir;        // also write <out_dir>/<bench_id>.{csv,jsonl}
   int jobs = 0;               // NUMALP_JOBS, then --jobs; 0 = hardware concurrency
-  SimConfig sim;              // env overrides applied, then flags
+  SimConfig sim;              // environment, then flags
 
   // Runner resilience (DESIGN.md Section 12). resume continues a crashed
-  // --out-dir grid from its manifest; the watchdog deadline and the retry
-  // budget come from NUMALP_CELL_*, then the flags; -1 keeps the runner's
-  // defaults (watchdog off, 1 retry).
+  // --out-dir grid from its manifest; -1 keeps the runner's defaults for the
+  // watchdog deadline (off) and the retry budget (1 retry).
   bool resume = false;
   long long cell_deadline_ms = -1;
   int cell_retries = -1;
@@ -54,13 +47,51 @@ struct Options {
   bool human() const { return format == "md"; }
 };
 
-// Parses argv. Standard flags: --format, --out-dir, --jobs, --seed,
-// --epochs, --accesses, --shards, --help (prints uniform usage, exits 0).
-// Unknown flags or bad values print usage to stderr and exit 2; a malformed
-// integer or fault setting (flag or environment) prints a message naming it
-// and exits 2.
+// A setting's value: the --help placeholder ("N", "FILE"; empty for a flag
+// that takes none) and the strict parser that stores it. `store` receives the
+// setting's name (for messages) and the value text (nullptr for a flag that
+// takes none); a malformed value throws std::invalid_argument naming it.
+struct SettingValue {
+  std::string placeholder;
+  std::function<void(const std::string& setting, const char* text)> store;
+};
+
+// One row of the settings table. `flag` is nullptr for a setting only the
+// environment sets, `env` is nullptr for one only a flag sets.
+struct Setting {
+  const char* flag;
+  const char* env;
+  SettingValue value;
+  std::string help;  // one line for --help
+};
+
+// The whole of `text` as a base-10 integer in [min, max]; anything else
+// throws std::invalid_argument naming `setting`.
+long long ParseInt(const std::string& setting, const char* text, long long min, long long max);
+
+// The value kinds a binary's own rows use. Each parses the whole text.
+template <typename T>
+SettingValue Int(T* field, long long min, long long max) {  // an integer in [min, max]
+  return {"N", [=](const std::string& setting, const char* text) {
+            *field = static_cast<T>(ParseInt(setting, text, min, max));
+          }};
+}
+SettingValue Factor(double* field);  // a finite number > 0
+SettingValue Text(std::string* field, const char* placeholder);  // any non-empty text
+SettingValue Presence(bool* field);  // takes no value; sets *field
+
+// The settings every ParseToolArgs binary shares, storing into *options.
+// The env column is the only environment the simulator reads.
+std::vector<Setting> UniformSettings(Options* options);
+
+// Applies the environment column of the table, then argv, and returns the
+// result. `extras` are the binary's own rows (pointing at its own fields);
+// --help prints every row's usage and exits 0. An unknown flag or a missing
+// value prints the usage to stderr and exits 2; a malformed value, or a
+// NUMALP_* environment variable that is not in the table, prints a message
+// naming it and exits 2.
 Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
-                      const std::vector<ExtraFlag>& extras = {});
+                      const std::vector<Setting>& extras = {});
 
 // Name parsers shared by the CLI tools (historically duplicated between
 // numalp_run and quickstart, with divergent aliases).
@@ -73,16 +104,15 @@ std::optional<PolicyKind> ParsePolicyName(const std::string& name);
 // "epyc8", "snc16", "cxl".
 std::optional<Topology> ParseMachineName(const std::string& name);
 
-// Ready-made ExtraFlags for the common tool-specific selectors: parse the
-// value with the matching name parser above and assign into *out (which
-// must outlive the ParseToolArgs call). One declaration per tool instead
-// of a hand-rolled closure per binary.
+// Ready-made rows for the common tool-specific selectors: parse the value
+// with the matching name parser above and assign into *out (which must
+// outlive the ParseToolArgs call); *out's value is the --help default.
 // When `trace_file` is non-null the flag additionally accepts
 // "trace:FILE" (replay a recorded trace): FILE lands in *trace_file and
-// *out is left untouched. Unknown names print the valid alternatives.
-ExtraFlag WorkloadFlag(BenchmarkId* out, std::string* trace_file = nullptr);
-ExtraFlag MachineFlag(Topology* out);
-ExtraFlag PolicyFlag(PolicyKind* out);
+// *out is left untouched. Unknown names are rejected naming the flag.
+Setting WorkloadFlag(BenchmarkId* out, std::string* trace_file = nullptr);
+Setting MachineFlag(Topology* out);
+Setting PolicyFlag(PolicyKind* out);
 
 }  // namespace numalp::report
 

@@ -129,10 +129,6 @@ void MultiSink::Finish() {
   }
 }
 
-bool IsKnownFormat(const std::string& format) {
-  return format == "csv" || format == "jsonl" || format == "md";
-}
-
 std::unique_ptr<ResultSink> MakeSink(const std::string& format, std::ostream& out) {
   if (format == "csv") {
     return std::make_unique<CsvSink>(out);

@@ -88,9 +88,6 @@ class MultiSink : public ResultSink {
   std::vector<std::unique_ptr<ResultSink>> sinks_;
 };
 
-// True for the formats MakeSink understands: "csv", "jsonl", "md".
-bool IsKnownFormat(const std::string& format);
-
 // Builds the sink for `format` writing to `out` (not owned).
 std::unique_ptr<ResultSink> MakeSink(const std::string& format, std::ostream& out);
 

@@ -340,24 +340,24 @@ TEST(RunnerResilienceTest, DeadlineCancelsOverrunningCell) {
   }
 }
 
-// The env knobs reach the runner through the tools' settings parser
-// (report::ParseToolArgs, which rejects malformed values); the runner itself
-// reads no environment.
-TEST(RunnerResilienceTest, EnvKnobsConfigureWatchdogAndRetries) {
+// The watchdog and retry settings reach the runner through the tools'
+// settings parser (report::ParseToolArgs, which rejects malformed values);
+// the runner itself reads no environment.
+TEST(RunnerResilienceTest, FlagsConfigureWatchdogAndRetries) {
   const report::ToolInfo info{"tool", "tool", "test tool"};
   char tool[] = "tool";
-  char* argv[] = {tool};
-  ::setenv("NUMALP_CELL_DEADLINE_MS", "1234", 1);
-  ::setenv("NUMALP_CELL_RETRIES", "0", 1);
+  char deadline_flag[] = "--cell-deadline-ms";
+  char deadline[] = "1234";
+  char retries_flag[] = "--cell-retries";
+  char retries[] = "0";
+  char* argv[] = {tool, deadline_flag, deadline, retries_flag, retries};
   {
-    const report::Options options = report::ParseToolArgs(1, argv, info);
+    const report::Options options = report::ParseToolArgs(5, argv, info);
     EXPECT_EQ(options.cell_deadline_ms, 1234);
     EXPECT_EQ(options.cell_retries, 0);
     ExperimentRunner runner(1);
     EXPECT_EQ(runner.cell_deadline_ms(), 0);
   }
-  ::unsetenv("NUMALP_CELL_DEADLINE_MS");
-  ::unsetenv("NUMALP_CELL_RETRIES");
   const report::Options unset = report::ParseToolArgs(1, argv, info);
   EXPECT_EQ(unset.cell_deadline_ms, -1);  // keeps the runner's defaults
   EXPECT_EQ(unset.cell_retries, -1);

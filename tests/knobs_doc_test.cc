@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/report/options.h"
+
 #ifndef NUMALP_SOURCE_DIR
 #error "CMake must define NUMALP_SOURCE_DIR for knobs_doc_test"
 #endif
@@ -193,16 +195,23 @@ TEST(KnobsDoc, DocumentExists) {
 }
 
 TEST(KnobsDoc, ScannerFindsTheKnownSurface) {
-  // Canary against a silently broken scanner: these knobs have existed since
-  // the surfaces were introduced and a scan that misses them is wrong.
+  // Canary against a silently broken scanner: the environment it finds must
+  // be exactly the settings table's env column (the only environment the
+  // tools read), and these flags have existed since the surfaces were
+  // introduced.
   const KnobSurface source = ScanSourceTree();
-  EXPECT_TRUE(source.env_knobs.count("NUMALP_MAX_EPOCHS"));
-  EXPECT_TRUE(source.env_knobs.count("NUMALP_SHARDS"));
-  EXPECT_TRUE(source.env_knobs.count("NUMALP_FAULT_PROFILE"));
+  numalp::report::Options options;
+  std::set<std::string> table_env;
+  for (const numalp::report::Setting& setting : numalp::report::UniformSettings(&options)) {
+    if (setting.env != nullptr) {
+      table_env.insert(setting.env);
+    }
+  }
+  EXPECT_EQ(source.env_knobs, table_env) << "scanned: " << Join(source.env_knobs)
+                                         << "; table: " << Join(table_env);
   EXPECT_TRUE(source.flags.count("--jobs"));
   EXPECT_TRUE(source.flags.count("--machine"));
   EXPECT_TRUE(source.flags.count("--from-summary"));
-  EXPECT_GE(source.env_knobs.size(), 13u);
   EXPECT_GE(source.flags.size(), 30u);
 }
 

@@ -1,9 +1,12 @@
 // ExperimentRunner regression tests: the parallel grid must be a pure
 // function of its declaration — identical RunResults at any jobs value, grid
 // indexing that matches standalone Simulations, and summaries that reproduce
-// the historical serial ComparePolicies arithmetic.
+// the historical serial ComparePolicies arithmetic. The settings table every
+// tool parses its flags and environment with is tested here too.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -246,167 +249,211 @@ TEST(ExperimentRunnerTest, ComparePoliciesMatchesGrid) {
   }
 }
 
-// The message WithEnvOverrides rejects the environment with, or "" when it
-// accepts it.
-std::string EnvRejection(const SimConfig& sim) {
-  try {
-    WithEnvOverrides(sim);
-  } catch (const std::invalid_argument& error) {
-    return error.what();
+// ParseToolArgs on `args` (the binary name is prepended).
+report::Options ParseArgs(std::vector<std::string> args,
+                          const std::vector<report::Setting>& extras = {}) {
+  const report::ToolInfo info{"tool", "tool", "test tool"};
+  args.insert(args.begin(), "tool");
+  std::vector<char*> argv;
+  for (std::string& arg : args) {
+    argv.push_back(arg.data());
   }
+  return report::ParseToolArgs(static_cast<int>(argv.size()), argv.data(), info, extras);
+}
+
+// The message the settings table rejects `text` for the setting `name` (a
+// flag or an environment variable) with, or "" when it accepts it.
+std::string Rejection(const std::string& name, const char* text) {
+  report::Options options;
+  for (const report::Setting& setting : report::UniformSettings(&options)) {
+    if ((setting.flag != nullptr && name == setting.flag) ||
+        (setting.env != nullptr && name == setting.env)) {
+      try {
+        setting.value.store(name, text);
+      } catch (const std::invalid_argument& error) {
+        return error.what();
+      }
+      return "";
+    }
+  }
+  ADD_FAILURE() << name << " is not in the settings table";
   return "";
 }
 
-TEST(ExperimentRunnerTest, EnvOverridesParsePositiveValues) {
-  SimConfig sim;
-  const int default_epochs = sim.max_epochs;
+TEST(SettingsTest, EnvKnobsApplyBeforeFlags) {
+  const int default_epochs = SimConfig{}.max_epochs;
   ASSERT_EQ(unsetenv("NUMALP_MAX_EPOCHS"), 0);
-  EXPECT_EQ(WithEnvOverrides(sim).max_epochs, default_epochs);
+  EXPECT_EQ(ParseArgs({}).sim.max_epochs, default_epochs);
   ASSERT_EQ(setenv("NUMALP_MAX_EPOCHS", "7", 1), 0);
-  EXPECT_EQ(WithEnvOverrides(sim).max_epochs, 7);
-  ASSERT_EQ(setenv("NUMALP_MAX_EPOCHS", "-3", 1), 0);
-  EXPECT_EQ(EnvRejection(sim),
-            "NUMALP_MAX_EPOCHS: expected an integer in [1, 2147483647], got '-3'");
+  ASSERT_EQ(setenv("NUMALP_ACCESSES_PER_EPOCH", "512", 1), 0);
+  const report::Options from_env = ParseArgs({"--seed", "123"});
+  EXPECT_EQ(from_env.sim.max_epochs, 7);
+  EXPECT_EQ(from_env.sim.accesses_per_thread_per_epoch, 512u);
+  EXPECT_EQ(from_env.sim.seed, 123u);
+  EXPECT_EQ(ParseArgs({"--epochs", "5"}).sim.max_epochs, 5);
   ASSERT_EQ(unsetenv("NUMALP_MAX_EPOCHS"), 0);
+  ASSERT_EQ(unsetenv("NUMALP_ACCESSES_PER_EPOCH"), 0);
+  EXPECT_EQ(Rejection("NUMALP_MAX_EPOCHS", "-3"),
+            "NUMALP_MAX_EPOCHS: expected an integer in [1, 2147483647], got '-3'");
 }
 
 // Malformed integer settings must not quietly change the run: a value that
-// does not parse completely, or falls outside the knob's range, is rejected
-// naming the variable. NUMALP_SHARDS_FORCE is a boolean, so 0 stays "off".
-TEST(ExperimentRunnerTest, IntegerEnvOverridesRejectMalformedValues) {
-  SimConfig sim;
+// does not parse completely, or falls outside the setting's range, is
+// rejected naming the flag or variable. NUMALP_SHARDS_FORCE is a boolean, so
+// 0 stays "off".
+TEST(SettingsTest, IntegerSettingsRejectMalformedValues) {
   for (const auto& [name, bad] :
        {std::pair{"NUMALP_MAX_EPOCHS", "x3"}, std::pair{"NUMALP_MAX_EPOCHS", "4O"},
         std::pair{"NUMALP_MAX_EPOCHS", "0"}, std::pair{"NUMALP_MAX_EPOCHS", "99999999999"},
         std::pair{"NUMALP_ACCESSES_PER_EPOCH", ""}, std::pair{"NUMALP_ACCESSES_PER_EPOCH", "1e3"},
-        std::pair{"NUMALP_SEED", "abc"}, std::pair{"NUMALP_SEED", "99999999999999999999"},
+        std::pair{"--seed", "abc"}, std::pair{"--seed", "99999999999999999999"},
         std::pair{"NUMALP_SHARDS", "-4"}, std::pair{"NUMALP_SHARDS", "4 "},
-        std::pair{"NUMALP_SHARDS_FORCE", "yes"}, std::pair{"NUMALP_SHARDS_FORCE", "-1"}}) {
-    ASSERT_EQ(setenv(name, bad, 1), 0);
-    const std::string message = EnvRejection(sim);
+        std::pair{"NUMALP_SHARDS_FORCE", "yes"}, std::pair{"NUMALP_SHARDS_FORCE", "-1"},
+        std::pair{"NUMALP_JOBS", "4x"}, std::pair{"NUMALP_JOBS", "abc"},
+        std::pair{"NUMALP_JOBS", "0"}, std::pair{"--cell-deadline-ms", "-5"},
+        std::pair{"--cell-deadline-ms", "30ms"}, std::pair{"--cell-retries", "one"},
+        std::pair{"--cell-retries", "-1"}}) {
+    const std::string message = Rejection(name, bad);
     EXPECT_EQ(message.rfind(std::string(name) + ": expected an integer in [", 0), 0u) << message;
     EXPECT_NE(message.find(std::string("got '") + bad + "'"), std::string::npos) << message;
-    ASSERT_EQ(unsetenv(name), 0);
   }
   ASSERT_EQ(setenv("NUMALP_SHARDS_FORCE", "0", 1), 0);
-  EXPECT_FALSE(WithEnvOverrides(sim).shards_force);
+  EXPECT_FALSE(ParseArgs({}).sim.shards_force);
   ASSERT_EQ(setenv("NUMALP_SHARDS_FORCE", "1", 1), 0);
-  EXPECT_TRUE(WithEnvOverrides(sim).shards_force);
+  EXPECT_TRUE(ParseArgs({}).sim.shards_force);
   ASSERT_EQ(unsetenv("NUMALP_SHARDS_FORCE"), 0);
-  ASSERT_EQ(setenv("NUMALP_SEED", "123", 1), 0);
-  ASSERT_EQ(setenv("NUMALP_ACCESSES_PER_EPOCH", "512", 1), 0);
-  const SimConfig overridden = WithEnvOverrides(sim);
-  EXPECT_EQ(overridden.seed, 123u);
-  EXPECT_EQ(overridden.accesses_per_thread_per_epoch, 512u);
-  ASSERT_EQ(unsetenv("NUMALP_SEED"), 0);
-  ASSERT_EQ(unsetenv("NUMALP_ACCESSES_PER_EPOCH"), 0);
 }
 
 // Malformed fault settings must not quietly change the run: an unknown
 // profile or a percentage that does not parse completely into [0, 100] is
-// rejected, naming the variable; well-formed values still apply.
-TEST(ExperimentRunnerTest, FaultEnvOverridesRejectMalformedValues) {
-  SimConfig sim;
-  ASSERT_EQ(setenv("NUMALP_FAULT_PROFILE", "fargm", 1), 0);
-  EXPECT_EQ(EnvRejection(sim),
-            "NUMALP_FAULT_PROFILE: expected off | frag | pressure | churn, got 'fargm'");
-  ASSERT_EQ(setenv("NUMALP_FAULT_PROFILE", "pressure", 1), 0);
-  EXPECT_EQ(WithEnvOverrides(sim).faults.profile, FaultProfile::kPressure);
-  ASSERT_EQ(unsetenv("NUMALP_FAULT_PROFILE"), 0);
-  for (const char* name : {"NUMALP_FAULT_ALLOC_PCT", "NUMALP_FAULT_MIGRATE_PCT",
-                           "NUMALP_FAULT_LARGE_MIGRATE_PCT", "NUMALP_FAULT_PRESSURE_PCT"}) {
+// rejected, naming the flag; well-formed values, 0 and 100 included, apply.
+TEST(SettingsTest, FaultFlagsRejectMalformedValues) {
+  EXPECT_EQ(Rejection("--fault-profile", "fargm"),
+            "--fault-profile: expected off|frag|pressure|churn, got 'fargm'");
+  EXPECT_EQ(ParseArgs({"--fault-profile", "pressure"}).sim.faults.profile,
+            FaultProfile::kPressure);
+  for (const char* flag : {"--fault-alloc-pct", "--fault-migrate-pct",
+                           "--fault-large-migrate-pct", "--fault-pressure-pct"}) {
     for (const char* bad : {"abc", "", "5x", "-1", "100.5", "nan"}) {
-      ASSERT_EQ(setenv(name, bad, 1), 0);
-      EXPECT_EQ(EnvRejection(sim), std::string(name) +
-                                       ": expected a percentage in [0, 100], got '" + bad + "'");
+      EXPECT_EQ(Rejection(flag, bad), std::string(flag) +
+                                          ": expected a percentage in [0, 100], got '" + bad +
+                                          "'");
     }
-    ASSERT_EQ(setenv(name, "12.5", 1), 0);
-    EXPECT_EQ(EnvRejection(sim), "") << name;
-    ASSERT_EQ(unsetenv(name), 0);
+    for (const char* good : {"12.5", "0", "100"}) {
+      EXPECT_EQ(Rejection(flag, good), "") << flag << " " << good;
+    }
   }
-  ASSERT_EQ(setenv("NUMALP_FAULT_ALLOC_PCT", "0", 1), 0);
-  EXPECT_EQ(WithEnvOverrides(sim).faults.alloc_fail_pct, 0.0);
-  ASSERT_EQ(setenv("NUMALP_FAULT_ALLOC_PCT", "100", 1), 0);
-  EXPECT_EQ(WithEnvOverrides(sim).faults.alloc_fail_pct, 100.0);
-  ASSERT_EQ(unsetenv("NUMALP_FAULT_ALLOC_PCT"), 0);
+  EXPECT_EQ(ParseArgs({"--fault-alloc-pct", "0"}).sim.faults.alloc_fail_pct, 0.0);
+  EXPECT_EQ(ParseArgs({"--fault-alloc-pct", "100"}).sim.faults.alloc_fail_pct, 100.0);
 }
 
-// The CLI rejects the same malformed values, from flags and from the
-// environment alike: a message naming the flag or variable, then exit 2.
-TEST(ExperimentRunnerDeathTest, ToolArgsRejectMalformedSettings) {
+// The CLI rejects malformed values from flags and from the environment
+// alike: a message naming the flag or variable, then exit 2.
+TEST(SettingsDeathTest, ToolArgsRejectMalformedSettings) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const report::ToolInfo info{"tool", "tool", "test tool"};
-  const auto parse = [&](std::vector<std::string> args) {
-    args.insert(args.begin(), "tool");
-    std::vector<char*> argv;
-    for (std::string& arg : args) {
-      argv.push_back(arg.data());
-    }
-    return report::ParseToolArgs(static_cast<int>(argv.size()), argv.data(), info);
-  };
   for (const char* flag : {"--fault-alloc-pct", "--fault-migrate-pct", "--fault-large-migrate-pct",
                            "--fault-pressure-pct"}) {
-    EXPECT_EXIT(parse({flag, "abc"}), ::testing::ExitedWithCode(2),
+    EXPECT_EXIT(ParseArgs({flag, "abc"}), ::testing::ExitedWithCode(2),
                 std::string(flag) + ": expected a percentage in \\[0, 100\\], got 'abc'");
-    EXPECT_EXIT(parse({flag, "101"}), ::testing::ExitedWithCode(2), flag);
+    EXPECT_EXIT(ParseArgs({flag, "101"}), ::testing::ExitedWithCode(2), flag);
   }
-  EXPECT_EXIT(parse({"--fault-profile", "bogus"}), ::testing::ExitedWithCode(2),
-              "--fault-profile");
+  EXPECT_EXIT(ParseArgs({"--fault-profile", "bogus"}), ::testing::ExitedWithCode(2),
+              "--fault-profile: expected off\\|frag\\|pressure\\|churn, got 'bogus'");
+  EXPECT_EXIT(ParseArgs({"--format", "json"}), ::testing::ExitedWithCode(2),
+              "--format: expected md\\|csv\\|jsonl, got 'json'");
   // Integer flags: each once parsed a prefix, a zero or a negative count.
   for (const auto& [flag, bad] :
        {std::pair{"--epochs", "4O"}, std::pair{"--seed", "abc"}, std::pair{"--shards", "-4"},
         std::pair{"--jobs", "0"}, std::pair{"--accesses", "2k"},
         std::pair{"--cell-deadline-ms", "-1"}, std::pair{"--cell-retries", "one"}}) {
-    EXPECT_EXIT(parse({flag, bad}), ::testing::ExitedWithCode(2),
+    EXPECT_EXIT(ParseArgs({flag, bad}), ::testing::ExitedWithCode(2),
                 std::string(flag) + ": expected an integer in \\[");
   }
-  const report::Options zeros = parse({"--cell-deadline-ms", "0", "--cell-retries", "0"});
+  const report::Options zeros = ParseArgs({"--cell-deadline-ms", "0", "--cell-retries", "0"});
   EXPECT_EQ(zeros.cell_deadline_ms, 0);
   EXPECT_EQ(zeros.cell_retries, 0);
-  for (const auto& [name, value] : {std::pair{"NUMALP_FAULT_PROFILE", "fargm"},
-                                    std::pair{"NUMALP_MAX_EPOCHS", "x3"},
-                                    std::pair{"NUMALP_FAULT_PRESSURE_PCT", "abc"}}) {
+  for (const auto& [name, value] :
+       {std::pair{"NUMALP_MAX_EPOCHS", "x3"}, std::pair{"NUMALP_ACCESSES_PER_EPOCH", "2k"},
+        std::pair{"NUMALP_SHARDS", "-4"}, std::pair{"NUMALP_SHARDS_FORCE", "yes"}}) {
     ASSERT_EQ(setenv(name, value, 1), 0);
-    EXPECT_EXIT(parse({}), ::testing::ExitedWithCode(2), name);
+    EXPECT_EXIT(ParseArgs({}), ::testing::ExitedWithCode(2),
+                std::string(name) + ": expected an integer in \\[.*got '" + value + "'");
     ASSERT_EQ(unsetenv(name), 0);
   }
 }
 
-// The runner's env knobs once fell back silently: NUMALP_JOBS=4x ran 4
-// jobs, NUMALP_JOBS=abc the hardware concurrency, NUMALP_CELL_DEADLINE_MS=-5
-// turned the watchdog off and NUMALP_CELL_RETRIES=one kept 1 retry. Now they
-// are read with the other settings: exit 2, naming the variable.
-TEST(ExperimentRunnerDeathTest, ToolArgsRejectMalformedRunnerEnv) {
+// NUMALP_JOBS once fell back silently (NUMALP_JOBS=4x ran 4 jobs); now it
+// is read with the other settings, and the flag overrides it.
+TEST(SettingsDeathTest, JobsEnvIsStrictAndTheFlagWins) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const report::ToolInfo info{"tool", "tool", "test tool"};
-  char tool[] = "tool";
-  char* argv[] = {tool};
-  const auto parse = [&]() { return report::ParseToolArgs(1, argv, info); };
-  for (const auto& [name, bad] :
-       {std::pair{"NUMALP_JOBS", "4x"}, std::pair{"NUMALP_JOBS", "abc"},
-        std::pair{"NUMALP_JOBS", "0"}, std::pair{"NUMALP_CELL_DEADLINE_MS", "-5"},
-        std::pair{"NUMALP_CELL_DEADLINE_MS", "30ms"}, std::pair{"NUMALP_CELL_RETRIES", "one"},
-        std::pair{"NUMALP_CELL_RETRIES", "-1"}}) {
-    ASSERT_EQ(setenv(name, bad, 1), 0);
-    EXPECT_EXIT(parse(), ::testing::ExitedWithCode(2),
-                std::string(name) + ": expected an integer in \\[.*got '" + bad + "'");
-    ASSERT_EQ(unsetenv(name), 0);
+  for (const char* bad : {"4x", "abc", "0"}) {
+    ASSERT_EQ(setenv("NUMALP_JOBS", bad, 1), 0);
+    EXPECT_EXIT(ParseArgs({}), ::testing::ExitedWithCode(2),
+                std::string("NUMALP_JOBS: expected an integer in \\[.*got '") + bad + "'");
   }
   ASSERT_EQ(setenv("NUMALP_JOBS", "3", 1), 0);
-  ASSERT_EQ(setenv("NUMALP_CELL_DEADLINE_MS", "0", 1), 0);
-  ASSERT_EQ(setenv("NUMALP_CELL_RETRIES", "0", 1), 0);
-  const report::Options options = parse();
-  EXPECT_EQ(options.jobs, 3);
-  EXPECT_EQ(options.cell_deadline_ms, 0);
-  EXPECT_EQ(options.cell_retries, 0);
-  // Flags override the environment.
-  char jobs_flag[] = "--jobs";
-  char jobs_value[] = "2";
-  char* with_flag[] = {tool, jobs_flag, jobs_value};
-  EXPECT_EQ(report::ParseToolArgs(3, with_flag, info).jobs, 2);
+  EXPECT_EQ(ParseArgs({}).jobs, 3);
+  EXPECT_EQ(ParseArgs({"--jobs", "2"}).jobs, 2);
   ASSERT_EQ(unsetenv("NUMALP_JOBS"), 0);
-  ASSERT_EQ(unsetenv("NUMALP_CELL_DEADLINE_MS"), 0);
-  ASSERT_EQ(unsetenv("NUMALP_CELL_RETRIES"), 0);
+}
+
+// A NUMALP_* variable the table does not read (a typo, or a knob that only
+// a flag sets now) would otherwise be ignored without a word.
+TEST(SettingsDeathTest, UnknownNumalpEnvIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const auto& [name, value] :
+       {std::pair{"NUMALP_MAX_EPOCH", "3"}, std::pair{"NUMALP_FAULT_PROFILE", "frag"},
+        std::pair{"NUMALP_FAULT_PRESSURE_PCT", "abc"}, std::pair{"NUMALP_SEED", "7"},
+        std::pair{"NUMALP_CELL_RETRIES", "0"}}) {
+    ASSERT_EQ(setenv(name, value, 1), 0);
+    EXPECT_EXIT(ParseArgs({}), ::testing::ExitedWithCode(2),
+                std::string(name) + ": not a setting; the environment sets only NUMALP_");
+    ASSERT_EQ(unsetenv(name), 0);
+  }
+}
+
+// A binary's own rows parse as strictly as the shared ones. The value is
+// rejected before --help is reached; a lenient parser would print the usage
+// and exit 0 instead.
+TEST(SettingsDeathTest, ToolFlagsRejectMalformedValues) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto run = [](std::vector<std::string> args) {
+    args.push_back("--help");
+    std::vector<char*> argv;
+    for (std::string& arg : args) {
+      argv.push_back(arg.data());
+    }
+    argv.push_back(nullptr);
+    ::execv(argv[0], argv.data());
+    std::_Exit(127);
+  };
+  std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{NUMALP_RUN, "--ibs-interval", "5x"}, "--ibs-interval: expected an integer in \\["},
+      {{NUMALP_RUN, "--ibs-interval", "-1"}, "--ibs-interval: expected an integer in \\["},
+      {{NUMALP_RUN, "--ibs-interval", "0"}, "--ibs-interval: expected an integer in \\["},
+      {{NUMALP_RUN, "--capture-trace", ""}, "--capture-trace: expected a non-empty value"},
+      {{NUMALP_RUN, "--policy", "lp2"}, "--policy: expected linux-4k\\|thp"},
+      {{NUMALP_RUN, "--workload", "CG.Z"}, "--workload: unknown workload 'CG.Z'"},
+  };
+#ifdef NUMALP_TRACE_REPLAY
+  cases.push_back({{NUMALP_TRACE_REPLAY, "--trace-epochs", "3x"},
+                   "--trace-epochs: expected an integer in \\["});
+  cases.push_back({{NUMALP_TRACE_REPLAY, "--trace-epochs", "-1"},
+                   "--trace-epochs: expected an integer in \\["});
+#endif
+#ifdef NUMALP_PERF_HOTPATH
+  for (const char* flag : {"--tolerance", "--min-shard-scaling"}) {
+    for (const char* bad : {"1.3x", "0", "-2", "nan", "inf"}) {
+      cases.push_back({{NUMALP_PERF_HOTPATH, flag, bad},
+                       std::string(flag) + ": expected a number > 0, got '" + bad + "'"});
+    }
+  }
+#endif
+  for (const auto& [args, message] : cases) {
+    EXPECT_EXIT(run(args), ::testing::ExitedWithCode(2), message) << args[1] << " " << args[2];
+  }
+  EXPECT_EXIT(run({NUMALP_RUN, "--ibs-interval", "5", "--policy", "thp"}),
+              ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

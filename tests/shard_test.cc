@@ -23,6 +23,7 @@
 #include "src/core/config.h"
 #include "src/core/simulation.h"
 #include "src/mem/phys_mem.h"
+#include "src/report/options.h"
 #include "src/topo/topology.h"
 #include "src/trace/tracegen.h"
 #include "src/vm/address_space.h"
@@ -73,14 +74,17 @@ TEST(ResolveShardCountTest, ScopedJobsNest) {
 }
 
 TEST(ShardConfigTest, EnvOverridesParseShardKnobs) {
+  const report::ToolInfo info{"tool", "tool", "test tool"};
+  char tool[] = "tool";
+  char* argv[] = {tool};
   ::setenv("NUMALP_SHARDS", "4", 1);
   ::setenv("NUMALP_SHARDS_FORCE", "1", 1);
-  const SimConfig sim = WithEnvOverrides(SimConfig{});
+  const SimConfig sim = report::ParseToolArgs(1, argv, info).sim;
   EXPECT_EQ(sim.shards, 4);
   EXPECT_TRUE(sim.shards_force);
   ::unsetenv("NUMALP_SHARDS");
   ::unsetenv("NUMALP_SHARDS_FORCE");
-  const SimConfig plain = WithEnvOverrides(SimConfig{});
+  const SimConfig plain = report::ParseToolArgs(1, argv, info).sim;
   EXPECT_EQ(plain.shards, 1);
   EXPECT_FALSE(plain.shards_force);
 }

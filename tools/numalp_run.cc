@@ -15,6 +15,7 @@
 // (the batch geometry comes from the trace header, and --machine must match
 // the recorded machine). A replayed cell's ResultRow is byte-identical to
 // the captured cell's.
+#include <climits>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -30,19 +31,8 @@
 #include "src/workloads/trace_workload.h"
 
 int main(int argc, char** argv) {
-  const numalp::report::ToolInfo info = {
-      "numalp_run", "run", "one experiment against its Linux-4K baseline",
-      "  --workload NAME        paper suite (BT.B CG.D ... SPECjbb) + streamcluster,\n"
-      "                         or trace:FILE to replay a recorded trace"
-      " (default CG.D)\n"
-      "  --machine A|B          machine preset (default B)\n"
-      "  --policy P             linux-4k thp carrefour-2m reactive conservative"
-      " carrefour-lp (default carrefour-lp)\n"
-      "  --ibs-interval N       one IBS sample per N accesses per core\n"
-      "  --per-epoch            print the epoch trace (md mode only)\n"
-      "  --capture-trace FILE   record the measured cell's access stream into"
-      " FILE\n"};
-
+  const numalp::report::ToolInfo info = {"numalp_run", "run",
+                                         "one experiment against its Linux-4K baseline"};
   numalp::BenchmarkId bench = numalp::BenchmarkId::kCG_D;
   numalp::Topology topo = numalp::Topology::MachineB();
   numalp::PolicyKind policy = numalp::PolicyKind::kCarrefourLp;
@@ -50,25 +40,16 @@ int main(int argc, char** argv) {
   bool per_epoch = false;
   std::string trace_file;
   std::string capture_file;
-  const std::vector<numalp::report::ExtraFlag> extras = {
+  const std::vector<numalp::report::Setting> extras = {
       numalp::report::WorkloadFlag(&bench, &trace_file),
       numalp::report::MachineFlag(&topo),
       numalp::report::PolicyFlag(&policy),
-      {"--ibs-interval", true,
-       [&ibs_interval](const char* value) {
-         ibs_interval = std::strtoull(value, nullptr, 10);
-         return ibs_interval > 0;
-       }},
-      {"--per-epoch", false,
-       [&per_epoch](const char*) {
-         per_epoch = true;
-         return true;
-       }},
-      {"--capture-trace", true,
-       [&capture_file](const char* value) {
-         capture_file = value;
-         return !capture_file.empty();
-       }},
+      {"--ibs-interval", nullptr, numalp::report::Int(&ibs_interval, 1, LLONG_MAX),
+       "one IBS sample per N accesses per core"},
+      {"--per-epoch", nullptr, numalp::report::Presence(&per_epoch),
+       "print the epoch trace (md mode only)"},
+      {"--capture-trace", nullptr, numalp::report::Text(&capture_file, "FILE"),
+       "record the measured cell's access stream into FILE"},
   };
   numalp::report::Options options = numalp::report::ParseToolArgs(argc, argv, info, extras);
   if (ibs_interval > 0) {

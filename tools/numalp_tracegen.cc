@@ -18,7 +18,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/core/config.h"
 #include "src/report/options.h"
 #include "src/topo/topology.h"
 #include "src/trace/tracegen.h"
@@ -52,7 +51,7 @@ int main(int argc, char** argv) {
   const auto integer = [](const std::string& flag, const char* text, long long min,
                           long long max) {
     try {
-      return numalp::ParseInt(flag, text, min, max);
+      return numalp::report::ParseInt(flag, text, min, max);
     } catch (const std::invalid_argument& e) {
       std::fprintf(stderr, "numalp_tracegen: %s\n", e.what());
       std::exit(2);
