@@ -250,15 +250,14 @@ TEST(ExperimentRunnerTest, ComparePoliciesMatchesGrid) {
 }
 
 // ParseToolArgs on `args` (the binary name is prepended).
-report::Options ParseArgs(std::vector<std::string> args,
-                          const std::vector<report::Setting>& extras = {}) {
+report::Options ParseArgs(std::vector<std::string> args) {
   const report::ToolInfo info{"tool", "tool", "test tool"};
   args.insert(args.begin(), "tool");
   std::vector<char*> argv;
   for (std::string& arg : args) {
     argv.push_back(arg.data());
   }
-  return report::ParseToolArgs(static_cast<int>(argv.size()), argv.data(), info, extras);
+  return report::ParseToolArgs(static_cast<int>(argv.size()), argv.data(), info);
 }
 
 // The message the settings table rejects `text` for the setting `name` (a
