@@ -9,7 +9,6 @@
 #ifndef NUMALP_BENCH_BENCH_UTIL_H_
 #define NUMALP_BENCH_BENCH_UTIL_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "src/core/runner.h"
@@ -17,21 +16,6 @@
 #include "src/report/options.h"
 
 namespace numalp_bench {
-
-inline std::uint64_t TotalAccesses(const numalp::GridResults& results) {
-  std::uint64_t accesses = 0;
-  for (int m = 0; m < results.num_machines(); ++m) {
-    for (int w = 0; w < results.num_workloads(); ++w) {
-      for (int s = 0; s < results.num_seeds(); ++s) {
-        accesses += results.Baseline(m, w, s).totals.accesses;
-        for (int p = 0; p < results.num_policies(); ++p) {
-          accesses += results.At(m, w, p, s).totals.accesses;
-        }
-      }
-    }
-  }
-  return accesses;
-}
 
 // The standard figure bench: one (machines x workloads x policies x seeds)
 // grid, every cell (baselines included) written through the sinks. This is

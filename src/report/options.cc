@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <climits>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -169,13 +168,6 @@ long long ParseInt(const std::string& setting, const char* text, long long min, 
                                 ", " + std::to_string(max) + "], got '" + text + "'");
   }
   return value;
-}
-
-SettingValue Factor(double* field) {
-  return {"X", [field](const std::string& setting, const char* text) {
-            *field = ParseReal(setting, text, "a number > 0",
-                               [](double value) { return value > 0.0 && std::isfinite(value); });
-          }};
 }
 
 SettingValue Text(std::string* field, const char* placeholder) {

@@ -76,7 +76,6 @@ SettingValue Int(T* field, long long min, long long max) {  // an integer in [mi
             *field = static_cast<T>(ParseInt(setting, text, min, max));
           }};
 }
-SettingValue Factor(double* field);  // a finite number > 0
 SettingValue Text(std::string* field, const char* placeholder);  // any non-empty text
 SettingValue Presence(bool* field);  // takes no value; sets *field
 

@@ -411,9 +411,9 @@ TEST(SettingsDeathTest, UnknownNumalpEnvIsRejected) {
   }
 }
 
-// A binary's own rows parse as strictly as the shared ones. The value is
-// rejected before --help is reached; a lenient parser would print the usage
-// and exit 0 instead.
+// A binary's own rows parse as strictly as the shared ones, and so do the
+// flags numalp_report parses itself. The value is rejected before --help is
+// reached; a lenient parser would print the usage and exit 0 instead.
 TEST(SettingsDeathTest, ToolFlagsRejectMalformedValues) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const auto run = [](std::vector<std::string> args) {
@@ -433,20 +433,13 @@ TEST(SettingsDeathTest, ToolFlagsRejectMalformedValues) {
       {{NUMALP_RUN, "--capture-trace", ""}, "--capture-trace: expected a non-empty value"},
       {{NUMALP_RUN, "--policy", "lp2"}, "--policy: expected linux-4k\\|thp"},
       {{NUMALP_RUN, "--workload", "CG.Z"}, "--workload: unknown workload 'CG.Z'"},
+      {{NUMALP_REPORT, "--format", "bogus"}, "--format: expected md\\|csv\\|jsonl, got 'bogus'"},
   };
 #ifdef NUMALP_TRACE_REPLAY
   cases.push_back({{NUMALP_TRACE_REPLAY, "--trace-epochs", "3x"},
                    "--trace-epochs: expected an integer in \\["});
   cases.push_back({{NUMALP_TRACE_REPLAY, "--trace-epochs", "-1"},
                    "--trace-epochs: expected an integer in \\["});
-#endif
-#ifdef NUMALP_PERF_HOTPATH
-  for (const char* flag : {"--tolerance", "--min-shard-scaling"}) {
-    for (const char* bad : {"1.3x", "0", "-2", "nan", "inf"}) {
-      cases.push_back({{NUMALP_PERF_HOTPATH, flag, bad},
-                       std::string(flag) + ": expected a number > 0, got '" + bad + "'"});
-    }
-  }
 #endif
   for (const auto& [args, message] : cases) {
     EXPECT_EXIT(run(args), ::testing::ExitedWithCode(2), message) << args[1] << " " << args[2];

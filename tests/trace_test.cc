@@ -500,9 +500,9 @@ TEST(TracegenTest, BytesDoNotDependOnWorkerCount) {
 
 // numalp_tracegen once parsed integers leniently: `--seed abc` wrote seed 0,
 // `--epochs 4O` 4 epochs, `--epochs -3` the profile default and
-// `--accesses 4294967300` wrapped to 4, each exiting 0. Every malformed or
-// out-of-range value must now exit 2 naming the flag, before any file is
-// written.
+// `--accesses 4294967300` wrapped to 4, each exiting 0, and `--machine
+// bogus` printed only the usage. Every malformed or out-of-range value must
+// now exit 2 naming the flag, before any file is written.
 TEST(TracegenDeathTest, CliRejectsMalformedIntegers) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const std::string out = TempPath("trace_cli_rejected.bin");
@@ -524,6 +524,8 @@ TEST(TracegenDeathTest, CliRejectsMalformedIntegers) {
     EXPECT_EXIT(run({flag, bad}), ::testing::ExitedWithCode(2),
                 std::string(flag) + ": expected an integer in \\[");
   }
+  EXPECT_EXIT(run({"--machine", "bogus"}), ::testing::ExitedWithCode(2),
+              "--machine: expected A\\|B\\|epyc8\\|snc16\\|cxl, got 'bogus'");
   EXPECT_FALSE(std::filesystem::exists(out));
   // The range ends parse: --list-profiles exits 0 once every flag before it
   // was accepted.

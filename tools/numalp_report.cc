@@ -69,7 +69,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--format") {
       format = next();
       if (format != "md" && format != "csv" && format != "jsonl") {
-        Usage(stderr);
+        std::fprintf(stderr, "numalp_report: --format: expected md|csv|jsonl, got '%s'\n",
+                     format.c_str());
         return 2;
       }
     } else if (arg == "--summary") {

@@ -8,7 +8,8 @@
 // Emits the run and its same-seed Linux-4K baseline as ResultRows (both
 // execute concurrently on the ExperimentRunner), and with --per-epoch also
 // prints the full epoch trace including the reactive component's LAR
-// estimates (md mode only — csv/jsonl stdout stays machine-parseable).
+// estimates, then the measured cell's speculative-window outcomes (md mode
+// only — csv/jsonl stdout stays machine-parseable).
 //
 // Trace capture/replay (DESIGN.md Section 14): --capture-trace records the
 // measured cell's access stream; --workload trace:FILE replays a recording
@@ -47,7 +48,7 @@ int main(int argc, char** argv) {
       {"--ibs-interval", nullptr, numalp::report::Int(&ibs_interval, 1, LLONG_MAX),
        "one IBS sample per N accesses per core"},
       {"--per-epoch", nullptr, numalp::report::Presence(&per_epoch),
-       "print the epoch trace (md mode only)"},
+       "print the epoch trace and window outcomes (md mode only)"},
       {"--capture-trace", nullptr, numalp::report::Text(&capture_file, "FILE"),
        "record the measured cell's access stream into FILE"},
   };
@@ -105,6 +106,15 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(e.splits), e.est_current_lar,
                   e.est_carrefour_lar, e.est_split_lar, e.thp_alloc_enabled ? "on" : "off");
     }
+    const numalp::SpeculationStats& spec = run.speculation;
+    std::printf("\nwindows committed=%llu fault-aborted=%llu hint-aborted=%llu; "
+                "serial rounds setup=%llu replay=%llu penalty=%llu\n",
+                static_cast<unsigned long long>(spec.windows_committed),
+                static_cast<unsigned long long>(spec.windows_fault_aborted),
+                static_cast<unsigned long long>(spec.windows_hint_aborted),
+                static_cast<unsigned long long>(spec.setup_rounds),
+                static_cast<unsigned long long>(spec.replay_rounds),
+                static_cast<unsigned long long>(spec.penalty_rounds));
   }
   return 0;
 }

@@ -47,56 +47,49 @@ int main(int argc, char** argv) {
   options.topo = numalp::Topology::MachineA();
   std::string out_path;
 
-  // Malformed integers exit 2 naming the flag, like every other tool's.
-  const auto integer = [](const std::string& flag, const char* text, long long min,
-                          long long max) {
-    try {
-      return numalp::report::ParseInt(flag, text, min, max);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "numalp_tracegen: %s\n", e.what());
-      std::exit(2);
-    }
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        PrintUsage(stderr);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      PrintUsage(stdout);
-      return 0;
-    } else if (arg == "--list-profiles") {
-      for (const std::string& name : numalp::trace::TracegenProfiles()) {
-        std::printf("%s\n", name.c_str());
-      }
-      return 0;
-    } else if (arg == "--profile") {
-      options.profile = next();
-    } else if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--machine") {
-      const auto topo = numalp::report::ParseMachineName(next());
-      if (!topo) {
+  // Malformed values exit 2 naming the flag, like every other tool's.
+  const numalp::report::Setting machine = numalp::report::MachineFlag(&options.topo);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> const char* {
+        if (i + 1 >= argc) {
+          PrintUsage(stderr);
+          std::exit(2);
+        }
+        return argv[++i];
+      };
+      if (arg == "--help" || arg == "-h") {
+        PrintUsage(stdout);
+        return 0;
+      } else if (arg == "--list-profiles") {
+        for (const std::string& name : numalp::trace::TracegenProfiles()) {
+          std::printf("%s\n", name.c_str());
+        }
+        return 0;
+      } else if (arg == "--profile") {
+        options.profile = next();
+      } else if (arg == "--out") {
+        out_path = next();
+      } else if (arg == "--machine") {
+        machine.value.store(arg, next());
+      } else if (arg == "--seed") {
+        options.seed =
+            static_cast<std::uint64_t>(numalp::report::ParseInt(arg, next(), 0, LLONG_MAX));
+      } else if (arg == "--epochs") {
+        options.epochs = static_cast<int>(numalp::report::ParseInt(arg, next(), 0, INT_MAX));
+      } else if (arg == "--accesses") {
+        options.accesses_per_thread =
+            static_cast<std::uint32_t>(numalp::report::ParseInt(arg, next(), 4, UINT32_MAX));
+      } else {
+        std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
         PrintUsage(stderr);
         return 2;
       }
-      options.topo = *topo;
-    } else if (arg == "--seed") {
-      options.seed = static_cast<std::uint64_t>(integer(arg, next(), 0, LLONG_MAX));
-    } else if (arg == "--epochs") {
-      options.epochs = static_cast<int>(integer(arg, next(), 0, INT_MAX));
-    } else if (arg == "--accesses") {
-      options.accesses_per_thread =
-          static_cast<std::uint32_t>(integer(arg, next(), 4, UINT32_MAX));
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      PrintUsage(stderr);
-      return 2;
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "numalp_tracegen: %s\n", e.what());
+    return 2;
   }
 
   if (options.profile.empty() || out_path.empty()) {
