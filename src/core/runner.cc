@@ -172,68 +172,15 @@ const RunResult& GridResults::Baseline(int machine, int workload, int seed) cons
   return results_[static_cast<std::size_t>(BaselineIndex(machine, workload, seed))];
 }
 
-PolicySummary GridResults::Summarize(int machine, int workload, int policy) const {
-  PolicySummary summary;
-  summary.kind = policies_[static_cast<std::size_t>(policy)];
-  summary.min_improvement_pct = 1e30;
-  summary.max_improvement_pct = -1e30;
-  for (int seed = 0; seed < num_seeds_; ++seed) {
-    const RunResult& baseline = Baseline(machine, workload, seed);
-    const RunResult& run = At(machine, workload, policy, seed);
-    const double improvement = ImprovementPct(baseline, run);
-    summary.mean_improvement_pct += improvement;
-    summary.min_improvement_pct = std::min(summary.min_improvement_pct, improvement);
-    summary.max_improvement_pct = std::max(summary.max_improvement_pct, improvement);
-    summary.lar_pct += run.LarPct();
-    summary.imbalance_pct += run.ImbalancePct();
-    summary.pamup_pct += run.PamupPct();
-    summary.nhp += run.Nhp();
-    summary.psp_pct += run.PspPct();
-    summary.walk_l2_miss_frac += run.WalkL2MissFrac();
-    summary.steady_fault_share_pct += run.SteadyMaxFaultSharePct();
-    summary.max_fault_ms += run.MaxFaultTimeMs(clock_ghz_);
-    summary.overhead_frac += run.total_cycles == 0
-                                 ? 0.0
-                                 : static_cast<double>(run.total_policy_overhead) /
-                                       static_cast<double>(run.total_cycles);
-    if (seed == 0) {
-      summary.representative = run;
-    }
-  }
-  const double inv = 1.0 / static_cast<double>(num_seeds_);
-  summary.mean_improvement_pct *= inv;
-  summary.lar_pct *= inv;
-  summary.imbalance_pct *= inv;
-  summary.pamup_pct *= inv;
-  summary.nhp *= inv;
-  summary.psp_pct *= inv;
-  summary.walk_l2_miss_frac *= inv;
-  summary.steady_fault_share_pct *= inv;
-  summary.max_fault_ms *= inv;
-  summary.overhead_frac *= inv;
-  return summary;
-}
-
-std::vector<PolicySummary> GridResults::SummarizeAll(int machine, int workload) const {
-  std::vector<PolicySummary> summaries;
-  summaries.reserve(static_cast<std::size_t>(num_policies_));
-  for (int policy = 0; policy < num_policies_; ++policy) {
-    summaries.push_back(Summarize(machine, workload, policy));
-  }
-  return summaries;
-}
-
 namespace internal {
 
 // The caller hands each GridResults its own slice of the executed results,
 // so the recorded indices are relative to this grid's slice start.
 void ExpandGrid(const ExperimentGrid& grid, std::vector<RunSpec>& cells, GridResults& out) {
-  out.policies_ = grid.policies;
   out.num_machines_ = static_cast<int>(grid.machines.size());
   out.num_workloads_ = static_cast<int>(grid.workloads.size());
   out.num_policies_ = static_cast<int>(grid.policies.size());
   out.num_seeds_ = grid.num_seeds;
-  out.clock_ghz_ = grid.sim.clock_ghz;
   out.cell_index_.assign(static_cast<std::size_t>(out.num_machines_) *
                              static_cast<std::size_t>(out.num_workloads_) *
                              static_cast<std::size_t>(out.num_policies_) *

@@ -83,29 +83,6 @@ class ExperimentRunner {
   std::size_t skip_prefix_ = 0;
 };
 
-// Seed-aggregated view of one (machine, workload, policy) column against the
-// per-seed Linux-4K baseline — the numbers behind Figures 1-5 and Tables 1-3.
-struct PolicySummary {
-  PolicyKind kind = PolicyKind::kLinux4K;
-  // Mean performance improvement over the Linux-4K baseline (per-seed
-  // pairing, then averaged) — the y-axis of Figures 1-5.
-  double mean_improvement_pct = 0.0;
-  double min_improvement_pct = 0.0;
-  double max_improvement_pct = 0.0;
-  // Seed-averaged paper metrics.
-  double lar_pct = 0.0;
-  double imbalance_pct = 0.0;
-  double pamup_pct = 0.0;
-  double nhp = 0.0;
-  double psp_pct = 0.0;
-  double walk_l2_miss_frac = 0.0;
-  double steady_fault_share_pct = 0.0;
-  double max_fault_ms = 0.0;
-  double overhead_frac = 0.0;  // policy overhead / total cycles
-  // The full result of the first seed (for callers needing history).
-  RunResult representative;
-};
-
 // Declarative experiment grid. Cells are the cross product of the four axes;
 // a Linux-4K baseline is always run per (machine, workload, seed) so every
 // cell can report improvement against its own seed's baseline.
@@ -131,12 +108,6 @@ class GridResults {
   const RunResult& At(int machine, int workload, int policy, int seed) const;
   const RunResult& Baseline(int machine, int workload, int seed) const;
 
-  // Seed-aggregation identical to the historical serial ComparePolicies():
-  // accumulate in ascending seed order, then divide — keeping even the
-  // floating-point rounding reproducible.
-  PolicySummary Summarize(int machine, int workload, int policy) const;
-  std::vector<PolicySummary> SummarizeAll(int machine, int workload) const;
-
   int num_machines() const { return num_machines_; }
   int num_workloads() const { return num_workloads_; }
   int num_policies() const { return num_policies_; }
@@ -151,7 +122,6 @@ class GridResults {
   int CellIndex(int machine, int workload, int policy, int seed) const;
   int BaselineIndex(int machine, int workload, int seed) const;
 
-  std::vector<PolicyKind> policies_;
   std::vector<int> cell_index_;      // [m][w][p][s] -> position in results_
   std::vector<int> baseline_index_;  // [m][w][s] -> position in results_
   std::vector<RunResult> results_;
@@ -159,7 +129,6 @@ class GridResults {
   int num_workloads_ = 0;
   int num_policies_ = 0;
   int num_seeds_ = 0;
-  double clock_ghz_ = 2.0;
 };
 
 // Expands `grid` into cells (sharing each seed's baseline with any requested

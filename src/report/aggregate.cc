@@ -1,10 +1,11 @@
 #include "src/report/aggregate.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -69,21 +70,13 @@ bool ParseBareToken(Cursor& c, std::string* out) {
   return !out->empty();
 }
 
-const std::map<std::string, const ResultField*>& FieldsByName() {
-  static const std::map<std::string, const ResultField*> by_name = [] {
-    std::map<std::string, const ResultField*> map;
-    for (const ResultField& field : ResultSchema()) {
-      map[field.name] = &field;
-    }
-    return map;
-  }();
-  return by_name;
-}
-
-}  // namespace
-
-bool ParseJsonlLine(const std::string& line, ResultRow* row, std::string* error) {
-  Cursor c{line.data(), line.data() + line.size()};
+// Scans one flat object starting at `begin` (leading blanks allowed) and
+// hands each member to `set(key, value, quoted)`, which returns false to
+// reject the value. Stops at the closing '}'. Returns false with *error set
+// on malformed syntax or a rejected value.
+template <typename Set>
+bool ScanObject(const char* begin, const char* end, Set set, std::string* error) {
+  Cursor c{begin, end};
   SkipWs(c);
   if (c.p >= c.end || *c.p != '{') {
     *error = "expected '{'";
@@ -92,7 +85,7 @@ bool ParseJsonlLine(const std::string& line, ResultRow* row, std::string* error)
   ++c.p;
   SkipWs(c);
   if (c.p < c.end && *c.p == '}') {
-    return true;  // empty object: all defaults
+    return true;  // empty object
   }
   while (true) {
     SkipWs(c);
@@ -114,14 +107,9 @@ bool ParseJsonlLine(const std::string& line, ResultRow* row, std::string* error)
       *error = "bad value for \"" + key + "\"";
       return false;
     }
-    const auto& fields = FieldsByName();
-    const auto it = fields.find(key);
-    if (it != fields.end()) {  // unknown keys are ignored
-      if (quoted != (it->second->type == FieldType::kString) ||
-          !FieldFromString(*row, *it->second, value)) {
-        *error = "bad value for \"" + key + "\"";
-        return false;
-      }
+    if (!set(key, value, quoted)) {
+      *error = "bad value for \"" + key + "\": " + value;
+      return false;
     }
     SkipWs(c);
     if (c.p < c.end && *c.p == ',') {
@@ -134,6 +122,34 @@ bool ParseJsonlLine(const std::string& line, ResultRow* row, std::string* error)
     *error = "expected ',' or '}'";
     return false;
   }
+}
+
+const std::map<std::string, const ResultField*>& FieldsByName() {
+  static const std::map<std::string, const ResultField*> by_name = [] {
+    std::map<std::string, const ResultField*> map;
+    for (const ResultField& field : ResultSchema()) {
+      map[field.name] = &field;
+    }
+    return map;
+  }();
+  return by_name;
+}
+
+}  // namespace
+
+bool ParseJsonlLine(const std::string& line, ResultRow* row, std::string* error) {
+  const auto& fields = FieldsByName();
+  return ScanObject(
+      line.data(), line.data() + line.size(),
+      [&](const std::string& key, const std::string& value, bool quoted) {
+        const auto it = fields.find(key);
+        if (it == fields.end()) {
+          return true;  // unknown keys are ignored
+        }
+        return quoted == (it->second->type == FieldType::kString) &&
+               FieldFromString(*row, *it->second, value);
+      },
+      error);
 }
 
 std::vector<ResultRow> LoadJsonlFile(const std::string& path,
@@ -186,149 +202,28 @@ std::vector<ResultRow> LoadResults(const std::string& path,
   return rows;
 }
 
-std::vector<AggregateRow> Aggregate(const std::vector<ResultRow>& rows) {
-  std::vector<AggregateRow> aggregates;
-  std::map<std::string, std::size_t> index;
-  for (const ResultRow& row : rows) {
-    const std::string key =
-        row.bench + "|" + row.machine + "|" + row.workload + "|" + row.policy + "|" +
-        row.variant;
-    const auto it = index.find(key);
-    std::size_t slot;
-    if (it == index.end()) {
-      slot = aggregates.size();
-      index[key] = slot;
-      AggregateRow aggregate;
-      aggregate.bench = row.bench;
-      aggregate.machine = row.machine;
-      aggregate.workload = row.workload;
-      aggregate.policy = row.policy;
-      aggregate.variant = row.variant;
-      aggregate.min_improvement_pct = row.improvement_pct;
-      aggregate.max_improvement_pct = row.improvement_pct;
-      aggregates.push_back(aggregate);
-    } else {
-      slot = it->second;
-    }
-    AggregateRow& agg = aggregates[slot];
-    ++agg.runs;
-    agg.mean_improvement_pct += row.improvement_pct;
-    agg.min_improvement_pct = std::min(agg.min_improvement_pct, row.improvement_pct);
-    agg.max_improvement_pct = std::max(agg.max_improvement_pct, row.improvement_pct);
-    agg.runtime_ms += row.runtime_ms;
-    agg.lar_pct += row.lar_pct;
-    agg.imbalance_pct += row.imbalance_pct;
-    agg.pamup_pct += row.pamup_pct;
-    agg.nhp += row.nhp;
-    agg.psp_pct += row.psp_pct;
-    agg.walk_l2_miss_pct += row.walk_l2_miss_pct;
-    agg.steady_fault_share_pct += row.steady_fault_share_pct;
-    agg.max_fault_ms += row.max_fault_ms;
-    agg.thp_coverage_pct += row.thp_coverage_pct;
-    agg.overhead_pct += row.overhead_pct;
-    agg.migrations += static_cast<double>(row.migrations);
-    agg.splits += static_cast<double>(row.splits);
-    agg.promotions += static_cast<double>(row.promotions);
-    agg.thp_fallback_faults += static_cast<double>(row.thp_fallback_faults);
-    agg.buddy_alloc_failures += static_cast<double>(row.buddy_alloc_failures);
-    agg.frag_index_pct += row.frag_index_pct;
-  }
-  for (AggregateRow& agg : aggregates) {
-    const double inv = agg.runs > 0 ? 1.0 / agg.runs : 0.0;
-    agg.mean_improvement_pct *= inv;
-    agg.runtime_ms *= inv;
-    agg.lar_pct *= inv;
-    agg.imbalance_pct *= inv;
-    agg.pamup_pct *= inv;
-    agg.nhp *= inv;
-    agg.psp_pct *= inv;
-    agg.walk_l2_miss_pct *= inv;
-    agg.steady_fault_share_pct *= inv;
-    agg.max_fault_ms *= inv;
-    agg.thp_coverage_pct *= inv;
-    agg.overhead_pct *= inv;
-    agg.migrations *= inv;
-    agg.splits *= inv;
-    agg.promotions *= inv;
-    agg.thp_fallback_faults *= inv;
-    agg.buddy_alloc_failures *= inv;
-    agg.frag_index_pct *= inv;
-  }
-  return aggregates;
-}
-
 namespace {
 
-// AggregateRow serialization schema shared by the JSON/CSV writers.
-struct AggregateField {
+// The coordinates naming one results column, in summary-key order.
+struct Coordinate {
   const char* name;
-  bool is_string;
-  std::string (*get)(const AggregateRow&);
+  std::string AggregateRow::* member;
+  std::string ResultRow::* source;
 };
 
-std::string FromInt(int value) { return std::to_string(value); }
+constexpr Coordinate kCoordinates[] = {
+    {"bench", &AggregateRow::bench, &ResultRow::bench},
+    {"machine", &AggregateRow::machine, &ResultRow::machine},
+    {"workload", &AggregateRow::workload, &ResultRow::workload},
+    {"policy", &AggregateRow::policy, &ResultRow::policy},
+    {"variant", &AggregateRow::variant, &ResultRow::variant},
+};
 
-const std::vector<AggregateField>& AggregateSchema() {
-  static const std::vector<AggregateField> schema = {
-      {"bench", true, [](const AggregateRow& a) { return a.bench; }},
-      {"machine", true, [](const AggregateRow& a) { return a.machine; }},
-      {"workload", true, [](const AggregateRow& a) { return a.workload; }},
-      {"policy", true, [](const AggregateRow& a) { return a.policy; }},
-      {"variant", true, [](const AggregateRow& a) { return a.variant; }},
-      {"runs", false, [](const AggregateRow& a) { return FromInt(a.runs); }},
-      {"mean_improvement_pct", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.mean_improvement_pct); }},
-      {"min_improvement_pct", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.min_improvement_pct); }},
-      {"max_improvement_pct", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.max_improvement_pct); }},
-      {"runtime_ms", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.runtime_ms); }},
-      {"lar_pct", false, [](const AggregateRow& a) { return CanonicalDouble(a.lar_pct); }},
-      {"imbalance_pct", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.imbalance_pct); }},
-      {"pamup_pct", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.pamup_pct); }},
-      {"nhp", false, [](const AggregateRow& a) { return CanonicalDouble(a.nhp); }},
-      {"psp_pct", false, [](const AggregateRow& a) { return CanonicalDouble(a.psp_pct); }},
-      {"walk_l2_miss_pct", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.walk_l2_miss_pct); }},
-      {"steady_fault_share_pct", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.steady_fault_share_pct); }},
-      {"max_fault_ms", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.max_fault_ms); }},
-      {"thp_coverage_pct", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.thp_coverage_pct); }},
-      {"overhead_pct", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.overhead_pct); }},
-      {"migrations", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.migrations); }},
-      {"splits", false, [](const AggregateRow& a) { return CanonicalDouble(a.splits); }},
-      {"promotions", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.promotions); }},
-      {"thp_fallback_faults", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.thp_fallback_faults); }},
-      {"buddy_alloc_failures", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.buddy_alloc_failures); }},
-      {"frag_index_pct", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.frag_index_pct); }},
-  };
-  return schema;
-}
+enum class Reduce { kMean, kMin, kMax };
 
-void WriteAggregateObject(std::ostream& out, const AggregateRow& aggregate,
-                          const char* indent) {
-  out << indent << '{';
-  const auto& schema = AggregateSchema();
-  for (std::size_t f = 0; f < schema.size(); ++f) {
-    out << (f == 0 ? "" : ",") << '"' << schema[f].name << "\":";
-    if (schema[f].is_string) {
-      out << '"' << JsonEscape(schema[f].get(aggregate)) << '"';
-    } else {
-      out << schema[f].get(aggregate);
-    }
-  }
-  out << '}';
+template <auto kMember>
+double From(const ResultRow& row) {
+  return static_cast<double>(row.*kMember);
 }
 
 std::string Pct1(double value) {
@@ -341,6 +236,113 @@ std::string Num1(double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.1f", value);
   return buf;
+}
+
+// The numeric columns of AggregateRow, in summary-key order: the summary
+// key, the member, the ResultRow value reduced over a column's rows, the
+// reduction, and the header and cell format of PrintAggregates' metrics
+// table (nullptr: not shown there). Aggregate, the summary/CSV/JSONL
+// writers, ParseSummaryJson and the metrics table all read this one list.
+struct Column {
+  const char* name;
+  double AggregateRow::* member;
+  double (*source)(const ResultRow&);
+  Reduce reduce;
+  const char* label;
+  std::string (*cell)(double);
+};
+
+constexpr Column kColumns[] = {
+    {"mean_improvement_pct", &AggregateRow::mean_improvement_pct,
+     From<&ResultRow::improvement_pct>, Reduce::kMean, "improv", Pct1},
+    {"min_improvement_pct", &AggregateRow::min_improvement_pct,
+     From<&ResultRow::improvement_pct>, Reduce::kMin, nullptr, nullptr},
+    {"max_improvement_pct", &AggregateRow::max_improvement_pct,
+     From<&ResultRow::improvement_pct>, Reduce::kMax, nullptr, nullptr},
+    {"runtime_ms", &AggregateRow::runtime_ms, From<&ResultRow::runtime_ms>, Reduce::kMean,
+     nullptr, nullptr},
+    {"lar_pct", &AggregateRow::lar_pct, From<&ResultRow::lar_pct>, Reduce::kMean, "LAR%", Num1},
+    {"imbalance_pct", &AggregateRow::imbalance_pct, From<&ResultRow::imbalance_pct>,
+     Reduce::kMean, "imbal%", Num1},
+    {"pamup_pct", &AggregateRow::pamup_pct, From<&ResultRow::pamup_pct>, Reduce::kMean,
+     "PAMUP%", Num1},
+    {"nhp", &AggregateRow::nhp, From<&ResultRow::nhp>, Reduce::kMean, "NHP", Num1},
+    {"psp_pct", &AggregateRow::psp_pct, From<&ResultRow::psp_pct>, Reduce::kMean, "PSP%", Num1},
+    {"walk_l2_miss_pct", &AggregateRow::walk_l2_miss_pct, From<&ResultRow::walk_l2_miss_pct>,
+     Reduce::kMean, "walk%", Num1},
+    {"steady_fault_share_pct", &AggregateRow::steady_fault_share_pct,
+     From<&ResultRow::steady_fault_share_pct>, Reduce::kMean, "fault%", Num1},
+    {"max_fault_ms", &AggregateRow::max_fault_ms, From<&ResultRow::max_fault_ms>,
+     Reduce::kMean, nullptr, nullptr},
+    {"thp_coverage_pct", &AggregateRow::thp_coverage_pct, From<&ResultRow::thp_coverage_pct>,
+     Reduce::kMean, "THPcov%", Num1},
+    {"overhead_pct", &AggregateRow::overhead_pct, From<&ResultRow::overhead_pct>,
+     Reduce::kMean, "ovh%", Num1},
+    {"migrations", &AggregateRow::migrations, From<&ResultRow::migrations>, Reduce::kMean,
+     nullptr, nullptr},
+    {"splits", &AggregateRow::splits, From<&ResultRow::splits>, Reduce::kMean, nullptr,
+     nullptr},
+    {"promotions", &AggregateRow::promotions, From<&ResultRow::promotions>, Reduce::kMean,
+     nullptr, nullptr},
+    {"thp_fallback_faults", &AggregateRow::thp_fallback_faults,
+     From<&ResultRow::thp_fallback_faults>, Reduce::kMean, nullptr, nullptr},
+    {"buddy_alloc_failures", &AggregateRow::buddy_alloc_failures,
+     From<&ResultRow::buddy_alloc_failures>, Reduce::kMean, nullptr, nullptr},
+    {"frag_index_pct", &AggregateRow::frag_index_pct, From<&ResultRow::frag_index_pct>,
+     Reduce::kMean, nullptr, nullptr},
+};
+
+// Summary keys, in the order WriteSummaryJson writes them: the
+// coordinates, "runs", then the numeric columns.
+constexpr std::size_t kRunsKey = std::size(kCoordinates);
+constexpr std::size_t kSummaryKeys = kRunsKey + 1 + std::size(kColumns);
+
+const char* KeyName(std::size_t key) {
+  if (key < kRunsKey) {
+    return kCoordinates[key].name;
+  }
+  return key == kRunsKey ? "runs" : kColumns[key - kRunsKey - 1].name;
+}
+
+std::string KeyValue(const AggregateRow& row, std::size_t key) {
+  if (key < kRunsKey) {
+    return row.*kCoordinates[key].member;
+  }
+  return key == kRunsKey ? std::to_string(row.runs)
+                         : CanonicalDouble(row.*kColumns[key - kRunsKey - 1].member);
+}
+
+// Parses `text` into `key` strictly: the whole token, coordinates quoted and
+// numbers bare, `runs` a positive integer.
+bool SetKey(AggregateRow& row, std::size_t key, const std::string& text, bool quoted) {
+  if (quoted != (key < kRunsKey)) {
+    return false;
+  }
+  if (key < kRunsKey) {
+    row.*kCoordinates[key].member = text;
+    return true;
+  }
+  const char* end = text.data() + text.size();
+  if (key == kRunsKey) {
+    const auto result = std::from_chars(text.data(), end, row.runs);
+    return result.ec == std::errc() && result.ptr == end && row.runs > 0;
+  }
+  const auto result = std::from_chars(text.data(), end, row.*kColumns[key - kRunsKey - 1].member);
+  return result.ec == std::errc() && result.ptr == end;
+}
+
+void WriteAggregateObject(std::ostream& out, const AggregateRow& aggregate,
+                          const char* indent) {
+  out << indent << '{';
+  for (std::size_t key = 0; key < kSummaryKeys; ++key) {
+    out << (key == 0 ? "" : ",") << '"' << KeyName(key) << "\":";
+    if (key < kRunsKey) {
+      out << '"' << JsonEscape(KeyValue(aggregate, key)) << '"';
+    } else {
+      out << KeyValue(aggregate, key);
+    }
+  }
+  out << '}';
 }
 
 // First-appearance-order list of the distinct values `get` takes on `rows`.
@@ -356,6 +358,57 @@ std::vector<std::string> Distinct(const std::vector<AggregateRow>& rows, Get get
 }
 
 }  // namespace
+
+std::vector<AggregateRow> Aggregate(const std::vector<ResultRow>& rows) {
+  std::vector<AggregateRow> aggregates;
+  std::map<std::string, std::size_t> index;
+  for (const ResultRow& row : rows) {
+    std::string key;
+    for (const Coordinate& coordinate : kCoordinates) {
+      key += row.*coordinate.source;
+      key += '|';
+    }
+    const auto [it, added] = index.try_emplace(key, aggregates.size());
+    if (added) {
+      AggregateRow& aggregate = aggregates.emplace_back();
+      for (const Coordinate& coordinate : kCoordinates) {
+        aggregate.*coordinate.member = row.*coordinate.source;
+      }
+      for (const Column& column : kColumns) {
+        if (column.reduce != Reduce::kMean) {
+          aggregate.*column.member = column.source(row);
+        }
+      }
+    }
+    AggregateRow& aggregate = aggregates[it->second];
+    ++aggregate.runs;
+    for (const Column& column : kColumns) {
+      double& value = aggregate.*column.member;
+      const double x = column.source(row);
+      switch (column.reduce) {
+        case Reduce::kMean:
+          value += x;
+          break;
+        case Reduce::kMin:
+          value = std::min(value, x);
+          break;
+        case Reduce::kMax:
+          value = std::max(value, x);
+          break;
+      }
+    }
+  }
+  // Accumulate in row order, then multiply by the reciprocal once.
+  for (AggregateRow& aggregate : aggregates) {
+    const double inv = 1.0 / aggregate.runs;
+    for (const Column& column : kColumns) {
+      if (column.reduce == Reduce::kMean) {
+        aggregate.*column.member *= inv;
+      }
+    }
+  }
+  return aggregates;
+}
 
 void WriteSummaryJson(std::ostream& out, const std::vector<AggregateRow>& aggregates) {
   out << "{\n  \"schema\": \"numalp-bench-summary-v1\",\n  \"groups\": [\n";
@@ -373,66 +426,15 @@ bool ParseSummaryJson(const std::string& contents, std::vector<AggregateRow>* ou
     *error = "not a numalp-bench-summary-v1 document";
     return false;
   }
-  // One group object per line (WriteSummaryJson's shape); the same flat
-  // scanner the JSONL loader uses, with a field map for AggregateRow.
-  const auto set_field = [](AggregateRow& row, const std::string& key,
-                            const std::string& value) {
-    const auto num = [&value]() { return std::strtod(value.c_str(), nullptr); };
-    if (key == "bench") {
-      row.bench = value;
-    } else if (key == "machine") {
-      row.machine = value;
-    } else if (key == "workload") {
-      row.workload = value;
-    } else if (key == "policy") {
-      row.policy = value;
-    } else if (key == "variant") {
-      row.variant = value;
-    } else if (key == "runs") {
-      row.runs = static_cast<int>(num());
-    } else if (key == "mean_improvement_pct") {
-      row.mean_improvement_pct = num();
-    } else if (key == "min_improvement_pct") {
-      row.min_improvement_pct = num();
-    } else if (key == "max_improvement_pct") {
-      row.max_improvement_pct = num();
-    } else if (key == "runtime_ms") {
-      row.runtime_ms = num();
-    } else if (key == "lar_pct") {
-      row.lar_pct = num();
-    } else if (key == "imbalance_pct") {
-      row.imbalance_pct = num();
-    } else if (key == "pamup_pct") {
-      row.pamup_pct = num();
-    } else if (key == "nhp") {
-      row.nhp = num();
-    } else if (key == "psp_pct") {
-      row.psp_pct = num();
-    } else if (key == "walk_l2_miss_pct") {
-      row.walk_l2_miss_pct = num();
-    } else if (key == "steady_fault_share_pct") {
-      row.steady_fault_share_pct = num();
-    } else if (key == "max_fault_ms") {
-      row.max_fault_ms = num();
-    } else if (key == "thp_coverage_pct") {
-      row.thp_coverage_pct = num();
-    } else if (key == "overhead_pct") {
-      row.overhead_pct = num();
-    } else if (key == "migrations") {
-      row.migrations = num();
-    } else if (key == "splits") {
-      row.splits = num();
-    } else if (key == "promotions") {
-      row.promotions = num();
-    } else if (key == "thp_fallback_faults") {
-      row.thp_fallback_faults = num();
-    } else if (key == "buddy_alloc_failures") {
-      row.buddy_alloc_failures = num();
-    } else if (key == "frag_index_pct") {
-      row.frag_index_pct = num();
-    }  // unknown keys are ignored (schema growth)
-  };
-
+  static const std::map<std::string, std::size_t> keys = [] {
+    std::map<std::string, std::size_t> map;
+    for (std::size_t key = 0; key < kSummaryKeys; ++key) {
+      map[KeyName(key)] = key;
+    }
+    return map;
+  }();
+  // One group object per line (WriteSummaryJson's shape); every other line
+  // is document framing.
   std::istringstream in(contents);
   std::string line;
   int line_number = 0;
@@ -440,44 +442,32 @@ bool ParseSummaryJson(const std::string& contents, std::vector<AggregateRow>* ou
     ++line_number;
     const std::size_t at = line.find_first_not_of(" \t\r");
     if (at == std::string::npos || line[at] != '{' ||
-        line.find('}', at) == std::string::npos ||
-        line.find("\"schema\"", at) != std::string::npos) {
-      continue;  // document framing, not a group object
+        line.find_first_not_of(" \t\r", at + 1) == std::string::npos) {
+      continue;
     }
-    Cursor c{line.data() + at, line.data() + line.size()};
-    ++c.p;  // '{'
     AggregateRow row;
-    while (true) {
-      SkipWs(c);
-      std::string key;
-      if (!ParseQuoted(c, &key)) {
-        *error = "line " + std::to_string(line_number) + ": expected a quoted key";
-        return false;
-      }
-      SkipWs(c);
-      if (c.p >= c.end || *c.p != ':') {
-        *error = "line " + std::to_string(line_number) + ": expected ':' after \"" + key + "\"";
-        return false;
-      }
-      ++c.p;
-      SkipWs(c);
-      std::string value;
-      const bool quoted = c.p < c.end && *c.p == '"';
-      if (quoted ? !ParseQuoted(c, &value) : !ParseBareToken(c, &value)) {
-        *error = "line " + std::to_string(line_number) + ": bad value for \"" + key + "\"";
-        return false;
-      }
-      set_field(row, key, value);
-      SkipWs(c);
-      if (c.p < c.end && *c.p == ',') {
-        ++c.p;
-        continue;
-      }
-      if (c.p < c.end && *c.p == '}') {
-        break;
-      }
-      *error = "line " + std::to_string(line_number) + ": expected ',' or '}'";
+    std::vector<bool> seen(kSummaryKeys, false);
+    std::string scan_error;
+    const bool scanned = ScanObject(
+        line.data(), line.data() + line.size(),
+        [&](const std::string& name, const std::string& value, bool quoted) {
+          const auto it = keys.find(name);
+          if (it == keys.end()) {
+            return true;  // unknown keys are ignored (schema growth)
+          }
+          seen[it->second] = true;
+          return SetKey(row, it->second, value, quoted);
+        },
+        &scan_error);
+    if (!scanned) {
+      *error = "line " + std::to_string(line_number) + ": " + scan_error;
       return false;
+    }
+    for (std::size_t key = 0; key < kSummaryKeys; ++key) {
+      if (!seen[key]) {
+        *error = "line " + std::to_string(line_number) + ": missing \"" + KeyName(key) + "\"";
+        return false;
+      }
     }
     out->push_back(std::move(row));
   }
@@ -489,16 +479,14 @@ bool ParseSummaryJson(const std::string& contents, std::vector<AggregateRow>* ou
 }
 
 void WriteAggregatesCsv(std::ostream& out, const std::vector<AggregateRow>& aggregates) {
-  const auto& schema = AggregateSchema();
-  for (std::size_t f = 0; f < schema.size(); ++f) {
-    out << (f == 0 ? "" : ",") << schema[f].name;
+  for (std::size_t key = 0; key < kSummaryKeys; ++key) {
+    out << (key == 0 ? "" : ",") << KeyName(key);
   }
   out << '\n';
   for (const AggregateRow& aggregate : aggregates) {
-    for (std::size_t f = 0; f < schema.size(); ++f) {
-      out << (f == 0 ? "" : ",")
-          << (schema[f].is_string ? CsvEscape(schema[f].get(aggregate))
-                                  : schema[f].get(aggregate));
+    for (std::size_t key = 0; key < kSummaryKeys; ++key) {
+      const std::string value = KeyValue(aggregate, key);
+      out << (key == 0 ? "" : ",") << (key < kRunsKey ? CsvEscape(value) : value);
     }
     out << '\n';
   }
@@ -560,17 +548,22 @@ void PrintAggregates(std::ostream& out, const std::vector<AggregateRow>& aggrega
 
     // Per-column metrics: the numbers behind Tables 1-3.
     out << "metrics (seed means)\n";
-    const std::vector<std::string> header = {"machine", "workload",  "policy", "variant",
-                                             "runs",    "improv",    "LAR%",   "imbal%",
-                                             "PAMUP%",  "NHP",       "PSP%",   "walk%",
-                                             "fault%",  "THPcov%",   "ovh%"};
+    std::vector<std::string> header = {"machine", "workload", "policy", "variant", "runs"};
+    for (const Column& column : kColumns) {
+      if (column.label != nullptr) {
+        header.push_back(column.label);
+      }
+    }
     std::vector<std::vector<std::string>> table;
     for (const AggregateRow& a : of_bench) {
-      table.push_back({a.machine, a.workload, a.policy, a.variant, FromInt(a.runs),
-                       Pct1(a.mean_improvement_pct), Num1(a.lar_pct), Num1(a.imbalance_pct),
-                       Num1(a.pamup_pct), Num1(a.nhp), Num1(a.psp_pct),
-                       Num1(a.walk_l2_miss_pct), Num1(a.steady_fault_share_pct),
-                       Num1(a.thp_coverage_pct), Num1(a.overhead_pct)});
+      std::vector<std::string> row = {a.machine, a.workload, a.policy, a.variant,
+                                      std::to_string(a.runs)};
+      for (const Column& column : kColumns) {
+        if (column.label != nullptr) {
+          row.push_back(column.cell(a.*column.member));
+        }
+      }
+      table.push_back(std::move(row));
     }
     PrintAlignedTable(out, header, table);
     out << '\n';

@@ -1,9 +1,9 @@
 // Aggregation for numalp_report: loads JSONL rows written by the sinks
 // (sink.h — the parser consumes the same ResultSchema() the serializer
 // does), groups them by results column (bench, machine, workload, policy,
-// variant), and averages over seeds with the same ascending-order
-// accumulate-then-divide arithmetic GridResults::Summarize uses
-// (DESIGN.md Sections 5-6). The aggregates feed the figure/table renderer,
+// variant), and averages over seeds: accumulate in row order, then multiply
+// by the reciprocal of the run count once (DESIGN.md Sections 5-6). This is
+// the only seed aggregation in the tree; it feeds the figure/table renderer,
 // the committable bench_summary.json (BENCH_*.json), and the qualitative
 // paper checks (checks.h).
 #ifndef NUMALP_SRC_REPORT_AGGREGATE_H_
@@ -80,9 +80,11 @@ std::vector<AggregateRow> Aggregate(const std::vector<ResultRow>& rows);
 void WriteSummaryJson(std::ostream& out, const std::vector<AggregateRow>& aggregates);
 
 // Parses a summary document WriteSummaryJson produced back into aggregate
-// groups (the fields the checks consume; unknown keys are ignored so the
-// schema can grow). Lets `numalp_report --from-summary` assert the paper
-// checks against a committed BENCH_*.json without re-running the grids.
+// groups, so `numalp_report --from-summary` can assert the paper checks
+// against a committed BENCH_*.json without re-running the grids. Strict:
+// every key WriteSummaryJson writes must be present with a well-formed
+// value (`runs` a positive integer), or it returns false with *error naming
+// the line and the key. Unknown keys are ignored so the schema can grow.
 bool ParseSummaryJson(const std::string& contents, std::vector<AggregateRow>* out,
                       std::string* error);
 

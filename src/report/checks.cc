@@ -75,8 +75,7 @@ namespace {
 constexpr const char* kFaultsOff = "faults=off";
 constexpr const char* kFaultsFrag = "faults=frag";
 
-// The shared evaluation over pooled column means; both entry points (raw
-// rows, committed-summary aggregates) reduce to this. `fault_columns` is
+// The evaluation over pooled column means. `fault_columns` is
 // keyed machine|workload|policy|variant and holds only the faults=off /
 // faults=frag sweep columns.
 std::vector<CheckResult> EvaluateColumns(const ColumnMap& columns,
@@ -86,50 +85,17 @@ std::vector<CheckResult> EvaluateColumns(const ColumnMap& columns,
 }  // namespace
 
 std::vector<CheckResult> EvaluatePaperChecks(const std::vector<ResultRow>& rows) {
-  ColumnMap columns;
-  ColumnMap fault_columns;
-  int baseline_rows = 0;
-  int nonzero_baselines = 0;
-  for (const ResultRow& row : rows) {
-    if (row.variant == kFaultsOff || row.variant == kFaultsFrag) {
-      ColumnMean& column =
-          fault_columns[Key(row.machine, row.workload, row.policy + "|" + row.variant)];
-      column.improvement_sum += row.improvement_pct;
-      column.lar_sum += row.lar_pct;
-      ++column.rows;
-    }
-    if (!row.variant.empty()) {
-      continue;  // sweeps and 1GB-backed variants model non-default setups
-    }
-    ColumnMean& column = columns[Key(row.machine, row.workload, row.policy)];
-    column.improvement_sum += row.improvement_pct;
-    column.lar_sum += row.lar_pct;
-    column.alloc_failure_sum += static_cast<double>(row.thp_fallback_faults) +
-                                static_cast<double>(row.buddy_alloc_failures);
-    ++column.rows;
-    if (row.policy == kLinux) {
-      ++baseline_rows;
-      if (row.improvement_pct != 0.0) {
-        ++nonzero_baselines;
-      }
-    }
-  }
-  return EvaluateColumns(columns, fault_columns, baseline_rows, nonzero_baselines);
+  return EvaluatePaperChecks(Aggregate(rows));
 }
 
 std::vector<CheckResult> EvaluatePaperChecks(const std::vector<AggregateRow>& aggregates) {
-  // A summary group holds the seed mean of `runs` rows; reconstituting the
-  // per-column sums as mean x runs pools across benches exactly as the
-  // row-level path does (up to the usual last-bit float rounding — the
-  // checks compare against multi-point bands, not exact values).
+  // A group holds the seed mean of `runs` rows; reconstituting the
+  // per-column sums as mean x runs pools the groups across benches.
   ColumnMap columns;
   ColumnMap fault_columns;
   int baseline_rows = 0;
   int nonzero_baselines = 0;
   for (const AggregateRow& group : aggregates) {
-    if (group.runs <= 0) {
-      continue;
-    }
     if (group.variant == kFaultsOff || group.variant == kFaultsFrag) {
       ColumnMean& column = fault_columns[Key(group.machine, group.workload,
                                              group.policy + "|" + group.variant)];
@@ -147,8 +113,10 @@ std::vector<CheckResult> EvaluatePaperChecks(const std::vector<AggregateRow>& ag
         (group.thp_fallback_faults + group.buddy_alloc_failures) * group.runs;
     column.rows += group.runs;
     if (group.policy == kLinux) {
+      // min/max, not the mean: rows of +1 and -1 must fail too. A group
+      // with any nonzero row counts all of its rows.
       baseline_rows += group.runs;
-      if (group.mean_improvement_pct != 0.0) {
+      if (group.min_improvement_pct != 0.0 || group.max_improvement_pct != 0.0) {
         nonzero_baselines += group.runs;
       }
     }

@@ -49,15 +49,21 @@ GridReport::GridReport(const Options& options, const ToolInfo& info)
     if (options.resume) {
       LoadResumeState();
     }
-    const auto csv_size = std::filesystem::file_size(csv_path_, ec);
-    const bool csv_has_content = !ec && csv_size > 0;
-    csv_stream_ = std::make_unique<std::ofstream>(csv_path_, std::ios::app);
-    jsonl_stream_ = std::make_unique<std::ofstream>(jsonl_path_, std::ios::app);
+    // Only a recovered prefix is appended to. Otherwise this bench's files
+    // start empty and its stale manifest goes, so a re-run replaces its own
+    // rows; other benches' files in the directory are left alone.
+    const bool append = cells_done_ > 0;
+    if (!append) {
+      std::filesystem::remove(manifest_path_, ec);
+    }
+    const std::ios::openmode mode = append ? std::ios::app : std::ios::trunc;
+    csv_stream_ = std::make_unique<std::ofstream>(csv_path_, mode);
+    jsonl_stream_ = std::make_unique<std::ofstream>(jsonl_path_, mode);
     if (!*csv_stream_ || !*jsonl_stream_) {
       std::fprintf(stderr, "%s: cannot open %s.{csv,jsonl}\n", info.name, stem.c_str());
       std::exit(2);
     }
-    sinks_->Add(std::make_unique<CsvSink>(*csv_stream_, /*write_header=*/!csv_has_content));
+    sinks_->Add(std::make_unique<CsvSink>(*csv_stream_, /*write_header=*/!append));
     sinks_->Add(std::make_unique<JsonlSink>(*jsonl_stream_));
     checkpointing_ = true;
   }

@@ -28,6 +28,10 @@ class GridReport {
   // --out-dir was given, <out_dir>/<bench_id>.csv and .jsonl file sinks
   // (creating the directory). Prints to stderr and exits 2 on I/O errors.
   //
+  // Without --resume (or when --resume recovers no rows) the two files are
+  // truncated and a stale manifest is deleted: a re-run replaces the bench's
+  // own rows and leaves other benches' files in the directory alone.
+  //
   // With --out-dir the grid is checkpointed (DESIGN.md Section 12): after
   // every row both files are flushed and <bench_id>.manifest.json is
   // rewritten atomically (tmp + rename) with the done-cell count and the

@@ -4,11 +4,16 @@
 // byte-identical across jobs values, aggregation reproduces the seed-mean
 // arithmetic, and the qualitative paper checks pass/fail/skip correctly.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/core/config.h"
 #include "src/core/runner.h"
@@ -322,6 +327,22 @@ TEST(AggregateTest, MeansMinMaxOverSeeds) {
   EXPECT_EQ(aggregates[0].max_improvement_pct, -40.0);
 }
 
+// The seed mean accumulates in row order, then multiplies by the reciprocal
+// of the run count once. With these values that is not bitwise `sum / 3`,
+// so the assertions pin the exact arithmetic.
+TEST(AggregateTest, MeanAccumulatesThenMultipliesByTheReciprocal) {
+  const std::vector<ResultRow> rows = {Row("machineB", "CG.D", "THP", 1.0, 0.1),
+                                       Row("machineB", "CG.D", "THP", 2.0, 0.2),
+                                       Row("machineB", "CG.D", "THP", 4.0, 0.4)};
+  const std::vector<AggregateRow> aggregates = Aggregate(rows);
+  ASSERT_EQ(aggregates.size(), 1u);
+  EXPECT_EQ(aggregates[0].runs, 3);
+  const double inv = 1.0 / 3;
+  EXPECT_EQ(aggregates[0].mean_improvement_pct, (1.0 + 2.0 + 4.0) * inv);
+  EXPECT_EQ(aggregates[0].lar_pct, (0.1 + 0.2 + 0.4) * inv);
+  EXPECT_NE((1.0 + 2.0 + 4.0) * inv, (1.0 + 2.0 + 4.0) / 3);
+}
+
 TEST(AggregateTest, VariantsAreSeparateColumns) {
   const std::vector<ResultRow> rows = {Row("machineB", "CG.D", "THP", -40.0, 50.0, "x=1"),
                                        Row("machineB", "CG.D", "THP", -46.0, 50.0, "x=2")};
@@ -416,6 +437,7 @@ TEST(ChecksTest, SummaryRoundTripEvaluatesIdentically) {
     EXPECT_EQ(static_cast<int>(from_rows[i].status),
               static_cast<int>(from_summary[i].status))
         << from_rows[i].name;
+    EXPECT_EQ(from_rows[i].detail, from_summary[i].detail) << from_rows[i].name;
   }
   EXPECT_TRUE(AllPassed(from_summary));
 
@@ -448,6 +470,155 @@ TEST(ChecksTest, BaselineMustBeZero) {
   const std::vector<ResultRow> rows = {Row("machineB", "CG.D", "Linux-4K", 1.0)};
   const auto results = EvaluatePaperChecks(rows);
   EXPECT_FALSE(AllPassed(results));
+}
+
+// Linux-4K rows of +1 and -1 average to 0; the summary still carries them
+// in min/max, so the check fails from the summary as it does from the rows.
+TEST(ChecksTest, BaselineMustBeZeroThroughTheSummary) {
+  const std::vector<ResultRow> rows = {Row("machineB", "CG.D", "Linux-4K", 1.0),
+                                       Row("machineB", "CG.D", "Linux-4K", -1.0)};
+  std::ostringstream summary;
+  WriteSummaryJson(summary, Aggregate(rows));
+  std::vector<AggregateRow> parsed;
+  std::string error;
+  ASSERT_TRUE(ParseSummaryJson(summary.str(), &parsed, &error)) << error;
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].mean_improvement_pct, 0.0);
+  for (const auto& results : {EvaluatePaperChecks(rows), EvaluatePaperChecks(parsed)}) {
+    ASSERT_FALSE(results.empty());
+    EXPECT_EQ(results[0].name, "baseline-improvement-zero");
+    EXPECT_EQ(results[0].status, CheckStatus::kFail);
+  }
+}
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+std::string CommittedSummary(const char* name) {
+  return ReadFile(std::filesystem::path(NUMALP_SOURCE_DIR) / name);
+}
+
+// Every committed baseline parses and writes back byte for byte: the one
+// column table covers every summary key in both directions.
+TEST(SummaryJsonTest, CommittedBaselinesRoundTripByteForByte) {
+  for (const char* name : {"BENCH_fig2_fig3.json", "BENCH_faults.json",
+                           "BENCH_datacenter.json", "BENCH_trace.json"}) {
+    const std::string contents = CommittedSummary(name);
+    ASSERT_FALSE(contents.empty()) << name;
+    std::vector<AggregateRow> parsed;
+    std::string error;
+    ASSERT_TRUE(ParseSummaryJson(contents, &parsed, &error)) << name << ": " << error;
+    std::ostringstream written;
+    WriteSummaryJson(written, parsed);
+    EXPECT_EQ(written.str(), contents) << name;
+  }
+}
+
+// Runs `numalp_report --from-summary` on `contents` written to a scratch
+// file; `expected` is the stderr regex after "<file>: ".
+void ExpectSummaryRejected(const std::string& contents, const std::string& expected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Named by the test, not the pid: the threadsafe death test re-runs the
+  // test body in a fresh process.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       (std::string("numalp_report_test_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".json"))
+          .string();
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << contents;
+  }
+  const auto run = [&path] {
+    std::vector<std::string> args = {NUMALP_REPORT, "--from-summary", path, "--check",
+                                     "--format", "csv"};
+    std::vector<char*> argv;
+    for (std::string& arg : args) {
+      argv.push_back(arg.data());
+    }
+    argv.push_back(nullptr);
+    ::execv(argv[0], argv.data());
+    std::_Exit(127);
+  };
+  EXPECT_EXIT(run(), ::testing::ExitedWithCode(2), path + ": " + expected);
+  std::filesystem::remove(path);
+}
+
+// A malformed value used to read as 0 (and trip an unrelated check).
+TEST(SummaryJsonDeathTest, MalformedValueIsRejected) {
+  const std::string corrupted =
+      std::regex_replace(CommittedSummary("BENCH_fig2_fig3.json"),
+                         std::regex("\"lar_pct\":[^,]*"), "\"lar_pct\":abc");
+  ExpectSummaryRejected(corrupted, "line 4: bad value for \"lar_pct\": abc");
+}
+
+// A non-positive run count used to drop the group, so every check skipped.
+TEST(SummaryJsonDeathTest, NonPositiveRunsIsRejected) {
+  const std::string corrupted = std::regex_replace(
+      CommittedSummary("BENCH_fig2_fig3.json"), std::regex("\"runs\":3"), "\"runs\":-3");
+  ExpectSummaryRejected(corrupted, "line 4: bad value for \"runs\": -3");
+}
+
+// A missing key used to keep its default, so every check skipped.
+TEST(SummaryJsonDeathTest, MissingKeyIsRejected) {
+  const std::string corrupted =
+      std::regex_replace(CommittedSummary("BENCH_fig2_fig3.json"),
+                         std::regex("\"machine\":\"[^\"]*\","), "");
+  ExpectSummaryRejected(corrupted, "line 4: missing \"machine\"");
+}
+
+// Without --resume, --out-dir replaces the bench's own files instead of
+// appending to them, and leaves other benches' files in the directory alone.
+TEST(GridReportTest, OutDirWithoutResumeTruncates) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("numalp_report_test_outdir_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  {
+    std::ofstream other(dir / "other.jsonl");
+    other << "{\"bench\":\"other\"}\n";
+  }
+  Options options;
+  options.format = "csv";
+  options.out_dir = dir.string();
+  options.jobs = 2;
+  options.sim = TinySim();
+  const ToolInfo info = {"report_test", "outdir", "truncate test"};
+  ExperimentGrid grid;
+  grid.machines = {Topology::Tiny()};
+  grid.workloads = {BenchmarkId::kWC};
+  grid.policies = {PolicyKind::kThp};
+  grid.num_seeds = 1;
+  grid.sim = TinySim();
+  std::vector<std::string> first;
+  for (int run = 0; run < 2; ++run) {
+    {
+      GridReport report(options, info);
+      report.Run(grid);
+    }
+    std::vector<std::string> files;
+    for (const char* file : {"outdir.csv", "outdir.jsonl", "outdir.manifest.json"}) {
+      files.push_back(ReadFile(dir / file));
+    }
+    if (run == 0) {
+      first = files;
+    } else {
+      EXPECT_EQ(files, first);
+    }
+  }
+  EXPECT_NE(first[2].find("\"cells_done\":2,"), std::string::npos) << first[2];
+  // A re-run that ends before its first row leaves no manifest still
+  // claiming the old rows.
+  { GridReport report(options, info); }
+  EXPECT_FALSE(fs::exists(dir / "outdir.manifest.json"));
+  EXPECT_EQ(ReadFile(dir / "outdir.jsonl"), "");
+  EXPECT_EQ(ReadFile(dir / "other.jsonl"), "{\"bench\":\"other\"}\n");
+  fs::remove_all(dir);
 }
 
 TEST(LoadJsonlTest, SkipsMalformedLinesWithIssues) {

@@ -1,8 +1,7 @@
 // ExperimentRunner regression tests: the parallel grid must be a pure
-// function of its declaration — identical RunResults at any jobs value, grid
-// indexing that matches standalone Simulations, and summaries that reproduce
-// the historical serial ComparePolicies arithmetic. The settings table every
-// tool parses its flags and environment with is tested here too.
+// function of its declaration — identical RunResults at any jobs value, and
+// grid indexing that matches standalone Simulations. The settings table
+// every tool parses its flags and environment with is tested here too.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "src/core/config.h"
-#include "src/core/experiment.h"
 #include "src/core/runner.h"
 #include "src/core/simulation.h"
 #include "src/report/collector.h"
@@ -193,59 +191,6 @@ TEST(ExperimentRunnerTest, Linux4KColumnSharesBaseline) {
   const GridResults results = RunGrid(grid, ExperimentRunner(2));
   for (int s = 0; s < 2; ++s) {
     EXPECT_EQ(&results.At(0, 0, 0, s), &results.Baseline(0, 0, s));
-  }
-  const PolicySummary baseline_summary = results.Summarize(0, 0, 0);
-  EXPECT_EQ(baseline_summary.kind, PolicyKind::kLinux4K);
-  EXPECT_EQ(baseline_summary.mean_improvement_pct, 0.0);
-}
-
-// Summaries reproduce the historical serial arithmetic: accumulate in
-// ascending seed order, then divide once.
-TEST(ExperimentRunnerTest, SummarizeMatchesManualAggregation) {
-  ExperimentGrid grid;
-  grid.machines = {Topology::Tiny()};
-  grid.workloads = {BenchmarkId::kCG_D};
-  grid.policies = {PolicyKind::kThp};
-  grid.num_seeds = 3;
-  grid.sim = TinySim();
-  const GridResults results = RunGrid(grid, ExperimentRunner(8));
-  const PolicySummary summary = results.Summarize(0, 0, 0);
-
-  double mean = 0.0;
-  double lar = 0.0;
-  for (int s = 0; s < 3; ++s) {
-    mean += ImprovementPct(results.Baseline(0, 0, s), results.At(0, 0, 0, s));
-    lar += results.At(0, 0, 0, s).LarPct();
-  }
-  // The aggregation multiplies by the reciprocal (as the historical serial
-  // code did), which is not bitwise `x / 3.0` — assert the exact arithmetic.
-  const double inv = 1.0 / 3.0;
-  EXPECT_EQ(summary.mean_improvement_pct, mean * inv);
-  EXPECT_EQ(summary.lar_pct, lar * inv);
-  EXPECT_EQ(summary.representative.total_cycles, results.At(0, 0, 0, 0).total_cycles);
-}
-
-// ComparePolicies is a thin wrapper over the grid: same summaries either way.
-TEST(ExperimentRunnerTest, ComparePoliciesMatchesGrid) {
-  const Topology topo = Topology::Tiny();
-  const std::vector<PolicyKind> policies = {PolicyKind::kLinux4K, PolicyKind::kCarrefourLp};
-  const SimConfig sim = TinySim();
-  const auto summaries = ComparePolicies(topo, BenchmarkId::kWC, policies, sim,
-                                         /*num_seeds=*/2, ExperimentRunner(4));
-
-  ExperimentGrid grid;
-  grid.machines = {topo};
-  grid.workloads = {BenchmarkId::kWC};
-  grid.policies = policies;
-  grid.num_seeds = 2;
-  grid.sim = sim;
-  const auto expected = RunGrid(grid, ExperimentRunner(1)).SummarizeAll(0, 0);
-  ASSERT_EQ(summaries.size(), expected.size());
-  for (std::size_t p = 0; p < summaries.size(); ++p) {
-    EXPECT_EQ(summaries[p].kind, expected[p].kind);
-    EXPECT_EQ(summaries[p].mean_improvement_pct, expected[p].mean_improvement_pct);
-    EXPECT_EQ(summaries[p].lar_pct, expected[p].lar_pct);
-    EXPECT_EQ(summaries[p].overhead_frac, expected[p].overhead_frac);
   }
 }
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/config.h"
-#include "src/core/experiment.h"
 #include "src/core/simulation.h"
 #include "src/topo/topology.h"
 #include "src/workloads/spec.h"
@@ -173,17 +172,6 @@ TEST(SimulationTest, ImprovementPctIsAntisymmetricAroundBaseline) {
   const Topology topo = Topology::MachineA();
   const RunResult a = RunShort(topo, BenchmarkId::kBT_B, PolicyKind::kLinux4K);
   EXPECT_DOUBLE_EQ(ImprovementPct(a, a), 0.0);
-}
-
-TEST(SimulationTest, ComparePoliciesAveragesSeeds) {
-  const Topology topo = Topology::Tiny(512 * kMiB);
-  SimConfig sim = FastSim();
-  const auto summaries = ComparePolicies(topo, BenchmarkId::kBT_B,
-                                         {PolicyKind::kLinux4K, PolicyKind::kThp}, sim, 2);
-  ASSERT_EQ(summaries.size(), 2u);
-  EXPECT_DOUBLE_EQ(summaries[0].mean_improvement_pct, 0.0);  // baseline vs itself
-  EXPECT_GE(summaries[0].max_improvement_pct, summaries[0].min_improvement_pct);
-  EXPECT_GT(summaries[1].lar_pct, 0.0);
 }
 
 // Every policy kind must run to completion on a tiny machine — a smoke sweep

@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
   }
 
   if (check) {
-    const auto results = numalp::report::EvaluatePaperChecks(rows);
+    const auto results = numalp::report::EvaluatePaperChecks(aggregates);
     numalp::report::PrintCheckResults(format == "md" ? std::cout : std::cerr, results);
     if (!numalp::report::AllPassed(results)) {
       return 1;
