@@ -111,7 +111,7 @@ std::string_view NameOf(PolicyKind kind);
 
 // Cost/decision model of the redesigned reactive component (DESIGN.md
 // Section 8). Each feature switches off independently so
-// bench/ablation_lp_model.cc can attribute the fidelity fix to its parts;
+// the ablation_lp_model bench can attribute the fidelity fix to its parts;
 // with all three off the component degrades to the original Algorithm 1
 // transcription (threshold-only, sticky split flag, flat demotion cap).
 struct LpModelConfig {

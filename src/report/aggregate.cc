@@ -70,13 +70,24 @@ bool ParseBareToken(Cursor& c, std::string* out) {
   return !out->empty();
 }
 
-// Scans one flat object starting at `begin` (leading blanks allowed) and
-// hands each member to `set(key, value, quoted)`, which returns false to
-// reject the value. Stops at the closing '}'. Returns false with *error set
-// on malformed syntax or a rejected value.
-template <typename Set>
-bool ScanObject(const char* begin, const char* end, Set set, std::string* error) {
-  Cursor c{begin, end};
+const std::map<std::string, const ResultField*>& FieldsByName() {
+  static const std::map<std::string, const ResultField*> by_name = [] {
+    std::map<std::string, const ResultField*> map;
+    for (const ResultField& field : ResultSchema()) {
+      map[field.name] = &field;
+    }
+    return map;
+  }();
+  return by_name;
+}
+
+}  // namespace
+
+bool ScanFlatObject(const std::string& text,
+                    const std::function<bool(const std::string& key, const std::string& value,
+                                             bool quoted)>& set,
+                    std::string* error) {
+  Cursor c{text.data(), text.data() + text.size()};
   SkipWs(c);
   if (c.p >= c.end || *c.p != '{') {
     *error = "expected '{'";
@@ -124,24 +135,10 @@ bool ScanObject(const char* begin, const char* end, Set set, std::string* error)
   }
 }
 
-const std::map<std::string, const ResultField*>& FieldsByName() {
-  static const std::map<std::string, const ResultField*> by_name = [] {
-    std::map<std::string, const ResultField*> map;
-    for (const ResultField& field : ResultSchema()) {
-      map[field.name] = &field;
-    }
-    return map;
-  }();
-  return by_name;
-}
-
-}  // namespace
-
 bool ParseJsonlLine(const std::string& line, ResultRow* row, std::string* error) {
   const auto& fields = FieldsByName();
-  return ScanObject(
-      line.data(), line.data() + line.size(),
-      [&](const std::string& key, const std::string& value, bool quoted) {
+  return ScanFlatObject(
+      line, [&](const std::string& key, const std::string& value, bool quoted) {
         const auto it = fields.find(key);
         if (it == fields.end()) {
           return true;  // unknown keys are ignored
@@ -448,9 +445,8 @@ bool ParseSummaryJson(const std::string& contents, std::vector<AggregateRow>* ou
     AggregateRow row;
     std::vector<bool> seen(kSummaryKeys, false);
     std::string scan_error;
-    const bool scanned = ScanObject(
-        line.data(), line.data() + line.size(),
-        [&](const std::string& name, const std::string& value, bool quoted) {
+    const bool scanned = ScanFlatObject(
+        line, [&](const std::string& name, const std::string& value, bool quoted) {
           const auto it = keys.find(name);
           if (it == keys.end()) {
             return true;  // unknown keys are ignored (schema growth)

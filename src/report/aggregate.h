@@ -9,6 +9,7 @@
 #ifndef NUMALP_SRC_REPORT_AGGREGATE_H_
 #define NUMALP_SRC_REPORT_AGGREGATE_H_
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -22,6 +23,16 @@ namespace numalp::report {
 // missing keys keep their defaults. Returns false with *error set on
 // malformed input.
 bool ParseJsonlLine(const std::string& line, ResultRow* row, std::string* error);
+
+// Scans one flat JSON object of strings, numbers and booleans — the
+// one-line shape the JSONL sink and the --resume manifest write — handing
+// each member to `set(key, value, quoted)`, which returns false to reject
+// the value. Returns false with *error set on malformed syntax or a
+// rejected value. Not a general JSON parser.
+bool ScanFlatObject(const std::string& text,
+                    const std::function<bool(const std::string& key, const std::string& value,
+                                             bool quoted)>& set,
+                    std::string* error);
 
 struct ParseIssue {
   std::string file;

@@ -1,11 +1,12 @@
 #include "src/report/collector.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <iterator>
 
 #include "src/report/aggregate.h"
 #include "src/report/result_row.h"
@@ -47,7 +48,7 @@ GridReport::GridReport(const Options& options, const ToolInfo& info)
     jsonl_path_ = stem + ".jsonl";
     manifest_path_ = stem + ".manifest.json";
     if (options.resume) {
-      LoadResumeState();
+      LoadResumeState(info.name);
     }
     // Only a recovered prefix is appended to. Otherwise this bench's files
     // start empty and its stale manifest goes, so a re-run replaces its own
@@ -99,45 +100,78 @@ void GridReport::Checkpoint() {
   std::filesystem::rename(tmp, manifest_path_, ec);
 }
 
-void GridReport::LoadResumeState() {
+void GridReport::LoadResumeState(const char* tool) {
   std::ifstream manifest(manifest_path_);
   if (!manifest) {
     return;  // no manifest: nothing recorded, run from scratch
   }
-  std::string line;
-  std::getline(manifest, line);
-  const auto field = [&line](const char* key) -> std::uint64_t {
-    const std::size_t pos = line.find(key);
-    if (pos == std::string::npos) {
-      return 0;
-    }
-    return std::strtoull(line.c_str() + pos + std::strlen(key), nullptr, 10);
+  const auto reject = [&](const std::string& why) {
+    std::fprintf(stderr, "%s: %s: %s\n", tool, manifest_path_.c_str(), why.c_str());
+    std::exit(2);
   };
-  const std::uint64_t cells_done = field("\"cells_done\":");
-  const std::uint64_t csv_bytes = field("\"csv_bytes\":");
-  const std::uint64_t jsonl_bytes = field("\"jsonl_bytes\":");
+  // Every key Checkpoint writes must be present and well formed, and the
+  // manifest must describe this bench's files: resuming from a misread or
+  // foreign manifest would splice rows that no run wrote.
+  const std::string text((std::istreambuf_iterator<char>(manifest)),
+                         std::istreambuf_iterator<char>());
+  std::string bench;
+  std::map<std::string, std::uint64_t> numbers = {
+      {"version", 0}, {"cells_done", 0}, {"csv_bytes", 0}, {"jsonl_bytes", 0}};
+  std::map<std::string, bool> seen;
+  std::string error;
+  const bool scanned = ScanFlatObject(
+      text,
+      [&](const std::string& key, const std::string& value, bool quoted) {
+        if (key == "bench") {
+          bench = value;
+        } else if (const auto it = numbers.find(key); it != numbers.end()) {
+          const char* end = value.data() + value.size();
+          if (quoted || std::from_chars(value.data(), end, it->second).ptr != end) {
+            return false;
+          }
+        } else {
+          return true;  // unknown keys are ignored
+        }
+        return seen[key] = true;
+      },
+      &error);
+  if (!scanned) {
+    reject(error);
+  }
+  for (const char* key : {"version", "bench", "cells_done", "csv_bytes", "jsonl_bytes"}) {
+    if (!seen[key]) {
+      reject(std::string("missing \"") + key + "\"");
+    }
+  }
+  if (numbers["version"] != 1) {
+    reject("bad value for \"version\": " + std::to_string(numbers["version"]));
+  }
+  if (bench != bench_id_) {
+    reject("bench \"" + bench + "\" is not this bench (\"" + bench_id_ + "\")");
+  }
+  // Flushes precede the manifest's rename, so offsets past the end of a
+  // file mean the manifest and the data disagree.
+  for (const auto& [key, path] :
+       {std::pair{"csv_bytes", csv_path_}, std::pair{"jsonl_bytes", jsonl_path_}}) {
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    if (numbers[key] > (ec ? 0 : size)) {
+      reject("\"" + std::string(key) + "\": " + std::to_string(numbers[key]) +
+             " is past the end of " + path);
+    }
+  }
+  const std::uint64_t cells_done = numbers["cells_done"];
   if (cells_done == 0) {
     return;
   }
-  // Drop any torn tail past the durable offsets. A file shorter than its
-  // recorded offset means the manifest and data are inconsistent (manual
-  // tampering); start over rather than resize-extend with zeros.
+  // Drop any torn tail past the durable offsets.
   std::error_code ec;
-  const auto csv_size = std::filesystem::file_size(csv_path_, ec);
-  if (ec || csv_size < csv_bytes) {
-    return;
+  std::filesystem::resize_file(csv_path_, numbers["csv_bytes"], ec);
+  if (!ec) {
+    std::filesystem::resize_file(jsonl_path_, numbers["jsonl_bytes"], ec);
   }
-  const auto jsonl_size = std::filesystem::file_size(jsonl_path_, ec);
-  if (ec || jsonl_size < jsonl_bytes) {
-    return;
-  }
-  std::filesystem::resize_file(csv_path_, csv_bytes, ec);
   if (ec) {
-    return;
-  }
-  std::filesystem::resize_file(jsonl_path_, jsonl_bytes, ec);
-  if (ec) {
-    return;
+    reject("cannot truncate to the recorded offsets: " + ec.message());
   }
   resume_rows_ = LoadJsonlFile(jsonl_path_, nullptr);
   if (resume_rows_.size() > cells_done) {

@@ -36,8 +36,11 @@ class GridReport {
   // every row both files are flushed and <bench_id>.manifest.json is
   // rewritten atomically (tmp + rename) with the done-cell count and the
   // durable byte offsets. With --resume, a manifest left by a killed run is
-  // read back: the files are truncated to their recorded offsets (dropping
-  // any torn tail), the completed prefix of cells is skipped, and streaming
+  // read back strictly — a malformed value, a missing key, a version other
+  // than 1, another bench's id or an offset past the end of a file exits 2
+  // naming the manifest — then the files are truncated to their recorded
+  // offsets (dropping any torn tail), the completed prefix of cells is
+  // skipped, and streaming
   // state (baselines, seed counters) is rebuilt from the recovered rows —
   // the finished files are byte-identical to an uninterrupted run. The
   // GridResults/RunResult values returned for skipped cells are
@@ -83,8 +86,9 @@ class GridReport {
   // without --out-dir.
   void Checkpoint();
   // Reads the manifest, truncates the files to their durable offsets, loads
-  // the recovered rows and rebuilds the grid streaming state.
-  void LoadResumeState();
+  // the recovered rows and rebuilds the grid streaming state. A malformed or
+  // inconsistent manifest exits 2 with a message prefixed "tool: ".
+  void LoadResumeState(const char* tool);
   // Arms the runner's skip prefix for a run over `cells_in_run` cells and
   // returns how many of them are already recovered.
   std::size_t TakeResumeSkip(std::size_t cells_in_run);

@@ -77,17 +77,18 @@ Setting NameFlag(const char* flag, T* out, Parse parse, const char* names, std::
           std::move(help)};
 }
 
-void PrintUsage(std::FILE* out, const ToolInfo& info, const std::vector<Setting>& settings) {
-  std::fprintf(out, "%s — %s (bench id: %s)\n\nusage: %s [options]\n", info.name,
-               info.description, info.bench_id, info.name);
+void PrintUsage(std::FILE* out, const std::string& head, const std::vector<Setting>& settings) {
+  std::fputs(head.c_str(), out);
   const auto line = [out](std::string left, const std::string& help) {
     if (left.size() > 24) {
       left += "\n" + std::string(26, ' ');
     }
     std::fprintf(out, "  %-24s %s\n", left.c_str(), help.c_str());
   };
+  bool any_env = false;
   for (const Setting& setting : settings) {
     const std::string& placeholder = setting.value.placeholder;
+    any_env = any_env || setting.env != nullptr;
     if (setting.flag == nullptr) {
       line(std::string(setting.env) + "=" + placeholder, setting.help);
     } else {
@@ -96,7 +97,9 @@ void PrintUsage(std::FILE* out, const ToolInfo& info, const std::vector<Setting>
     }
   }
   line("--help", "this message");
-  std::fprintf(out, "[VAR]: the environment variable that also sets it; the flag wins\n");
+  if (any_env) {
+    std::fprintf(out, "[VAR]: the environment variable that also sets it; the flag wins\n");
+  }
 }
 
 // A NUMALP_* variable outside the table's env column is a typo or a deleted
@@ -122,10 +125,35 @@ void RejectUnknownEnv(const std::vector<Setting>& settings) {
   }
 }
 
+// Applies argv to `settings`; malformed values throw std::invalid_argument.
+void ApplyArgv(int argc, char** argv, const std::string& head,
+               const std::vector<Setting>& settings, std::vector<std::string>* positional) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      PrintUsage(stdout, head, settings);
+      std::exit(0);
+    }
+    if (positional != nullptr && (arg.empty() || arg[0] != '-')) {
+      positional->push_back(arg);
+      continue;
+    }
+    const auto row = std::find_if(settings.begin(), settings.end(), [&](const Setting& setting) {
+      return setting.flag != nullptr && arg == setting.flag;
+    });
+    const bool takes_value = row != settings.end() && !row->value.placeholder.empty();
+    if (row == settings.end() || (takes_value && i + 1 >= argc)) {
+      PrintUsage(stderr, head, settings);
+      std::exit(2);
+    }
+    row->value.store(arg, takes_value ? argv[++i] : nullptr);
+  }
+}
+
 // ParseToolArgs without the handling of malformed settings, which throw
 // std::invalid_argument.
 Options ParseArgs(int argc, char** argv, const ToolInfo& info,
-                  const std::vector<Setting>& extras) {
+                  const std::vector<Setting>& extras, const char* launcher) {
   Options options;
   std::vector<Setting> settings = UniformSettings(&options);
   settings.insert(settings.end(), extras.begin(), extras.end());
@@ -138,22 +166,11 @@ Options ParseArgs(int argc, char** argv, const ToolInfo& info,
       setting.value.store(setting.env, text);
     }
   }
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      PrintUsage(stdout, info, settings);
-      std::exit(0);
-    }
-    const auto row = std::find_if(settings.begin(), settings.end(), [&](const Setting& setting) {
-      return setting.flag != nullptr && arg == setting.flag;
-    });
-    const bool takes_value = row != settings.end() && !row->value.placeholder.empty();
-    if (row == settings.end() || (takes_value && i + 1 >= argc)) {
-      PrintUsage(stderr, info, settings);
-      std::exit(2);
-    }
-    row->value.store(arg, takes_value ? argv[++i] : nullptr);
-  }
+  const std::string head = std::string(info.name) + " — " + info.description +
+                           " (bench id: " + info.bench_id + ")\n\nusage: " +
+                           (launcher != nullptr ? std::string(launcher) + " " : "") +
+                           info.name + " [options]\n";
+  ApplyArgv(argc, argv, head, settings, nullptr);
   return options;
 }
 
@@ -181,6 +198,10 @@ SettingValue Text(std::string* field, const char* placeholder) {
 
 SettingValue Presence(bool* field) {
   return {"", [field](const std::string&, const char*) { *field = true; }};
+}
+
+SettingValue OneOf(std::string* field, std::vector<std::string> choices) {
+  return Enum(field, std::move(choices));
 }
 
 std::vector<Setting> UniformSettings(Options* options) {
@@ -226,11 +247,21 @@ std::vector<Setting> UniformSettings(Options* options) {
 }
 
 Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
-                      const std::vector<Setting>& extras) {
+                      const std::vector<Setting>& extras, const char* launcher) {
   try {
-    return ParseArgs(argc, argv, info, extras);
+    return ParseArgs(argc, argv, info, extras, launcher);
   } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "%s: %s\n", info.name, error.what());
+    std::exit(2);
+  }
+}
+
+void ParseFlags(int argc, char** argv, const char* tool, const std::string& head,
+                const std::vector<Setting>& settings, std::vector<std::string>* positional) {
+  try {
+    ApplyArgv(argc, argv, head, settings, positional);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "%s: %s\n", tool, error.what());
     std::exit(2);
   }
 }

@@ -78,6 +78,7 @@ SettingValue Int(T* field, long long min, long long max) {  // an integer in [mi
 }
 SettingValue Text(std::string* field, const char* placeholder);  // any non-empty text
 SettingValue Presence(bool* field);  // takes no value; sets *field
+SettingValue OneOf(std::string* field, std::vector<std::string> choices);  // one of `choices`
 
 // The settings every ParseToolArgs binary shares, storing into *options.
 // The env column is the only environment the simulator reads.
@@ -88,9 +89,19 @@ std::vector<Setting> UniformSettings(Options* options);
 // --help prints every row's usage and exits 0. An unknown flag or a missing
 // value prints the usage to stderr and exits 2; a malformed value, or a
 // NUMALP_* environment variable that is not in the table, prints a message
-// naming it and exits 2.
+// naming it and exits 2. `launcher`, when set, is the command that runs
+// the binary ("numalp_bench"), shown before its name in the usage.
 Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
-                      const std::vector<Setting>& extras = {});
+                      const std::vector<Setting>& extras = {}, const char* launcher = nullptr);
+
+// The same table parser for a tool that takes no uniform setting and reads
+// no environment (numalp_report, numalp_tracegen): argv against `settings`
+// only, --help printing `head` (title and usage line) above the rows, errors
+// prefixed "tool: ". Arguments that are not flags go to *positional, or are
+// rejected like an unknown flag when it is null.
+void ParseFlags(int argc, char** argv, const char* tool, const std::string& head,
+                const std::vector<Setting>& settings,
+                std::vector<std::string>* positional = nullptr);
 
 // Name parsers shared by the CLI tools (historically duplicated between
 // numalp_run and quickstart, with divergent aliases).

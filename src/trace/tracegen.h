@@ -31,7 +31,7 @@ struct TracegenOptions {
 };
 
 // Embedded profile names: "ckpt-churn" (the flagship checkpoint-storm
-// profile the thp-degrades-under-mmap-churn check runs on), "bert",
+// profile the trace_replay claim's mmap-churn check runs on), "bert",
 // "resnet50", "lammps", "namd".
 const std::vector<std::string>& TracegenProfiles();
 

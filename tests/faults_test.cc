@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
+#include <regex>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -508,6 +510,91 @@ TEST(ResumeTest, ResumedGridRunMatchesUninterruptedByteForByte) {
   EXPECT_EQ(ReadFile(killed_dir / "gridresume.manifest.json"),
             ReadFile(full_dir / "gridresume.manifest.json"));
   fs::remove_all(root);
+}
+
+// A finished two-row --out-dir run whose manifest `corrupt` rewrites (it
+// gets the manifest text and the directory); resuming it must then exit 2
+// naming the manifest and matching `expected`. Each case once exited 0.
+void ExpectManifestRejected(const std::function<std::string(const std::string&,
+                                                            const fs::path&)>& corrupt,
+                            const std::string& expected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const report::ToolInfo info = {"faults_test", "manifest", "manifest test"};
+  // Named by the test, not the pid: the threadsafe death test re-runs the
+  // test body in a fresh process.
+  const fs::path dir = fs::temp_directory_path() /
+                       (std::string("numalp_faults_test_") +
+                        ::testing::UnitTest::GetInstance()->current_test_info()->name());
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  ExperimentGrid grid;
+  grid.machines = {Topology::Tiny()};
+  grid.workloads = {BenchmarkId::kWC};
+  grid.policies = {PolicyKind::kThp};
+  grid.num_seeds = 1;
+  grid.sim = TinySim();
+  {
+    report::GridReport report(OutDirOptions(dir), info);
+    report.Run(grid);
+  }
+  const fs::path manifest = dir / "manifest.manifest.json";
+  WriteFile(manifest, corrupt(ReadFile(manifest), dir));
+  report::Options resume_options = OutDirOptions(dir);
+  resume_options.resume = true;
+  EXPECT_EXIT(
+      {
+        report::GridReport report(resume_options, info);
+        report.Run(grid);
+      },
+      ::testing::ExitedWithCode(2), "faults_test: .*manifest.manifest.json: " + expected);
+  fs::remove_all(dir);
+}
+
+// An unparsable offset read as 0: the CSV lost its header and first row.
+TEST(ResumeDeathTest, MalformedOffsetIsRejected) {
+  ExpectManifestRejected(
+      [](const std::string& text, const fs::path&) {
+        return std::regex_replace(text, std::regex("\"cells_done\":2,\"csv_bytes\":[0-9]+"),
+                                  "\"cells_done\":1,\"csv_bytes\":x");
+      },
+      "bad value for \"csv_bytes\": x");
+}
+
+TEST(ResumeDeathTest, MissingKeyIsRejected) {
+  ExpectManifestRejected(
+      [](const std::string& text, const fs::path&) {
+        return std::regex_replace(text, std::regex(",\"jsonl_bytes\":[0-9]+"), "");
+      },
+      "missing \"jsonl_bytes\"");
+}
+
+TEST(ResumeDeathTest, OtherVersionIsRejected) {
+  ExpectManifestRejected(
+      [](const std::string& text, const fs::path&) {
+        return std::regex_replace(text, std::regex("\"version\":1"), "\"version\":2");
+      },
+      "bad value for \"version\": 2");
+}
+
+// A manifest recorded by another bench was accepted as this bench's.
+TEST(ResumeDeathTest, OtherBenchIsRejected) {
+  ExpectManifestRejected(
+      [](const std::string& text, const fs::path&) {
+        return std::regex_replace(text, std::regex("\"bench\":\"manifest\""),
+                                  "\"bench\":\"fig2\"");
+      },
+      "bench \"fig2\" is not this bench \\(\"manifest\"\\)");
+}
+
+// Offsets past the end of a file silently restarted the run.
+TEST(ResumeDeathTest, OffsetPastTheEndIsRejected) {
+  ExpectManifestRejected(
+      [](const std::string& text, const fs::path& dir) {
+        const auto size = fs::file_size(dir / "manifest.jsonl");
+        return std::regex_replace(text, std::regex("\"jsonl_bytes\":[0-9]+"),
+                                  "\"jsonl_bytes\":" + std::to_string(size + 1));
+      },
+      "\"jsonl_bytes\": [0-9]+ is past the end of .*manifest.jsonl");
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 //
 // Extraction rules (mirrors the documented contract in docs/KNOBS.md):
 //   - An environment knob is a NUMALP_[A-Z0-9_]+ token appearing inside a
-//     string literal anywhere under src/, tools/, or bench/. Unquoted uses
+//     string literal anywhere under src/ or tools/. Unquoted uses
 //     (the NUMALP_LOG macro, NUMALP_SRC_* header guards, CMake options) are
 //     not env vars and are deliberately invisible to this scan.
 //   - A CLI flag is a string literal whose *entire* content is --[a-z0-9-]+.
@@ -130,7 +130,7 @@ struct KnobSurface {
 KnobSurface ScanSourceTree() {
   KnobSurface surface;
   const fs::path root(NUMALP_SOURCE_DIR);
-  for (const char* dir : {"src", "tools", "bench"}) {
+  for (const char* dir : {"src", "tools"}) {
     for (const auto& entry : fs::recursive_directory_iterator(root / dir)) {
       if (!entry.is_regular_file()) {
         continue;

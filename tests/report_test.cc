@@ -372,33 +372,161 @@ TEST(ChecksTest, PassOnPaperShapedRows) {
   EXPECT_EQ(passed, 9);  // every check has its columns
 }
 
-TEST(ChecksTest, LpGeqCarrefourAcrossAffectedSet) {
-  // Carrefour-LP more than the tolerance band below Carrefour-2M on an
-  // affected workload contradicts the paper's "never loses more than a few
-  // percent" (Figure 3) and must fail.
-  std::vector<ResultRow> rows = {Row("machineA", "LU.B", "Carrefour-2M", -5.0),
-                                 Row("machineA", "LU.B", "Carrefour-LP", -40.0)};
-  auto results = EvaluatePaperChecks(rows);
-  EXPECT_FALSE(AllPassed(results));
+// The named check's result over `rows`.
+CheckResult Result(const std::vector<ResultRow>& rows, const std::string& id) {
+  for (const CheckResult& result : EvaluatePaperChecks(rows)) {
+    if (result.name == id) {
+      return result;
+    }
+  }
+  ADD_FAILURE() << "no check " << id;
+  return {};
+}
 
-  // Within the band: passes.
-  rows = {Row("machineA", "LU.B", "Carrefour-2M", -5.0),
-          Row("machineA", "LU.B", "Carrefour-LP", -8.0)};
-  EXPECT_TRUE(AllPassed(EvaluatePaperChecks(rows)));
+void ExpectResult(const CheckResult& result, CheckStatus status, const std::string& detail) {
+  EXPECT_EQ(result.status, status) << result.name << ": " << result.detail;
+  EXPECT_EQ(result.detail, detail) << result.name;
+}
 
+// The sign of one column (kCompare against 0), on one machine or pooled
+// over several.
+TEST(ChecksTest, SignShape) {
+  const char* cg = "thp-hurts-hot-page-cg-on-machineB";
+  ExpectResult(Result({Row("machineB", "CG.D", "THP", -43.0)}, cg), CheckStatus::kPass,
+               "THP improvement -43.0% (expected < 0)");
+  // THP *helping* the hot-page workload CG.D on machine B contradicts
+  // Figure 1.
+  ExpectResult(Result({Row("machineB", "CG.D", "THP", 20.0)}, cg), CheckStatus::kFail,
+               "THP improvement 20.0% (expected < 0)");
+  ExpectResult(Result({Row("machineA", "CG.D", "THP", -43.0)}, cg), CheckStatus::kSkip,
+               "no (machineB, CG.D, THP) rows");
+  const char* wrmem = "thp-helps-allocation-wrmem";
+  ExpectResult(Result({Row("machineA", "wrmem", "THP", 51.0)}, wrmem), CheckStatus::kPass,
+               "machineA: 51.0%");
+  ExpectResult(
+      Result({Row("machineA", "wrmem", "THP", 51.0), Row("machineB", "wrmem", "THP", -3.0)},
+             wrmem),
+      CheckStatus::kFail, "machineA: 51.0%; machineB: -3.0%");
+  ExpectResult(Result({}, wrmem), CheckStatus::kSkip, "no (wrmem, THP) rows");
+}
+
+// Column x against column y: strict, with a floor, on the LAR field, and
+// with a rider.
+TEST(ChecksTest, VersusShape) {
+  const char* recovers = "carrefour-lp-recovers-cg-on-machineB";
+  ExpectResult(Result({Row("machineB", "CG.D", "Carrefour-LP", 2.0),
+                       Row("machineB", "CG.D", "THP", -43.0)},
+                      recovers),
+               CheckStatus::kPass, "Carrefour-LP 2.0% vs THP -43.0%");
+  ExpectResult(Result({Row("machineB", "CG.D", "Carrefour-LP", -43.0),
+                       Row("machineB", "CG.D", "THP", -43.0)},
+                      recovers),
+               CheckStatus::kFail, "Carrefour-LP -43.0% vs THP -43.0%");
+  ExpectResult(Result({Row("machineB", "CG.D", "Carrefour-LP", 2.0)}, recovers),
+               CheckStatus::kSkip, "need (machineB, CG.D) under both Carrefour-LP and THP");
+
+  // The floor is inclusive.
+  const char* snc16 = "split-then-place-holds-at-16-nodes";
+  ExpectResult(Result({Row("snc16", "CG.D", "Carrefour-LP", 6.0),
+                       Row("snc16", "CG.D", "Carrefour-2M", -4.0)},
+                      snc16),
+               CheckStatus::kPass, "Carrefour-LP 6.0% vs Carrefour-2M -4.0% (floor: +10 points)");
+  ExpectResult(Result({Row("snc16", "CG.D", "Carrefour-LP", 5.0),
+                       Row("snc16", "CG.D", "Carrefour-2M", -4.0)},
+                      snc16),
+               CheckStatus::kFail, "Carrefour-LP 5.0% vs Carrefour-2M -4.0% (floor: +10 points)");
+  ExpectResult(Result({}, snc16), CheckStatus::kSkip,
+               "need (snc16, CG.D) under both Carrefour-LP and Carrefour-2M (run datacenter)");
+
+  const char* ua = "thp-degrades-ua-lar-on-machineA";
+  ExpectResult(Result({Row("machineA", "UA.B", "THP", -25.0, 61.0),
+                       Row("machineA", "UA.B", "Linux-4K", 0.0, 90.0)},
+                      ua),
+               CheckStatus::kPass, "LAR 61.0% under THP vs 90.0% under Linux-4K");
+  ExpectResult(Result({Row("machineA", "UA.B", "THP", -25.0, 90.0),
+                       Row("machineA", "UA.B", "Linux-4K", 0.0, 90.0)},
+                      ua),
+               CheckStatus::kFail, "LAR 90.0% under THP vs 90.0% under Linux-4K");
+
+  // The mmap-churn rider: the gap alone is not enough without organic
+  // allocation failures under always-2M.
+  const char* churn = "thp-degrades-under-mmap-churn";
+  std::vector<ResultRow> rows = {Row("machineA", "trace:ckpt-churn", "Carrefour-LP", 1.0),
+                                 Row("machineA", "trace:ckpt-churn", "THP", -50.0)};
+  ExpectResult(Result(rows, churn), CheckStatus::kFail,
+               "Carrefour-LP 1.0% vs always-2M -50.0% (floor: +10 points); 0 organic alloc "
+               "failures under always-2M (need > 0)");
+  rows[1].buddy_alloc_failures = 3;
+  ExpectResult(Result(rows, churn), CheckStatus::kPass,
+               "Carrefour-LP 1.0% vs always-2M -50.0% (floor: +10 points); 3 organic alloc "
+               "failures under always-2M (need > 0)");
+}
+
+// Carrefour-LP more than the tolerance band below Carrefour-2M on an
+// affected workload contradicts the paper's "never loses more than a few
+// percent" (Figure 3).
+TEST(ChecksTest, BandShape) {
+  const char* band = "carrefour-lp-geq-carrefour";
+  const std::string pass =
+      "Carrefour-LP within tolerance of Carrefour-2M on every measured affected column";
+  ExpectResult(Result({Row("machineA", "LU.B", "Carrefour-2M", -5.0),
+                       Row("machineA", "LU.B", "Carrefour-LP", -40.0)},
+                      band),
+               CheckStatus::kFail, "machineA/LU.B: LP -40.0% vs C2M -5.0%");
+  ExpectResult(Result({Row("machineA", "LU.B", "Carrefour-2M", -5.0),
+                       Row("machineA", "LU.B", "Carrefour-LP", -8.0)},
+                      band),
+               CheckStatus::kPass, pass);
+  ExpectResult(Result({Row("machineA", "LU.B", "Carrefour-2M", -5.0)}, band), CheckStatus::kSkip,
+               "need Carrefour-LP and Carrefour-2M columns on the affected set (run fig2 + fig3)");
   // UA holds the same 6-point band as every other affected column (the old
   // 45-point mass-relocation carve-out is gone)...
-  rows = {Row("machineB", "UA.B", "Carrefour-2M", -5.0, 25.0),
-          Row("machineB", "UA.B", "Carrefour-LP", -40.0, 70.0)};
-  EXPECT_FALSE(AllPassed(EvaluatePaperChecks(rows)));
+  ExpectResult(Result({Row("machineB", "UA.B", "Carrefour-2M", -5.0, 25.0),
+                       Row("machineB", "UA.B", "Carrefour-LP", -40.0, 70.0),
+                       Row("machineA", "LU.B", "Carrefour-2M", -5.0),
+                       Row("machineA", "LU.B", "Carrefour-LP", -50.0)},
+                      band),
+               CheckStatus::kFail,
+               "machineA/LU.B: LP -50.0% vs C2M -5.0%; machineB/UA.B: LP -40.0% vs C2M -5.0%");
   // ...and additionally must show the false-sharing recovery: inside the
   // band but with LAR below plain Carrefour's still fails.
-  rows = {Row("machineB", "UA.B", "Carrefour-2M", -5.0, 25.0),
-          Row("machineB", "UA.B", "Carrefour-LP", -8.0, 12.0)};
-  EXPECT_FALSE(AllPassed(EvaluatePaperChecks(rows)));
-  rows = {Row("machineB", "UA.B", "Carrefour-2M", -5.0, 25.0),
-          Row("machineB", "UA.B", "Carrefour-LP", -8.0, 70.0)};
-  EXPECT_TRUE(AllPassed(EvaluatePaperChecks(rows)));
+  ExpectResult(Result({Row("machineB", "UA.B", "Carrefour-2M", -5.0, 25.0),
+                       Row("machineB", "UA.B", "Carrefour-LP", -8.0, 12.0)},
+                      band),
+               CheckStatus::kFail,
+               "machineB/UA.B: LP -8.0% vs C2M -5.0% (UA requires LAR recovery: LP 12.0% vs "
+               "C2M 25.0%)");
+  ExpectResult(Result({Row("machineB", "UA.B", "Carrefour-2M", -5.0, 25.0),
+                       Row("machineB", "UA.B", "Carrefour-LP", -8.0, 70.0)},
+                      band),
+               CheckStatus::kPass, pass);
+  // The datacenter band carries no UA rider.
+  ExpectResult(Result({Row("epyc8", "UA.B", "Carrefour-2M", -5.0, 25.0),
+                       Row("epyc8", "UA.B", "Carrefour-LP", -8.0, 12.0)},
+                      "carrefour-lp-geq-carrefour-at-datacenter"),
+               CheckStatus::kPass,
+               "Carrefour-LP within tolerance of Carrefour-2M on every measured datacenter "
+               "column");
+}
+
+// The frag sweep's named check reads the faults=off/faults=frag columns.
+TEST(ChecksTest, GracefulUnderFragReadsTheFaultColumns) {
+  const auto rows = [](double lp_frag, double c2m_frag) {
+    return std::vector<ResultRow>{
+        Row("machineA", "SSCA.20", "Carrefour-LP", 20.0, 50.0, "faults=off"),
+        Row("machineA", "SSCA.20", "Carrefour-LP", lp_frag, 50.0, "faults=frag"),
+        Row("machineA", "SSCA.20", "Carrefour-2M", 15.0, 50.0, "faults=off"),
+        Row("machineA", "SSCA.20", "Carrefour-2M", c2m_frag, 50.0, "faults=frag")};
+  };
+  const char* id = "carrefour-lp-graceful-under-frag";
+  ExpectResult(Result(rows(10.0, -30.0), id), CheckStatus::kPass,
+               "frag costs Carrefour-LP 10.0 points vs Carrefour-2M 45.0 (LP bound: 35.0)");
+  ExpectResult(Result(rows(-20.0, -30.0), id), CheckStatus::kFail,
+               "frag costs Carrefour-LP 40.0 points vs Carrefour-2M 45.0 (LP bound: 35.0)");
+  ExpectResult(Result({Row("machineA", "SSCA.20", "Carrefour-LP", 20.0)}, id),
+               CheckStatus::kSkip,
+               "need (machineA, SSCA.20) under Carrefour-LP and Carrefour-2M at faults=off and "
+               "faults=frag (run fault_grace)");
 }
 
 TEST(ChecksTest, SummaryRoundTripEvaluatesIdentically) {
@@ -443,15 +571,6 @@ TEST(ChecksTest, SummaryRoundTripEvaluatesIdentically) {
 
   std::vector<AggregateRow> rejected;
   EXPECT_FALSE(ParseSummaryJson("{\"schema\":\"something-else\"}", &rejected, &error));
-}
-
-TEST(ChecksTest, FailWhenDataContradictsPaper) {
-  // THP *helping* the hot-page workload CG.D on machine B contradicts
-  // Figure 1.
-  const std::vector<ResultRow> rows = {Row("machineB", "CG.D", "Linux-4K", 0.0),
-                                       Row("machineB", "CG.D", "THP", +20.0)};
-  const auto results = EvaluatePaperChecks(rows);
-  EXPECT_FALSE(AllPassed(results));
 }
 
 TEST(ChecksTest, SkipWithoutRequiredColumnsAndIgnoreVariants) {

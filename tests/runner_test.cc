@@ -380,11 +380,16 @@ TEST(SettingsDeathTest, ToolFlagsRejectMalformedValues) {
       {{NUMALP_RUN, "--workload", "CG.Z"}, "--workload: unknown workload 'CG.Z'"},
       {{NUMALP_REPORT, "--format", "bogus"}, "--format: expected md\\|csv\\|jsonl, got 'bogus'"},
   };
-#ifdef NUMALP_TRACE_REPLAY
-  cases.push_back({{NUMALP_TRACE_REPLAY, "--trace-epochs", "3x"},
+#ifdef NUMALP_BENCH
+  cases.push_back({{NUMALP_BENCH, "trace_replay", "--trace-epochs", "3x"},
                    "--trace-epochs: expected an integer in \\["});
-  cases.push_back({{NUMALP_TRACE_REPLAY, "--trace-epochs", "-1"},
+  cases.push_back({{NUMALP_BENCH, "trace_replay", "--trace-epochs", "-1"},
                    "--trace-epochs: expected an integer in \\["});
+  // Only trace_replay's row declares the trace settings.
+  cases.push_back({{NUMALP_BENCH, "fig1_thp_vs_linux", "--trace-epochs", "3"},
+                   "usage: numalp_bench fig1_thp_vs_linux \\[options\\]"});
+  cases.push_back({{NUMALP_BENCH, "fig1", "--epochs", "3"},
+                   "unknown bench 'fig1'\n.*NAME is one of:\n  fig1_thp_vs_linux "});
 #endif
   for (const auto& [args, message] : cases) {
     EXPECT_EXIT(run(args), ::testing::ExitedWithCode(2), message) << args[1] << " " << args[2];
@@ -392,6 +397,21 @@ TEST(SettingsDeathTest, ToolFlagsRejectMalformedValues) {
   EXPECT_EXIT(run({NUMALP_RUN, "--ibs-interval", "5", "--policy", "thp"}),
               ::testing::ExitedWithCode(0), "");
 }
+
+#ifdef NUMALP_BENCH
+// numalp_bench without a NAME runs nothing: it lists the claims table's
+// names and exits 2.
+TEST(SettingsDeathTest, BenchDriverWithoutNameListsTheBenches) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto run = [] {
+    char* argv[] = {const_cast<char*>(NUMALP_BENCH), nullptr};
+    ::execv(argv[0], argv);
+    std::_Exit(127);
+  };
+  EXPECT_EXIT(run(), ::testing::ExitedWithCode(2),
+              "NAME is one of:\n(  [a-z0-9_]+ +[^\n]+\n){16}$");
+}
+#endif
 
 }  // namespace
 }  // namespace numalp

@@ -1,22 +1,13 @@
 // numalp_report — aggregates a directory of JSONL runs (written by the
 // bench/example/tool sinks via --out-dir) into the paper's figures and
 // tables, an optional committable bench_summary.json, and the executable
-// qualitative reproduction checks.
-//
-//   numalp_report [dir|file.jsonl ...]      (default: ./results)
-//                 [--format md|csv|jsonl]   aggregate output format
-//                 [--summary FILE]          write a bench_summary.json
-//                 [--from-summary FILE]     load a committed bench_summary.json
-//                                           instead of JSONL rows (checks run
-//                                           against the baseline artifact)
-//                 [--check]                 evaluate the paper expectations;
-//                                           exit 1 if any present-data check
-//                                           fails (missing columns SKIP)
+// qualitative reproduction checks (--check: exit 1 if any present-data
+// check fails; missing columns SKIP). The flags are the settings rows
+// below; --help prints them.
 //
 // See REPRODUCING.md for the full workflow and DESIGN.md Section 6 for the
 // row schema this consumes.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -25,27 +16,7 @@
 
 #include "src/report/aggregate.h"
 #include "src/report/checks.h"
-
-namespace {
-
-void Usage(std::FILE* out) {
-  std::fprintf(out,
-               "numalp_report — aggregate JSONL results into figures, a summary JSON and"
-               " qualitative checks\n\n"
-               "usage: numalp_report [dir|file.jsonl ...] [options]   (default input:"
-               " ./results)\n"
-               "  --format md|csv|jsonl  aggregate output format (default: md"
-               " figures/tables)\n"
-               "  --summary FILE         also write the aggregates as a bench_summary.json\n"
-               "  --from-summary FILE    load a committed bench_summary.json instead of\n"
-               "                         JSONL rows (e.g. --from-summary BENCH_fig2_fig3.json\n"
-               "                         --check asserts the committed baseline)\n"
-               "  --check                evaluate the paper's qualitative expectations;\n"
-               "                         exit 1 when present data contradicts the paper\n"
-               "  --help                 this message\n");
-}
-
-}  // namespace
+#include "src/report/options.h"
 
 int main(int argc, char** argv) {
   std::vector<std::string> inputs;
@@ -53,39 +24,22 @@ int main(int argc, char** argv) {
   std::string summary_path;
   std::string from_summary_path;
   bool check = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        Usage(stderr);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      Usage(stdout);
-      return 0;
-    } else if (arg == "--format") {
-      format = next();
-      if (format != "md" && format != "csv" && format != "jsonl") {
-        std::fprintf(stderr, "numalp_report: --format: expected md|csv|jsonl, got '%s'\n",
-                     format.c_str());
-        return 2;
-      }
-    } else if (arg == "--summary") {
-      summary_path = next();
-    } else if (arg == "--from-summary") {
-      from_summary_path = next();
-    } else if (arg == "--check") {
-      check = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      Usage(stderr);
-      return 2;
-    } else {
-      inputs.push_back(arg);
-    }
-  }
+  numalp::report::ParseFlags(
+      argc, argv, "numalp_report",
+      "numalp_report — aggregate JSONL results into figures, a summary JSON and qualitative "
+      "checks\n\nusage: numalp_report [dir|file.jsonl ...] [options]   (default input: "
+      "./results)\n",
+      {{"--format", nullptr, numalp::report::OneOf(&format, {"md", "csv", "jsonl"}),
+        "aggregate output format (default: md figures/tables)"},
+       {"--summary", nullptr, numalp::report::Text(&summary_path, "FILE"),
+        "also write the aggregates as a bench_summary.json"},
+       {"--from-summary", nullptr, numalp::report::Text(&from_summary_path, "FILE"),
+        "load a committed bench_summary.json instead of JSONL rows (e.g. --from-summary "
+        "BENCH_fig2_fig3.json --check asserts the committed baseline)"},
+       {"--check", nullptr, numalp::report::Presence(&check),
+        "evaluate the paper's qualitative expectations; exit 1 when present data "
+        "contradicts the paper"}},
+      &inputs);
   if (!from_summary_path.empty()) {
     // Baseline mode: parse the committed summary and evaluate against it —
     // no row loading, no re-aggregation. Flags that only make sense for the

@@ -10,11 +10,15 @@ Both arguments are checkouts of the repository (CI makes BASE_TREE with
 tree's BENCHMARK.json, `perfbench/run.py --trace 0` runs on both trees in
 PAIRS alternating pairs: the tree that runs first swaps every pair, and both
 runs of pair i use seed i + 1. Each tree builds under its own `.bench_build/`.
-The table on stdout gives, per (workload, end-to-end metric), both medians,
-their ratio and the base's interquartile range; a metric whose base IQR is
-wider than its bound is marked unresolved. The metrics, their `better`
-directions and their bounds come from the base's BENCHMARK.json, so a change
-cannot loosen the gate it is judged by.
+A metric is unresolved while the base's interquartile range (IQR) is wider
+than its bound, or its median ratio lies within one IQR of the bound; the
+workload then runs one more pair at a time, up to MAX_PAIRS, before it is
+ruled (`rule`). The table on stdout gives, per (workload, end-to-end metric),
+both medians, their ratio, the base IQR, the pairs run, the smallest worse
+ratio the base spread can resolve, and the verdict. The metrics, their
+`better` directions and their bounds come from the base's BENCHMARK.json, so
+a change cannot loosen the gate it is judged by; no bound is widened and no
+metric dropped.
 
 Then one `--trace 1` sharded-cell run on the change must read
 `core.shard_speedup` >= SHARD_SPEEDUP_FLOOR. The floor is skipped when the
@@ -33,8 +37,10 @@ import subprocess
 import sys
 
 # Five pairs of 20-second runs over the three workloads, plus both builds and
-# the traced run, take about 15 minutes on a 4-vCPU runner.
+# the traced run, take about 15 minutes on a 4-vCPU runner; each extra pair
+# an unresolved workload runs adds about 40 s.
 PAIRS = 5
+MAX_PAIRS = 15
 SECONDS = 20
 SHARD_SPEEDUP_FLOOR = 2.0
 SHARD_MIN_CPUS = 4
@@ -56,10 +62,47 @@ def run(tree, workload, seed, trace):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def is_worse(metric, base, change):
-    if metric["better"] == "lower":
-        return change > base * (1 + metric["bound"])
-    return change < base * (1 - metric["bound"])
+def rule(metric, base, change):
+    """The ruling on one metric from its base and change samples.
+
+    Returns a dict: `worse` when the change median is worse than the base's
+    by more than the bound; `unresolved` when the base IQR (`spread`)
+    exceeds the bound or the median `ratio` lies within one IQR of the
+    bound, so more pairs are needed before either verdict holds;
+    `resolvable`, the smallest worse change/base ratio the spread can tell
+    from noise; and `verdict`, "WORSE", "unresolved" or "ok" in that order.
+    """
+    bound, lower = metric["bound"], metric["better"] == "lower"
+    base_median, change_median = statistics.median(base), statistics.median(change)
+    q1, _, q3 = statistics.quantiles(base, n=4)
+    spread = q3 - q1
+    ratio = change_median / base_median if base_median else float("nan")
+    relative = spread / abs(base_median) if base_median else float("inf")
+    limit = 1 + bound if lower else 1 - bound
+    worse = (change_median > base_median * limit if lower
+             else change_median < base_median * limit)
+    unresolved = relative > bound or abs(ratio - limit) <= relative
+    return {"worse": worse, "unresolved": unresolved, "ratio": ratio, "spread": spread,
+            "resolvable": 1 + relative if lower else max(0.0, 1 - relative),
+            "verdict": "WORSE" if worse else "unresolved" if unresolved else "ok"}
+
+
+def samples(runs, name):
+    return [r["metrics"][name]["value"] for r in runs]
+
+
+def run_pairs(metrics, run_pair):
+    """Runs PAIRS pairs, then one more at a time while any metric is
+    unresolved, up to MAX_PAIRS. run_pair(i) returns pair i's (base result,
+    change result); the lists of base and change results are returned."""
+    base, change = [], []
+    while len(base) < PAIRS or (len(base) < MAX_PAIRS and any(
+            rule(m, samples(base, m["name"]), samples(change, m["name"]))["unresolved"]
+            for m in metrics)):
+        pair = run_pair(len(base))
+        base.append(pair[0])
+        change.append(pair[1])
+    return base, change
 
 
 def failed_share(runs):
@@ -70,38 +113,32 @@ def compare(spec, base_tree, change_tree):
     """Runs the pairs; prints the table and returns the failure messages."""
     failures = []
     print("| workload | metric | base median | change median | change/base | base IQR "
-          "| bound | verdict |")
-    print("|---|---|---|---|---|---|---|---|")
+          "| pairs | resolves | bound | verdict |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     for workload in [w["name"] for w in spec["workloads"]]:
-        results = {"base": [], "change": []}
-        for pair in range(PAIRS):
+        def run_pair(pair, workload=workload):
             sides = [("base", base_tree), ("change", change_tree)]
+            out = {}
             for side, tree in sides if pair % 2 == 0 else reversed(sides):
-                result = run(tree, workload, pair + 1, 0)
-                results[side].append(result)
-                print(f"perf_pairs: {workload} pair {pair + 1}/{PAIRS} {side}: "
-                      f"wall_s {result['metrics']['wall_s']['value']:.4g}", file=sys.stderr)
+                out[side] = run(tree, workload, pair + 1, 0)
+                print(f"perf_pairs: {workload} pair {pair + 1} {side}: "
+                      f"wall_s {out[side]['metrics']['wall_s']['value']:.4g}", file=sys.stderr)
+            return out["base"], out["change"]
+
+        base_runs, change_runs = run_pairs(spec["end_to_end"], run_pair)
         for metric in spec["end_to_end"]:
             name = metric["name"]
-            base = [r["metrics"][name]["value"] for r in results["base"]]
-            change = [r["metrics"][name]["value"] for r in results["change"]]
-            base_median = statistics.median(base)
-            change_median = statistics.median(change)
-            ratio = change_median / base_median if base_median else float("nan")
-            worse = is_worse(metric, base_median, change_median)
-            # A base spread wider than the bound cannot show a regression of
-            # the bound's size; the metric passes but is reported unresolved.
-            q1, _, q3 = statistics.quantiles(base, n=4)
-            spread = q3 - q1
-            verdict = ("WORSE" if worse else
-                       "unresolved" if spread > metric["bound"] * abs(base_median) else "ok")
+            base, change = samples(base_runs, name), samples(change_runs, name)
+            ruling = rule(metric, base, change)
+            base_median, change_median = statistics.median(base), statistics.median(change)
             print(f"| {workload} | {name} | {base_median:.6g} | {change_median:.6g} "
-                  f"| {ratio:.3f} | {spread:.3g} | {metric['bound']} | {verdict} |")
-            if worse:
+                  f"| {ruling['ratio']:.3f} | {ruling['spread']:.3g} | {len(base)} "
+                  f"| {ruling['resolvable']:.3f} | {metric['bound']} | {ruling['verdict']} |")
+            if ruling["worse"]:
                 failures.append(f"{workload} {name}: change median {change_median:.6g} is "
                                 f"worse than base {base_median:.6g} by more than "
                                 f"{metric['bound']:.0%} ({metric['better']} is better)")
-        base_share, change_share = failed_share(results["base"]), failed_share(results["change"])
+        base_share, change_share = failed_share(base_runs), failed_share(change_runs)
         if change_share > base_share:
             failures.append(f"{workload}: the failed cell share grew from {base_share:.2%} "
                             f"to {change_share:.2%}")
