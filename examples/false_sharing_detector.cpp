@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
 
   {
     numalp::report::GridReport report(options, info);
-    report.Run(grid);
+    report.Run(numalp::report::Sweep().AddGrid(grid));
   }
 
   if (options.human()) {

@@ -31,17 +31,13 @@ int main(int argc, char** argv) {
   // The Linux-4K baseline runs too (concurrently), so the THP row carries a
   // real improvement_pct instead of a fake 0 that would poison the pooled
   // qualitative checks.
-  std::vector<numalp::RunSpec> cells(2);
-  cells[0].topo = topo;
-  cells[0].workload = numalp::MakeWorkloadSpec(numalp::BenchmarkId::kCG_D, topo);
-  cells[0].policy = numalp::MakePolicyConfig(numalp::PolicyKind::kLinux4K);
-  cells[0].sim = options.sim;
-  cells[1] = cells[0];
-  cells[1].policy = numalp::MakePolicyConfig(numalp::PolicyKind::kThp);
+  numalp::report::Sweep sweep;
+  sweep.AddBaseline(
+      {topo, numalp::MakeWorkloadSpec(numalp::BenchmarkId::kCG_D, topo), {}, options.sim}, "",
+      0, {numalp::PolicyKind::kThp});
 
   numalp::report::GridReport report(options, info);
-  const std::vector<numalp::RunResult> results =
-      report.RunCells(cells, {{"", -1, 0}, {"", /*baseline=*/0, 0}});
+  const std::vector<numalp::RunResult> results = report.Run(sweep);
   report.Finish();
   const numalp::RunResult& thp = results[1];
   if (!options.human()) {

@@ -49,22 +49,13 @@ int main(int argc, char** argv) {
     spec.regions.push_back(connections);
   }
 
-  std::vector<numalp::RunSpec> cells;
-  std::vector<numalp::report::GridReport::CellMeta> meta;
-  for (const numalp::PolicyKind kind :
-       {numalp::PolicyKind::kLinux4K, numalp::PolicyKind::kThp,
-        numalp::PolicyKind::kCarrefour2M, numalp::PolicyKind::kReactiveOnly,
-        numalp::PolicyKind::kConservativeOnly, numalp::PolicyKind::kCarrefourLp}) {
-    numalp::RunSpec cell;
-    cell.topo = topo;
-    cell.workload = spec;
-    cell.policy = numalp::MakePolicyConfig(kind);
-    cell.sim = options.sim;
-    cells.push_back(cell);
-    meta.push_back({"", /*baseline=*/0, 0});  // cell 0 is the Linux-4K run
-  }
+  numalp::report::Sweep sweep;
+  sweep.AddBaseline({topo, spec, {}, options.sim}, "", 0,
+                    {numalp::PolicyKind::kThp, numalp::PolicyKind::kCarrefour2M,
+                     numalp::PolicyKind::kReactiveOnly, numalp::PolicyKind::kConservativeOnly,
+                     numalp::PolicyKind::kCarrefourLp});
 
   numalp::report::GridReport report(options, info);
-  report.RunCells(cells, meta);
+  report.Run(sweep);
   return 0;
 }

@@ -41,6 +41,6 @@ int main(int argc, char** argv) {
   grid.sim = options.sim;
 
   numalp::report::GridReport report(options, info);
-  report.Run(grid);
+  report.Run(numalp::report::Sweep().AddGrid(grid));
   return 0;
 }

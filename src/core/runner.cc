@@ -176,7 +176,8 @@ namespace internal {
 
 // The caller hands each GridResults its own slice of the executed results,
 // so the recorded indices are relative to this grid's slice start.
-void ExpandGrid(const ExperimentGrid& grid, std::vector<RunSpec>& cells, GridResults& out) {
+void ExpandGrid(const ExperimentGrid& grid, std::vector<RunSpec>& cells, GridResults& out,
+                std::vector<CellPlace>* places) {
   out.num_machines_ = static_cast<int>(grid.machines.size());
   out.num_workloads_ = static_cast<int>(grid.workloads.size());
   out.num_policies_ = static_cast<int>(grid.policies.size());
@@ -208,6 +209,9 @@ void ExpandGrid(const ExperimentGrid& grid, std::vector<RunSpec>& cells, GridRes
         baseline.sim = seeded;
         const int baseline_cell = static_cast<int>(cells.size() - slice_start);
         cells.push_back(baseline);
+        if (places != nullptr) {
+          places->push_back({baseline_cell, s});
+        }
         out.baseline_index_[static_cast<std::size_t>(
             (m * out.num_workloads_ + w) * out.num_seeds_ + s)] = baseline_cell;
 
@@ -228,6 +232,9 @@ void ExpandGrid(const ExperimentGrid& grid, std::vector<RunSpec>& cells, GridRes
           cell.sim = seeded;
           out.cell_index_[flat] = static_cast<int>(cells.size() - slice_start);
           cells.push_back(cell);
+          if (places != nullptr) {
+            places->push_back({baseline_cell, s});
+          }
         }
       }
     }

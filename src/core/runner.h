@@ -98,9 +98,19 @@ struct ExperimentGrid {
 class GridResults;
 
 namespace internal {
+// Where an expanded cell sits in its grid's slice: the position of its
+// (machine, workload, seed) Linux-4K baseline (a baseline's own) and its
+// index on the seed axis.
+struct CellPlace {
+  int baseline = 0;
+  int seed_index = 0;
+};
 // Appends `grid`'s cells to `cells` and fills `out`'s index tables with
-// positions relative to the start of the grid's slice.
-void ExpandGrid(const ExperimentGrid& grid, std::vector<RunSpec>& cells, GridResults& out);
+// positions relative to the start of the grid's slice; with `places`, also
+// appends each cell's CellPlace. The one expansion of a grid into cells:
+// runs and reports both read it.
+void ExpandGrid(const ExperimentGrid& grid, std::vector<RunSpec>& cells, GridResults& out,
+                std::vector<CellPlace>* places = nullptr);
 }  // namespace internal
 
 class GridResults {
@@ -117,7 +127,7 @@ class GridResults {
   friend std::vector<GridResults> RunGrids(const std::vector<ExperimentGrid>& grids,
                                            const ExperimentRunner& runner);
   friend void internal::ExpandGrid(const ExperimentGrid& grid, std::vector<RunSpec>& cells,
-                                   GridResults& out);
+                                   GridResults& out, std::vector<internal::CellPlace>* places);
 
   int CellIndex(int machine, int workload, int policy, int seed) const;
   int BaselineIndex(int machine, int workload, int seed) const;

@@ -12,24 +12,6 @@
 
 namespace numalp::report {
 
-int Sweep::AddBaseline(RunSpec base, const std::string& variant, int seed_index,
-                       const std::vector<PolicyKind>& compared) {
-  base.policy = MakePolicyConfig(PolicyKind::kLinux4K);
-  const int index = static_cast<int>(cells.size());
-  cells.push_back(base);
-  meta.push_back({variant, -1, seed_index});
-  for (const PolicyKind kind : compared) {
-    base.policy = MakePolicyConfig(kind);
-    AddCompared(base, variant, index);
-  }
-  return index;
-}
-
-void Sweep::AddCompared(const RunSpec& cell, const std::string& variant, int baseline) {
-  cells.push_back(cell);
-  meta.push_back({variant, baseline, meta[static_cast<std::size_t>(baseline)].seed_index});
-}
-
 namespace {
 
 using enum BenchmarkId;
@@ -47,12 +29,6 @@ ExperimentGrid Grid(const BenchInputs& in, std::vector<Topology> machines,
   grid.num_seeds = seeds;
   grid.sim = in.options.sim;
   return grid;
-}
-
-Sweep Grids(std::vector<ExperimentGrid> grids) {
-  Sweep sweep;
-  sweep.grids = std::move(grids);
-  return sweep;
 }
 
 RunSpec Cell(const Topology& topo, BenchmarkId bench, const SimConfig& sim,
@@ -89,10 +65,21 @@ Sweep FaultGrace(const BenchInputs& in) {
 // Profile-major, then seed.
 Sweep TraceReplay(const BenchInputs& in) {
   const Topology topo = Topology::MachineA();
+  // The default directory is resolved here, after parsing, so that --help
+  // and an explicit --trace-dir work whatever TMPDIR holds.
+  std::filesystem::path dir = in.trace_dir;
   std::error_code ec;
-  std::filesystem::create_directories(in.trace_dir, ec);
+  if (dir.empty()) {
+    dir = std::filesystem::temp_directory_path(ec) / "numalp_traces";
+    if (ec) {
+      std::fprintf(stderr, "trace_replay: no system temp dir for the default --trace-dir (%s); "
+                   "pass --trace-dir DIR\n", ec.message().c_str());
+      std::exit(2);
+    }
+  }
+  std::filesystem::create_directories(dir, ec);
   if (ec) {
-    std::fprintf(stderr, "trace_replay: cannot create %s: %s\n", in.trace_dir.c_str(),
+    std::fprintf(stderr, "trace_replay: cannot create %s: %s\n", dir.c_str(),
                  ec.message().c_str());
     std::exit(1);
   }
@@ -106,9 +93,8 @@ Sweep TraceReplay(const BenchInputs& in) {
       gen.accesses_per_thread =
           static_cast<std::uint32_t>(in.options.sim.accesses_per_thread_per_epoch);
       gen.epochs = in.trace_epochs;
-      const std::string path = (std::filesystem::path(in.trace_dir) /
-                                ("trace_" + profile + "_s" + std::to_string(s) + ".bin"))
-                                   .string();
+      const std::string path =
+          (dir / ("trace_" + profile + "_s" + std::to_string(s) + ".bin")).string();
       trace::GenerateTrace(gen, path);
       RunSpec base{topo, MakeTraceWorkloadSpec(path), {}, in.options.sim};
       base.sim.seed = gen.seed;
@@ -119,7 +105,6 @@ Sweep TraceReplay(const BenchInputs& in) {
 }
 
 std::vector<Setting> TraceSettings(BenchInputs* in) {
-  in->trace_dir = (std::filesystem::temp_directory_path() / "numalp_traces").string();
   return {{"--trace-dir", nullptr, Text(&in->trace_dir, "DIR"),
            "where generated traces are written (default: system temp dir)"},
           {"--trace-epochs", nullptr, Int(&in->trace_epochs, 0, INT_MAX),
@@ -256,7 +241,7 @@ std::vector<Claim> MakeClaims() {
        // Paper shape: WC +109% on B, WR, wrmem +51%, SSCA +17% on A; CG.D
        // -43% on B, UA.B/UA.C, SPECjbb -6%; most others move a few percent.
        .sweep = [](const BenchInputs& in) {
-         return Grids({Grid(in, MachinesAB(), FullSuite(), {kThp}, 3)});
+         return Sweep().AddGrid(Grid(in, MachinesAB(), FullSuite(), {kThp}, 3));
        },
        .checks = {
            // Schema sanity over every loaded Linux-4K row, whichever bench.
@@ -281,7 +266,7 @@ std::vector<Claim> MakeClaims() {
        // UA.B/UA.C, unlocks THP's benefit on SSCA and SPECjbb, and never
        // costs more than a few percent elsewhere.
        .sweep = [](const BenchInputs& in) {
-         return Grids({Grid(in, MachinesAB(), AffectedSubset(), {kThp, kCarrefourLp}, 3)});
+         return Sweep().AddGrid(Grid(in, MachinesAB(), AffectedSubset(), {kThp, kCarrefourLp}, 3));
        },
        .checks = {
            {.id = "carrefour-lp-recovers-cg-on-machineB", .machines = {"machineB"},
@@ -322,7 +307,7 @@ std::vector<Claim> MakeClaims() {
        // and on UA.B/UA.C, whose page-level false sharing forces
        // interleaving and keeps LAR low.
        .sweep = [](const BenchInputs& in) {
-         return Grids({Grid(in, MachinesAB(), AffectedSubset(), {kThp, kCarrefour2M}, 3)});
+         return Sweep().AddGrid(Grid(in, MachinesAB(), AffectedSubset(), {kThp, kCarrefour2M}, 3));
        },
        .checks = {
            // Paper: THP -17% -> Carrefour-2M +17-ish.
@@ -377,8 +362,9 @@ std::vector<Claim> MakeClaims() {
        // sharing — split-and-localize), SSCA.20 (migration/interleave
        // suffices — the case always-2M handles well).
        .sweep = [](const BenchInputs& in) {
-         return Grids({Grid(in, {Topology::Epyc8(), Topology::Snc16(), Topology::Cxl()},
-                            {kCG_D, kUA_B, kSSCA}, {kThp, kCarrefour2M, kCarrefourLp}, 3)});
+         return Sweep().AddGrid(Grid(in, {Topology::Epyc8(), Topology::Snc16(), Topology::Cxl()},
+                                     {kCG_D, kUA_B, kSSCA}, {kThp, kCarrefour2M, kCarrefourLp},
+                                     3));
        },
        .checks = {
            // Measured (BENCH_datacenter.json): the hot-page gap *widens*
@@ -416,8 +402,9 @@ std::vector<Claim> MakeClaims() {
        // single cross product cannot express.
        .sweep = [](const BenchInputs& in) {
          const std::vector<PolicyKind> all = {kLinux4K, kThp, kCarrefour2M, kCarrefourLp};
-         return Grids({Grid(in, {Topology::MachineB()}, {kCG_D, kUA_C}, all, 3),
-                       Grid(in, {Topology::MachineA()}, {kUA_B}, all, 3)});
+         return Sweep()
+             .AddGrid(Grid(in, {Topology::MachineB()}, {kCG_D, kUA_C}, all, 3))
+             .AddGrid(Grid(in, {Topology::MachineA()}, {kUA_B}, all, 3));
        },
        .checks = {
            // Tables 2/3: page-level false sharing drags UA's LAR down.
@@ -432,8 +419,9 @@ std::vector<Claim> MakeClaims() {
        // reactive alone mis-splits on LAR misestimates (SSCA on A, SPECjbb on
        // B) with no way to re-create the pages it split.
        .sweep = [](const BenchInputs& in) {
-         return Grids({Grid(in, MachinesAB(), AffectedSubset(),
-                            {kCarrefour2M, kConservativeOnly, kReactiveOnly, kCarrefourLp}, 2)});
+         return Sweep().AddGrid(
+             Grid(in, MachinesAB(), AffectedSubset(),
+                  {kCarrefour2M, kConservativeOnly, kReactiveOnly, kCarrefourLp}, 2));
        }},
       {.info = {"fig5_unaffected", "fig5",
                 "Figure 5: THP and Carrefour-LP vs Linux-4K on the unaffected applications"},
@@ -442,7 +430,8 @@ std::vector<Claim> MakeClaims() {
        // Paper shape: EP.C, SP.B and pca, with NUMA issues THP neither caused
        // nor cured, run much faster: Carrefour-2M's component repairs them.
        .sweep = [](const BenchInputs& in) {
-         return Grids({Grid(in, MachinesAB(), UnaffectedSubset(), {kThp, kCarrefourLp}, 3)});
+         return Sweep().AddGrid(
+             Grid(in, MachinesAB(), UnaffectedSubset(), {kThp, kCarrefourLp}, 3));
        }},
       {.info = {"table1_profiling", "table1",
                 "Table 1: fault time, walk misses, LAR, imbalance under Linux-4K vs THP"},
@@ -458,8 +447,9 @@ std::vector<Claim> MakeClaims() {
        // One grid per machine rather than a cross product over unwanted
        // (machine, benchmark) pairs; both run on one pool.
        .sweep = [](const BenchInputs& in) {
-         return Grids({Grid(in, {Topology::MachineB()}, {kCG_D, kUA_C, kWC}, {kLinux4K, kThp}, 3),
-                       Grid(in, {Topology::MachineA()}, {kSSCA, kSPECjbb}, {kLinux4K, kThp}, 3)});
+         return Sweep()
+             .AddGrid(Grid(in, {Topology::MachineB()}, {kCG_D, kUA_C, kWC}, {kLinux4K, kThp}, 3))
+             .AddGrid(Grid(in, {Topology::MachineA()}, {kSSCA, kSPECjbb}, {kLinux4K, kThp}, 3));
        }},
       {.info = {"table2_hotpage_falseshare", "table2",
                 "Table 2: hot-page and false-sharing metrics on machine A"},
@@ -470,8 +460,8 @@ std::vector<Claim> MakeClaims() {
        //   CG.D:    PAMUP 0/8/8, NHP 0/3/3, PSP 18/34/34, imb  0/20/20, LAR 45/45/45
        //   UA.B:    PAMUP 6/6/6, NHP 0/0/0, PSP 16/70/70, imb  9/15/17, LAR 90/61/58
        .sweep = [](const BenchInputs& in) {
-         return Grids({Grid(in, {Topology::MachineA()}, {kSPECjbb, kCG_D, kUA_B},
-                            {kLinux4K, kThp, kCarrefour2M}, 3)});
+         return Sweep().AddGrid(Grid(in, {Topology::MachineA()}, {kSPECjbb, kCG_D, kUA_B},
+                                     {kLinux4K, kThp, kCarrefour2M}, 3));
        }},
       {.info = {"overhead_assessment", "overhead",
                 "Section 4.2: Carrefour-LP overhead vs Reactive / Carrefour-2M / Linux-4K"},
@@ -480,8 +470,8 @@ std::vector<Claim> MakeClaims() {
        // Paper: vs reactive 1-2% (worst ~3.2%), vs Carrefour-2M max 3.7% on
        // A / 3.2% on B, vs Linux-4K < 3% except FT, IS, LU.
        .sweep = [](const BenchInputs& in) {
-         return Grids({Grid(in, MachinesAB(), FullSuite(),
-                            {kReactiveOnly, kCarrefour2M, kCarrefourLp}, 2)});
+         return Sweep().AddGrid(
+             Grid(in, MachinesAB(), FullSuite(), {kReactiveOnly, kCarrefour2M, kCarrefourLp}, 2));
        }},
       {.info = {"vlp_1gb", "vlp1g",
                 "Section 4.4: explicit 1GB pages (libhugetlbfs model) on machine B"},

@@ -12,35 +12,17 @@
 #include <string>
 #include <vector>
 
-#include "src/core/runner.h"
 #include "src/report/checks.h"
 #include "src/report/collector.h"
 #include "src/report/options.h"
 
 namespace numalp::report {
 
-// What a bench runs: declarative grids (executed together on one pool), or,
-// for sweeps the grid cannot express, a flat cell list streamed in order.
-struct Sweep {
-  std::vector<ExperimentGrid> grids;
-  std::vector<RunSpec> cells;
-  std::vector<GridReport::CellMeta> meta;
-
-  // Appends `base` under Linux-4K as a baseline cell, then `base` under each
-  // `compared` policy against it, all tagged (variant, seed_index). Returns
-  // the baseline's index, for AddCompared.
-  int AddBaseline(RunSpec base, const std::string& variant, int seed_index = 0,
-                  const std::vector<PolicyKind>& compared = {});
-  // Appends `cell` as is, compared against the baseline at `baseline` (and
-  // carrying its seed index).
-  void AddCompared(const RunSpec& cell, const std::string& variant, int baseline);
-};
-
 // What a sweep is built from: the parsed uniform settings, plus the values
 // of the settings only some rows declare.
 struct BenchInputs {
   Options options;
-  std::string trace_dir;
+  std::string trace_dir;  // empty: <system temp dir>/numalp_traces
   int trace_epochs = 0;
 };
 

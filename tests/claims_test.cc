@@ -1,7 +1,7 @@
 // The claims table (src/report/claims.h) against the two things that must
 // agree with it: REPRODUCING.md's bench table, row for row in both
-// directions, and the baseline contract of each row's sweep — checked by
-// expanding the sweep, without simulating a cell.
+// directions, and the baseline contract of each row's sweep — checked on
+// the sweep's declared cells, without simulating one.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/runner.h"
 #include "src/report/claims.h"
 
 #ifndef NUMALP_SOURCE_DIR
@@ -92,55 +91,11 @@ TEST(ClaimsDocTest, CheckIdsAreUnique) {
   EXPECT_EQ(ids.size(), 14u);
 }
 
-// One expanded cell: the cell, its baseline's index (its own for a
-// baseline), its seed index.
-struct Expanded {
-  RunSpec spec;
-  int baseline;
-  int seed_index;
-};
-
-// The cells a sweep streams, with the baseline each one's row is computed
-// against: for grids, as GridReport keys them (the latest Linux-4K cell of
-// the same machine, workload and seed); for cell lists, from the meta.
-std::vector<Expanded> Expand(const Sweep& sweep) {
-  std::vector<Expanded> out;
-  if (!sweep.grids.empty()) {
-    std::vector<RunSpec> cells;
-    for (const ExperimentGrid& grid : sweep.grids) {
-      GridResults unused;
-      internal::ExpandGrid(grid, cells, unused);
-    }
-    std::map<std::string, int> baseline_of;
-    std::map<std::string, int> seen;
-    for (const RunSpec& spec : cells) {
-      const int index = static_cast<int>(out.size());
-      const std::string key =
-          spec.topo.name() + "|" + spec.workload.name + "|" + std::to_string(spec.sim.seed);
-      if (spec.policy.kind == PolicyKind::kLinux4K) {
-        baseline_of[key] = index;
-      }
-      const auto it = baseline_of.find(key);
-      const std::string column =
-          spec.topo.name() + "|" + spec.workload.name + "|" + std::string(NameOf(spec.policy.kind));
-      out.push_back({spec, it == baseline_of.end() ? -1 : it->second, seen[column]++});
-    }
-    return out;
-  }
-  EXPECT_EQ(sweep.cells.size(), sweep.meta.size());
-  for (std::size_t i = 0; i < sweep.cells.size() && i < sweep.meta.size(); ++i) {
-    const int baseline = sweep.meta[i].baseline;
-    out.push_back({sweep.cells[i], baseline < 0 ? static_cast<int>(i) : baseline,
-                   sweep.meta[i].seed_index});
-  }
-  return out;
-}
-
 class ClaimGridTest : public ::testing::TestWithParam<std::string> {};
 
-// Every row expands to cells; every cell's baseline streams before it (or
-// is the cell itself) and is a Linux-4K cell on the same machine and
-// workload, at the same seed.
+// Every row declares cells; every cell's declared baseline streams before it
+// (or is the cell itself) and is a Linux-4K cell on the same machine and
+// workload, at the same seed and seed index.
 TEST_P(ClaimGridTest, BaselinesPrecedeTheirCells) {
   const Claim* claim = FindClaim(GetParam());
   ASSERT_NE(claim, nullptr);
@@ -152,13 +107,13 @@ TEST_P(ClaimGridTest, BaselinesPrecedeTheirCells) {
   inputs.trace_dir = (fs::temp_directory_path() / "numalp_claims_test_traces").string();
   inputs.trace_epochs = 1;
   inputs.options.sim.accesses_per_thread_per_epoch = 64;
-  const std::vector<Expanded> cells = Expand(claim->sweep(inputs));
+  const std::vector<Sweep::Cell> cells = claim->sweep(inputs).cells;
   ASSERT_FALSE(cells.empty());
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Expanded& cell = cells[i];
+    const Sweep::Cell& cell = cells[i];
     ASSERT_GE(cell.baseline, 0) << "cell " << i << " has no baseline";
     ASSERT_LE(cell.baseline, static_cast<int>(i)) << "cell " << i;
-    const Expanded& base = cells[static_cast<std::size_t>(cell.baseline)];
+    const Sweep::Cell& base = cells[static_cast<std::size_t>(cell.baseline)];
     EXPECT_EQ(base.spec.policy.kind, PolicyKind::kLinux4K) << "cell " << i;
     EXPECT_EQ(base.baseline, cell.baseline) << "cell " << i << "'s baseline is compared itself";
     EXPECT_EQ(base.spec.topo.name(), cell.spec.topo.name()) << "cell " << i;

@@ -44,31 +44,20 @@ SimConfig TinySim() {
 // The fault_grace shape at unit-test scale: per (profile, seed) one Linux-4K
 // baseline followed by THP and Carrefour-LP cells against it, all rows
 // variant-tagged with the profile name.
-void BuildFaultCells(const std::vector<FaultProfile>& profiles, int seeds,
-                     const SimConfig& base_sim, std::vector<RunSpec>* cells,
-                     std::vector<report::GridReport::CellMeta>* meta) {
+report::Sweep FaultSweep(const std::vector<FaultProfile>& profiles, int seeds,
+                         const SimConfig& base_sim) {
   const Topology topo = Topology::Tiny();
+  report::Sweep sweep;
   for (const FaultProfile profile : profiles) {
     const std::string variant = std::string("faults=") + std::string(NameOf(profile));
     for (int s = 0; s < seeds; ++s) {
-      RunSpec base;
-      base.topo = topo;
-      base.workload = MakeWorkloadSpec(BenchmarkId::kCG_D, topo);
-      base.policy = MakePolicyConfig(PolicyKind::kLinux4K);
-      base.sim = base_sim;
+      RunSpec base{topo, MakeWorkloadSpec(BenchmarkId::kCG_D, topo), {}, base_sim};
       base.sim.seed = 42 + static_cast<std::uint64_t>(s);
       base.sim.faults.profile = profile;
-      const int baseline = static_cast<int>(cells->size());
-      cells->push_back(base);
-      meta->push_back({variant, -1, s});
-      for (const PolicyKind kind : {PolicyKind::kThp, PolicyKind::kCarrefourLp}) {
-        RunSpec cell = base;
-        cell.policy = MakePolicyConfig(kind);
-        cells->push_back(cell);
-        meta->push_back({variant, baseline, s});
-      }
+      sweep.AddBaseline(base, variant, s, {PolicyKind::kThp, PolicyKind::kCarrefourLp});
     }
   }
+  return sweep;
 }
 
 std::string RenderFaultCells(const std::vector<FaultProfile>& profiles, int jobs,
@@ -76,14 +65,11 @@ std::string RenderFaultCells(const std::vector<FaultProfile>& profiles, int jobs
   SimConfig sim = TinySim();
   sim.shards = shards;
   sim.shards_force = true;  // real worker threads even on a busy host
-  std::vector<RunSpec> cells;
-  std::vector<report::GridReport::CellMeta> meta;
-  BuildFaultCells(profiles, /*seeds=*/2, sim, &cells, &meta);
   std::ostringstream out;
   {
     report::GridReport report(std::make_unique<report::JsonlSink>(out), "faults_test",
                               jobs);
-    report.RunCells(cells, meta);
+    report.Run(FaultSweep(profiles, /*seeds=*/2, sim));
   }
   return out.str();
 }
@@ -126,15 +112,12 @@ TEST(FaultDeterminismTest, OffProfileIsByteIdenticalAndInert) {
   sim.faults.large_migrate_fail_pct = 50.0;
   sim.faults.pressure_pct = 50.0;
   ASSERT_FALSE(sim.faults.enabled());
-  std::vector<RunSpec> cells;
-  std::vector<report::GridReport::CellMeta> meta;
-  BuildFaultCells({FaultProfile::kOff}, /*seeds=*/2, sim, &cells, &meta);
   std::ostringstream out;
   std::vector<RunResult> results;
   {
     report::GridReport report(std::make_unique<report::JsonlSink>(out), "faults_test",
                               1);
-    results = report.RunCells(cells, meta);
+    results = report.Run(FaultSweep({FaultProfile::kOff}, /*seeds=*/2, sim));
   }
   EXPECT_EQ(out.str(), plain);
   for (const RunResult& result : results) {
@@ -436,14 +419,12 @@ TEST(ResumeTest, ResumedCellRunMatchesUninterruptedByteForByte) {
   fs::create_directories(full_dir);
   fs::create_directories(killed_dir);
 
-  std::vector<RunSpec> cells;
-  std::vector<report::GridReport::CellMeta> meta;
-  BuildFaultCells({FaultProfile::kOff, FaultProfile::kFrag}, /*seeds=*/2, TinySim(),
-                  &cells, &meta);
+  const report::Sweep sweep =
+      FaultSweep({FaultProfile::kOff, FaultProfile::kFrag}, /*seeds=*/2, TinySim());
 
   {
     report::GridReport report(OutDirOptions(full_dir), info);
-    report.RunCells(cells, meta);
+    report.Run(sweep);
   }
 
   // The killed run: same bytes, dead after 7 of 12 cells — mid-variant, so
@@ -457,7 +438,7 @@ TEST(ResumeTest, ResumedCellRunMatchesUninterruptedByteForByte) {
   resume_options.resume = true;
   {
     report::GridReport report(resume_options, info);
-    report.RunCells(cells, meta);
+    report.Run(sweep);
   }
 
   EXPECT_EQ(ReadFile(killed_dir / "faultgrace.csv"), ReadFile(full_dir / "faultgrace.csv"));
@@ -484,10 +465,11 @@ TEST(ResumeTest, ResumedGridRunMatchesUninterruptedByteForByte) {
   grid.num_seeds = 2;
   grid.sim = TinySim();
   grid.sim.faults.profile = FaultProfile::kFrag;
+  const report::Sweep sweep = report::Sweep().AddGrid(grid);
 
   {
     report::GridReport report(OutDirOptions(full_dir), info);
-    report.Run(grid);
+    report.Run(sweep);
   }
 
   // Die mid-grid: the recovered prefix holds Linux-4K baselines whose cycles
@@ -501,7 +483,7 @@ TEST(ResumeTest, ResumedGridRunMatchesUninterruptedByteForByte) {
   resume_options.resume = true;
   {
     report::GridReport report(resume_options, info);
-    report.Run(grid);
+    report.Run(sweep);
   }
 
   EXPECT_EQ(ReadFile(killed_dir / "gridresume.csv"), ReadFile(full_dir / "gridresume.csv"));
@@ -513,11 +495,12 @@ TEST(ResumeTest, ResumedGridRunMatchesUninterruptedByteForByte) {
 }
 
 // A finished two-row --out-dir run whose manifest `corrupt` rewrites (it
-// gets the manifest text and the directory); resuming it must then exit 2
-// naming the manifest and matching `expected`. Each case once exited 0.
+// gets the manifest text and the directory); resuming it over the sweep's
+// first `resumed_cells` cells must then exit 2 naming the manifest and
+// matching `expected`. Each case once exited 0.
 void ExpectManifestRejected(const std::function<std::string(const std::string&,
                                                             const fs::path&)>& corrupt,
-                            const std::string& expected) {
+                            const std::string& expected, std::size_t resumed_cells = 2) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const report::ToolInfo info = {"faults_test", "manifest", "manifest test"};
   // Named by the test, not the pid: the threadsafe death test re-runs the
@@ -533,18 +516,20 @@ void ExpectManifestRejected(const std::function<std::string(const std::string&,
   grid.policies = {PolicyKind::kThp};
   grid.num_seeds = 1;
   grid.sim = TinySim();
+  report::Sweep sweep = report::Sweep().AddGrid(grid);
   {
     report::GridReport report(OutDirOptions(dir), info);
-    report.Run(grid);
+    report.Run(sweep);
   }
   const fs::path manifest = dir / "manifest.manifest.json";
   WriteFile(manifest, corrupt(ReadFile(manifest), dir));
   report::Options resume_options = OutDirOptions(dir);
   resume_options.resume = true;
+  sweep.cells.resize(resumed_cells);
   EXPECT_EXIT(
       {
         report::GridReport report(resume_options, info);
-        report.Run(grid);
+        report.Run(sweep);
       },
       ::testing::ExitedWithCode(2), "faults_test: .*manifest.manifest.json: " + expected);
   fs::remove_all(dir);
@@ -595,6 +580,14 @@ TEST(ResumeDeathTest, OffsetPastTheEndIsRejected) {
                                   "\"jsonl_bytes\":" + std::to_string(size + 1));
       },
       "\"jsonl_bytes\": [0-9]+ is past the end of .*manifest.jsonl");
+}
+
+// A manifest that recorded more cells than the resumed sweep has: a
+// Carrefour-LP numalp_run resumed as a Linux-4K one kept the row the second
+// run never asked for.
+TEST(ResumeDeathTest, MoreCellsThanTheSweepIsRejected) {
+  ExpectManifestRejected([](const std::string& text, const fs::path&) { return text; },
+                         "\"cells_done\": 2 exceeds the sweep's 1 cells", /*resumed_cells=*/1);
 }
 
 }  // namespace

@@ -216,7 +216,7 @@ std::string RunGridThroughReport(int jobs) {
   grid.num_seeds = 2;
   grid.sim = TinySim();
   GridReport report(std::make_unique<JsonlSink>(stream), "test", jobs);
-  report.Run(grid);
+  report.Run(Sweep().AddGrid(grid));
   report.Finish();
   return stream.str();
 }
@@ -240,7 +240,7 @@ TEST(GridReportTest, RowsCarryCoordinatesAndBaselineImprovement) {
   grid.sim = TinySim();
   {
     GridReport report(std::make_unique<JsonlSink>(stream), "test", 4);
-    report.Run(grid);
+    report.Run(Sweep().AddGrid(grid));
   }
   std::istringstream lines(stream.str());
   std::string line;
@@ -270,19 +270,15 @@ TEST(GridReportTest, RowsCarryCoordinatesAndBaselineImprovement) {
             ImprovementPct(results.Baseline(0, 0, 0), results.At(0, 0, 0, 0)));
 }
 
-TEST(GridReportTest, RunCellsUsesMetaBaselineAndVariant) {
+TEST(GridReportTest, RunUsesDeclaredBaselineAndVariant) {
   std::ostringstream stream;
   const Topology topo = Topology::Tiny();
-  std::vector<RunSpec> cells(2);
-  cells[0].topo = topo;
-  cells[0].workload = MakeWorkloadSpec(BenchmarkId::kWC, topo);
-  cells[0].policy = MakePolicyConfig(PolicyKind::kLinux4K);
-  cells[0].sim = TinySim();
-  cells[1] = cells[0];
-  cells[1].policy = MakePolicyConfig(PolicyKind::kThp);
+  Sweep sweep;
+  sweep.AddBaseline({topo, MakeWorkloadSpec(BenchmarkId::kWC, topo), {}, TinySim()},
+                    "sweep=a", 0, {PolicyKind::kThp});
   {
     GridReport report(std::make_unique<JsonlSink>(stream), "test", 2);
-    report.RunCells(cells, {{"sweep=a", -1, 0}, {"sweep=a", 0, 0}});
+    report.Run(sweep);
   }
   std::istringstream lines(stream.str());
   std::string line;
@@ -718,7 +714,7 @@ TEST(GridReportTest, OutDirWithoutResumeTruncates) {
   for (int run = 0; run < 2; ++run) {
     {
       GridReport report(options, info);
-      report.Run(grid);
+      report.Run(Sweep().AddGrid(grid));
     }
     std::vector<std::string> files;
     for (const char* file : {"outdir.csv", "outdir.jsonl", "outdir.manifest.json"}) {

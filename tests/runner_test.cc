@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -125,7 +127,7 @@ TEST(ExperimentRunnerTest, GridJsonlIsByteIdenticalAcrossJobsAndShards) {
     std::ostringstream out;
     {
       report::GridReport report(std::make_unique<report::JsonlSink>(out), "runner_test", jobs);
-      report.Run(grid);
+      report.Run(report::Sweep().AddGrid(grid));
     }
     return out.str();
   };
@@ -410,6 +412,39 @@ TEST(SettingsDeathTest, BenchDriverWithoutNameListsTheBenches) {
   };
   EXPECT_EXIT(run(), ::testing::ExitedWithCode(2),
               "NAME is one of:\n(  [a-z0-9_]+ +[^\n]+\n){16}$");
+}
+
+// trace_replay resolves its default --trace-dir after parsing, and only when
+// the flag is absent: --help and an explicit --trace-dir work whatever TMPDIR
+// holds, and a default that cannot be resolved exits 2 naming the flag
+// (each case once aborted on an uncaught filesystem_error).
+TEST(SettingsDeathTest, TraceDirDefaultIsResolvedAfterParsing) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string trace_dir =
+      (std::filesystem::temp_directory_path() / "numalp_runner_test_traces").string();
+  const auto run = [](std::vector<std::string> args) {
+    ::setenv("TMPDIR", "/nonexistent_numalp_tmpdir", 1);
+    if (std::freopen("/dev/null", "w", stdout) == nullptr) {
+      std::_Exit(127);
+    }
+    args.insert(args.begin(), {NUMALP_BENCH, "trace_replay"});
+    std::vector<char*> argv;
+    for (std::string& arg : args) {
+      argv.push_back(arg.data());
+    }
+    argv.push_back(nullptr);
+    ::execv(argv[0], argv.data());
+    std::_Exit(127);
+  };
+  const std::vector<std::string> tiny = {"--trace-epochs", "1", "--epochs", "1",
+                                         "--accesses", "64", "--jobs", "2"};
+  std::vector<std::string> explicit_dir = tiny;
+  explicit_dir.insert(explicit_dir.end(), {"--trace-dir", trace_dir});
+  EXPECT_EXIT(run({"--help"}), ::testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(run(explicit_dir), ::testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(run(tiny), ::testing::ExitedWithCode(2),
+              "trace_replay: no system temp dir for the default --trace-dir");
+  std::filesystem::remove_all(trace_dir);
 }
 #endif
 

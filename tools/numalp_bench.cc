@@ -48,10 +48,6 @@ int main(int argc, char** argv) {
       numalp::report::ParseToolArgs(argc - 1, argv + 1, claim->info, extras, "numalp_bench");
   const numalp::report::Sweep sweep = claim->sweep(inputs);
   numalp::report::GridReport report(inputs.options, claim->info);
-  if (!sweep.grids.empty()) {
-    report.Run(sweep.grids);
-  } else {
-    report.RunCells(sweep.cells, sweep.meta);
-  }
+  report.Run(sweep);
   return 0;
 }

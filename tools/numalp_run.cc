@@ -73,25 +73,21 @@ int main(int argc, char** argv) {
     workload = numalp::MakeWorkloadSpec(bench, topo);
   }
 
-  std::vector<numalp::RunSpec> cells(1);
-  cells[0].topo = topo;
-  cells[0].workload = workload;
-  cells[0].policy = numalp::MakePolicyConfig(numalp::PolicyKind::kLinux4K);
-  cells[0].sim = options.sim;
-  std::vector<numalp::report::GridReport::CellMeta> meta = {{"", -1, 0}};
+  numalp::report::Sweep sweep;
+  sweep.AddBaseline({topo, workload, {}, options.sim}, "");
   if (policy != numalp::PolicyKind::kLinux4K) {
-    cells.push_back(cells[0]);
-    cells[1].policy = numalp::MakePolicyConfig(policy);
-    meta.push_back({"", /*baseline=*/0, 0});
+    numalp::RunSpec cell = sweep.cells[0].spec;
+    cell.policy = numalp::MakePolicyConfig(policy);
+    sweep.AddCompared(cell, "", 0);
   }
   // Capture records the measured cell (the last one): the replayable
   // artifact of interest is the stream the policy under study saw.
   if (!capture_file.empty()) {
-    cells.back().workload.capture_file = capture_file;
+    sweep.cells.back().spec.workload.capture_file = capture_file;
   }
 
   numalp::report::GridReport report(options, info);
-  const std::vector<numalp::RunResult> results = report.RunCells(cells, meta);
+  const std::vector<numalp::RunResult> results = report.Run(sweep);
   report.Finish();
 
   if (per_epoch && options.human()) {
