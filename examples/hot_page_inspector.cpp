@@ -3,7 +3,8 @@
 // sees it — demonstrating the hot-page effect (Section 3.1) and how the 6%
 // threshold identifies the pages that must be split rather than migrated.
 // The run itself is also emitted as a ResultRow (nhp carries the count);
-// the per-page listing is prose and prints only in the default md mode.
+// the per-page listing is prose and prints only in the default md mode,
+// from a second run of the THP cell (rows keep no per-page data).
 //
 //   ./hot_page_inspector [--machine A|B] [standard flags]
 #include <algorithm>
@@ -14,6 +15,7 @@
 
 #include "src/core/config.h"
 #include "src/core/runner.h"
+#include "src/core/simulation.h"
 #include "src/metrics/numa_metrics.h"
 #include "src/report/collector.h"
 #include "src/report/options.h"
@@ -31,10 +33,9 @@ int main(int argc, char** argv) {
   // The Linux-4K baseline runs too (concurrently), so the THP row carries a
   // real improvement_pct instead of a fake 0 that would poison the pooled
   // qualitative checks.
+  const numalp::WorkloadSpec cg = numalp::MakeWorkloadSpec(numalp::BenchmarkId::kCG_D, topo);
   numalp::report::Sweep sweep;
-  sweep.AddBaseline(
-      {topo, numalp::MakeWorkloadSpec(numalp::BenchmarkId::kCG_D, topo), {}, options.sim}, "",
-      0, {numalp::PolicyKind::kThp});
+  sweep.AddBaseline({topo, cg, {}, options.sim}, "", 0, {numalp::PolicyKind::kThp});
 
   numalp::report::GridReport report(options, info);
   const std::vector<numalp::RunResult> results = report.Run(sweep);
@@ -44,10 +45,16 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Results keep only the page metrics, so the listing comes from a rerun
+  // of the THP cell: runs are deterministic, so its pages are the row's.
+  numalp::Simulation thp_sim(topo, cg, numalp::MakePolicyConfig(numalp::PolicyKind::kThp),
+                             options.sim);
+  thp_sim.Run();
+
   // Sort the run's page aggregates by access share.
   std::uint64_t total = 0;
   std::vector<std::pair<numalp::Addr, const numalp::PageAgg*>> pages;
-  for (const auto& [base, agg] : thp.cumulative_pages) {
+  for (const auto& [base, agg] : thp_sim.cumulative_pages()) {
     if (agg.dram > 0) {
       total += agg.total;
       pages.emplace_back(base, &agg);

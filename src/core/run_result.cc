@@ -43,6 +43,13 @@ void RunResult::RecordAllocatorState(const PhysicalMemory& phys) {
   }
 }
 
+void RunResult::RecordPageMetrics(const PageAggMap& cumulative_pages) {
+  pamup_pct = numalp::PamupPct(cumulative_pages);
+  nhp = CountHotPages(cumulative_pages);
+  psp_pct = numalp::PspPct(cumulative_pages);
+  sampled_pages = cumulative_pages.size();
+}
+
 double RunResult::LarPct() const {
   const std::uint64_t dram = totals.dram_accesses();
   return dram == 0
@@ -81,12 +88,6 @@ double RunResult::MaxFaultTimeMs(double clock_ghz) const {
   }
   return static_cast<double>(max_fault) / (clock_ghz * 1e6);
 }
-
-double RunResult::PamupPct() const { return numalp::PamupPct(cumulative_pages); }
-
-int RunResult::Nhp() const { return CountHotPages(cumulative_pages); }
-
-double RunResult::PspPct() const { return numalp::PspPct(cumulative_pages); }
 
 double RunResult::RuntimeMs(double clock_ghz) const {
   return static_cast<double>(total_cycles) / (clock_ghz * 1e6);

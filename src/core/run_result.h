@@ -3,6 +3,7 @@
 #ifndef NUMALP_SRC_CORE_RUN_RESULT_H_
 #define NUMALP_SRC_CORE_RUN_RESULT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -70,8 +71,14 @@ struct RunResult {
   std::uint64_t total_splits = 0;
   std::uint64_t total_promotions = 0;
   Cycles total_policy_overhead = 0;
-  // IBS page aggregates merged over the whole run (mapping granularity).
-  PageAggMap cumulative_pages;
+  // The paper's page metrics (Table 2) over the IBS page aggregates merged
+  // across the whole run (mapping granularity), and how many pages those
+  // aggregates hold. Filled once at run end by RecordPageMetrics; the map
+  // itself stays with the Simulation (Simulation::cumulative_pages).
+  double pamup_pct = 0.0;
+  int nhp = 0;
+  double psp_pct = 0.0;
+  std::size_t sampled_pages = 0;
   double final_thp_coverage = 0.0;
 
   // Cell health (DESIGN.md Section 12): "ok", "deadline" (the watchdog
@@ -114,6 +121,9 @@ struct RunResult {
   void AddEpoch(const EpochRecord& record, const EpochCounters& counters);
   // Fills the buddy-allocator telemetry from the run-end allocator state.
   void RecordAllocatorState(const PhysicalMemory& phys);
+  // Fills PAMUP, NHP, PSP and the page count from the run's cumulative
+  // page aggregates.
+  void RecordPageMetrics(const PageAggMap& cumulative_pages);
 
   // --- Paper-metric helpers ----------------------------------------------
   double LarPct() const;
@@ -125,9 +135,9 @@ struct RunResult {
   double SteadyMaxFaultSharePct() const;
   // Max over cores of fault-handler time in milliseconds.
   double MaxFaultTimeMs(double clock_ghz) const;
-  double PamupPct() const;
-  int Nhp() const;
-  double PspPct() const;
+  double PamupPct() const { return pamup_pct; }
+  int Nhp() const { return nhp; }
+  double PspPct() const { return psp_pct; }
   double RuntimeMs(double clock_ghz) const;
 };
 

@@ -153,8 +153,7 @@ RunResult Simulation::Run() {
   }
   result.RecordAllocatorState(phys_);
   result.speculation = engine_->speculation();
-  result.cumulative_pages = std::move(cumulative_pages_);
-  cumulative_pages_ = PageAggMap{};
+  result.RecordPageMetrics(cumulative_pages_);
   return result;
 }
 

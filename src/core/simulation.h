@@ -46,6 +46,12 @@ class Simulation {
 
   RunResult Run();
 
+  // The IBS page aggregates merged over the run (mapping granularity), from
+  // which Run() computes RunResult's PAMUP, NHP and PSP; complete once Run()
+  // has returned. Results keep only those scalars, so a caller that wants
+  // the per-page listing reads it here.
+  const PageAggMap& cumulative_pages() const { return cumulative_pages_; }
+
   // Effective intra-cell shard count after the oversubscription clamp
   // (DESIGN.md Section 10): host threads running the speculative windows.
   int shard_count() const { return engine_->shards(); }

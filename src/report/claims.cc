@@ -81,7 +81,7 @@ Sweep TraceReplay(const BenchInputs& in) {
   if (ec) {
     std::fprintf(stderr, "trace_replay: cannot create %s: %s\n", dir.c_str(),
                  ec.message().c_str());
-    std::exit(1);
+    std::exit(2);
   }
   Sweep sweep;
   for (const std::string& profile : trace::TracegenProfiles()) {

@@ -188,6 +188,12 @@ void Workload::FillBatch(int thread, std::size_t n, std::vector<WorkloadAccess>&
     out.push_back(access);
     ++produced;
   }
+  if (state.setup_cursor != 0 && state.setup_cursor == state.setup.size()) {
+    // Drained: the queue is never read again, so free it rather than keep
+    // it for the rest of the run (an empty queue reads as drained).
+    decltype(state.setup)().swap(state.setup);
+    state.setup_cursor = 0;
+  }
   // Barrier: for the whole epoch in which any thread still initializes,
   // finished threads spin on their scratch page instead of racing ahead and
   // first-touching pages that belong to another thread's init loop.

@@ -99,7 +99,7 @@ class Workload : public AccessSource {
   struct ThreadRt {
     Rng rng{0};
     // Setup queue: flat list of (region, page) indices this thread must
-    // first-touch, consumed in order.
+    // first-touch, consumed in order and freed by FillBatch once drained.
     std::vector<std::pair<std::uint32_t, std::uint64_t>> setup;
     std::size_t setup_cursor = 0;
     std::uint64_t steady_issued = 0;

@@ -55,8 +55,8 @@ inline NamedFields EpochFields(const EpochRecord& record) {
           {"est_split_lar", ExactDouble(record.est_split_lar)}};
 }
 
-// Run-level totals, including the cumulative page aggregates that drive the
-// PAMUP/NHP/PSP reporting.
+// Run-level totals, including the cumulative page count and the PAMUP/NHP/PSP
+// the run computed from its cumulative page aggregates.
 inline NamedFields RunFields(const RunResult& run) {
   std::string node_requests;
   for (const std::uint64_t count : run.node_request_totals) {
@@ -75,7 +75,7 @@ inline NamedFields RunFields(const RunResult& run) {
           {"walk_l2_miss", std::to_string(run.totals.walk_l2_miss)},
           {"node_request_totals", node_requests},
           {"final_thp_coverage", ExactDouble(run.final_thp_coverage)},
-          {"cumulative_pages", std::to_string(run.cumulative_pages.size())},
+          {"cumulative_pages", std::to_string(run.sampled_pages)},
           {"pamup_pct", ExactDouble(run.PamupPct())},
           {"nhp", std::to_string(run.Nhp())},
           {"psp_pct", ExactDouble(run.PspPct())}};

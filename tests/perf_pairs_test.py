@@ -5,7 +5,8 @@ Two shapes come from measured gate runs: perfbench paper-grid `setup_s`,
 whose base interquartile range is 20-25% of its median against a 0.25
 bound (an A/B whose change never ran set-up read 1.29x), and sharded-cell
 `wall_s`, whose base IQR once reached 55% of its median. Both must run more
-pairs instead of ruling at five; a tight sample must rule at five.
+pairs instead of ruling at five; a tight sample must rule at five. The
+pairs a change won are counted pair by pair, a tie for neither side.
 
     python3 tests/perf_pairs_test.py
 """
@@ -86,6 +87,28 @@ class RuleTest(unittest.TestCase):
         self.assertEqual(perf_pairs.rule(WALL, base, change)["verdict"], "ok")
         tight = dict(WALL, bound=0.15)
         self.assertEqual(perf_pairs.rule(tight, base, change)["verdict"], "WORSE")
+
+
+class PairsWonTest(unittest.TestCase):
+    def test_counts_strict_wins_in_the_metrics_direction(self):
+        base = [10.0, 10.0, 10.0, 10.0]
+        change = [9.0, 11.0, 10.0, 9.5]
+        self.assertEqual(perf_pairs.pairs_won(WALL, base, change), 2)
+        # The same samples read as a higher-is-better metric: one win.
+        self.assertEqual(perf_pairs.pairs_won(RATE, base, change), 1)
+
+    def test_a_tie_counts_for_neither_side(self):
+        base = [5.0, 6.0, 7.0]
+        self.assertEqual(perf_pairs.pairs_won(WALL, base, list(base)), 0)
+        self.assertEqual(perf_pairs.pairs_won(RATE, base, list(base)), 0)
+
+    def test_pairs_are_matched_by_index_not_by_rank(self):
+        # Sorted, no change sample would beat its base counterpart; paired,
+        # the first does.
+        base = [3.0, 1.0]
+        change = [2.0, 4.0]
+        self.assertEqual(perf_pairs.pairs_won(WALL, sorted(base), sorted(change)), 0)
+        self.assertEqual(perf_pairs.pairs_won(WALL, base, change), 1)
 
 
 if __name__ == "__main__":

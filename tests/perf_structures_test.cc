@@ -506,12 +506,26 @@ TEST(TlbEngineIdentityTest, LiveCountersRetireAcrossInvalidatePaths) {
 // chunks, partitioned, sequential, incremental) plus the setup and barrier
 // phases must emit byte-identical access streams from the run-batched
 // generator and the seed's one-call-per-access generator
-// (tests/oracles/per_call_generator.h).
+// (tests/oracles/per_call_generator.h). Every input first-touches for
+// several barrier epochs at 512 accesses each, so the batched generator
+// frees each drained setup queue mid-run while the oracle keeps its own;
+// LU.B on machine B adds the 64-thread machine's queues.
 TEST(BatchedGenerationTest, MatchesPerCallOracleAcrossSuite) {
-  const Topology topo = Topology::MachineA();
+  struct Input {
+    Topology topo;
+    BenchmarkId id;
+    int epochs;
+  };
+  std::vector<Input> inputs;
   for (const BenchmarkId id : {BenchmarkId::kCG_D, BenchmarkId::kUA_B, BenchmarkId::kSSCA,
                                BenchmarkId::kWrmem, BenchmarkId::kSPECjbb,
                                BenchmarkId::kLU_B}) {
+    inputs.push_back({Topology::MachineA(), id, 12});
+  }
+  inputs.push_back({Topology::MachineB(), BenchmarkId::kLU_B, 8});
+  for (const Input& input : inputs) {
+    const Topology& topo = input.topo;
+    const BenchmarkId id = input.id;
     const WorkloadSpec spec = MakeWorkloadSpec(id, topo);
     PhysicalMemory phys_fast(topo);
     ThpState thp_fast;
@@ -525,7 +539,9 @@ TEST(BatchedGenerationTest, MatchesPerCallOracleAcrossSuite) {
 
     std::vector<WorkloadAccess> batch_fast;
     std::vector<WorkloadAccess> batch_ref;
-    for (int epoch = 0; epoch < 12; ++epoch) {
+    int setup_epochs = 0;
+    for (int epoch = 0; epoch < input.epochs; ++epoch) {
+      setup_epochs += fast.SetupDone() ? 0 : 1;
       fast.BeginEpoch();
       oracle_tables.BeginEpoch();
       for (int t = 0; t < topo.num_cores(); ++t) {
@@ -534,13 +550,17 @@ TEST(BatchedGenerationTest, MatchesPerCallOracleAcrossSuite) {
         ASSERT_EQ(batch_fast.size(), batch_ref.size());
         for (std::size_t i = 0; i < batch_fast.size(); ++i) {
           ASSERT_EQ(batch_fast[i].va, batch_ref[i].va)
-              << NameOf(id) << " epoch " << epoch << " thread " << t << " access " << i;
+              << NameOf(id) << "/" << topo.name() << " epoch " << epoch << " thread " << t
+              << " access " << i;
           ASSERT_EQ(batch_fast[i].region, batch_ref[i].region);
           ASSERT_EQ(batch_fast[i].write, batch_ref[i].write);
         }
       }
       ASSERT_EQ(fast.SetupDone(), oracle_tables.SetupDone());
     }
+    // Every input's setup spans several barrier epochs and ends in the run.
+    EXPECT_GE(setup_epochs, 2) << NameOf(id) << "/" << topo.name();
+    EXPECT_TRUE(fast.SetupDone()) << NameOf(id) << "/" << topo.name();
   }
 }
 

@@ -417,11 +417,16 @@ TEST(SettingsDeathTest, BenchDriverWithoutNameListsTheBenches) {
 // trace_replay resolves its default --trace-dir after parsing, and only when
 // the flag is absent: --help and an explicit --trace-dir work whatever TMPDIR
 // holds, and a default that cannot be resolved exits 2 naming the flag
-// (each case once aborted on an uncaught filesystem_error).
+// (each case once aborted on an uncaught filesystem_error). A --trace-dir
+// that cannot be created exits 2 like every other unusable setting.
 TEST(SettingsDeathTest, TraceDirDefaultIsResolvedAfterParsing) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const std::string trace_dir =
-      (std::filesystem::temp_directory_path() / "numalp_runner_test_traces").string();
+  const std::filesystem::path tmp = std::filesystem::temp_directory_path();
+  const std::string trace_dir = (tmp / "numalp_runner_test_traces").string();
+  const std::string not_a_dir = (tmp / "numalp_runner_test_not_a_dir").string();
+  std::FILE* file = std::fopen(not_a_dir.c_str(), "w");
+  ASSERT_NE(file, nullptr);
+  std::fclose(file);
   const auto run = [](std::vector<std::string> args) {
     ::setenv("TMPDIR", "/nonexistent_numalp_tmpdir", 1);
     if (std::freopen("/dev/null", "w", stdout) == nullptr) {
@@ -444,7 +449,12 @@ TEST(SettingsDeathTest, TraceDirDefaultIsResolvedAfterParsing) {
   EXPECT_EXIT(run(explicit_dir), ::testing::ExitedWithCode(0), "");
   EXPECT_EXIT(run(tiny), ::testing::ExitedWithCode(2),
               "trace_replay: no system temp dir for the default --trace-dir");
+  std::vector<std::string> uncreatable = tiny;
+  uncreatable.insert(uncreatable.end(), {"--trace-dir", not_a_dir + "/sub"});
+  EXPECT_EXIT(run(uncreatable), ::testing::ExitedWithCode(2),
+              "trace_replay: cannot create .*numalp_runner_test_not_a_dir/sub: ");
   std::filesystem::remove_all(trace_dir);
+  std::filesystem::remove(not_a_dir);
 }
 #endif
 

@@ -4,6 +4,7 @@
 
 #include "src/core/config.h"
 #include "src/core/simulation.h"
+#include "src/metrics/numa_metrics.h"
 #include "src/topo/topology.h"
 #include "src/workloads/spec.h"
 
@@ -172,6 +173,27 @@ TEST(SimulationTest, ImprovementPctIsAntisymmetricAroundBaseline) {
   const Topology topo = Topology::MachineA();
   const RunResult a = RunShort(topo, BenchmarkId::kBT_B, PolicyKind::kLinux4K);
   EXPECT_DOUBLE_EQ(ImprovementPct(a, a), 0.0);
+}
+
+// A result keeps PAMUP, NHP, PSP and the page count, not the run's page map:
+// the stored values equal the metric functions over the map the Simulation
+// keeps.
+TEST(SimulationTest, ResultKeepsThePageMetricsOfTheCumulativeMap) {
+  const Topology topo = Topology::MachineB();
+  SimConfig sim;
+  sim.accesses_per_thread_per_epoch = 512;
+  sim.max_epochs = 12;
+  for (const PolicyKind kind : {PolicyKind::kThp, PolicyKind::kCarrefourLp}) {
+    Simulation simulation(topo, MakeWorkloadSpec(BenchmarkId::kCG_D, topo),
+                          MakePolicyConfig(kind), sim);
+    const RunResult result = simulation.Run();
+    const PageAggMap& pages = simulation.cumulative_pages();
+    ASSERT_GT(pages.size(), 0u) << NameOf(kind);
+    EXPECT_EQ(result.sampled_pages, pages.size()) << NameOf(kind);
+    EXPECT_EQ(result.PamupPct(), PamupPct(pages)) << NameOf(kind);
+    EXPECT_EQ(result.Nhp(), CountHotPages(pages)) << NameOf(kind);
+    EXPECT_EQ(result.PspPct(), PspPct(pages)) << NameOf(kind);
+  }
 }
 
 // Every policy kind must run to completion on a tiny machine — a smoke sweep

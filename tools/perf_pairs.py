@@ -14,7 +14,8 @@ A metric is unresolved while the base's interquartile range (IQR) is wider
 than its bound, or its median ratio lies within one IQR of the bound; the
 workload then runs one more pair at a time, up to MAX_PAIRS, before it is
 ruled (`rule`). The table on stdout gives, per (workload, end-to-end metric),
-both medians, their ratio, the base IQR, the pairs run, the smallest worse
+both medians, their ratio, the base IQR, the pairs run, how many of them the
+change won (`pairs_won`; a tie counts for neither side), the smallest worse
 ratio the base spread can resolve, and the verdict. The metrics, their
 `better` directions and their bounds come from the base's BENCHMARK.json, so
 a change cannot loosen the gate it is judged by; no bound is widened and no
@@ -87,6 +88,14 @@ def rule(metric, base, change):
             "verdict": "WORSE" if worse else "unresolved" if unresolved else "ok"}
 
 
+def pairs_won(metric, base, change):
+    """How many pairs the change won on one metric: pair i is won when
+    change[i] is strictly better than base[i] in the metric's direction. A
+    tie counts for neither side, as in the rule a claimed gain is judged by."""
+    lower = metric["better"] == "lower"
+    return sum(1 for b, c in zip(base, change) if (c < b if lower else c > b))
+
+
 def samples(runs, name):
     return [r["metrics"][name]["value"] for r in runs]
 
@@ -113,8 +122,8 @@ def compare(spec, base_tree, change_tree):
     """Runs the pairs; prints the table and returns the failure messages."""
     failures = []
     print("| workload | metric | base median | change median | change/base | base IQR "
-          "| pairs | resolves | bound | verdict |")
-    print("|---|---|---|---|---|---|---|---|---|---|")
+          "| pairs | change won | resolves | bound | verdict |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|")
     for workload in [w["name"] for w in spec["workloads"]]:
         def run_pair(pair, workload=workload):
             sides = [("base", base_tree), ("change", change_tree)]
@@ -133,7 +142,8 @@ def compare(spec, base_tree, change_tree):
             base_median, change_median = statistics.median(base), statistics.median(change)
             print(f"| {workload} | {name} | {base_median:.6g} | {change_median:.6g} "
                   f"| {ruling['ratio']:.3f} | {ruling['spread']:.3g} | {len(base)} "
-                  f"| {ruling['resolvable']:.3f} | {metric['bound']} | {ruling['verdict']} |")
+                  f"| {pairs_won(metric, base, change)} | {ruling['resolvable']:.3f} "
+                  f"| {metric['bound']} | {ruling['verdict']} |")
             if ruling["worse"]:
                 failures.append(f"{workload} {name}: change median {change_median:.6g} is "
                                 f"worse than base {base_median:.6g} by more than "
