@@ -31,10 +31,6 @@ constexpr int kChurnPeriodEpochs = 16;
 constexpr double kChurnReleaseP = 0.25;
 constexpr int kChurnNewPinsPerNode = 4;
 
-double RateOrDefault(double pct_override, double profile_default) {
-  return pct_override < 0.0 ? profile_default : pct_override / 100.0;
-}
-
 }  // namespace
 
 std::string_view NameOf(FaultProfile profile) {
@@ -53,7 +49,7 @@ std::string_view NameOf(FaultProfile profile) {
 
 FaultPlan::FaultPlan(const FaultConfig& config, std::uint64_t seed)
     : profile_(config.profile), rng_(seed ^ 0xFA17ull) {
-  // Profile defaults; explicit rate overrides (in percent) win.
+  // The profile's rates; a rate left unset stays 0.
   switch (profile_) {
     case FaultProfile::kOff:
       break;
@@ -64,26 +60,23 @@ FaultPlan::FaultPlan(const FaultConfig& config, std::uint64_t seed)
       // there (large_migrate_fail_p_), and allocation storms start failing
       // organically once the unpinned chunks run out.
       pin_rate_ = 0.35;
-      alloc_fail_p_ = RateOrDefault(config.alloc_fail_pct, 0.0);
-      migrate_fail_p_ = RateOrDefault(config.migrate_fail_pct, 0.05);
-      large_migrate_fail_p_ = RateOrDefault(config.large_migrate_fail_pct, 0.70);
-      pressure_enter_p_ = RateOrDefault(config.pressure_pct, 0.0);
+      migrate_fail_p_ = 0.05;
+      large_migrate_fail_p_ = 0.70;
       truncate_p_ = 0.10;
       break;
     case FaultProfile::kPressure:
-      alloc_fail_p_ = RateOrDefault(config.alloc_fail_pct, 0.02);
-      migrate_fail_p_ = RateOrDefault(config.migrate_fail_pct, 0.02);
-      large_migrate_fail_p_ = RateOrDefault(config.large_migrate_fail_pct, 0.10);
-      pressure_enter_p_ = RateOrDefault(config.pressure_pct, 0.05);
+      alloc_fail_p_ = 0.02;
+      migrate_fail_p_ = 0.02;
+      large_migrate_fail_p_ = 0.10;
+      pressure_enter_p_ = 0.05;
       truncate_p_ = 0.15;
       break;
     case FaultProfile::kChurn:
       pin_rate_ = 0.50;
       churn_ = true;
-      alloc_fail_p_ = RateOrDefault(config.alloc_fail_pct, 0.05);
-      migrate_fail_p_ = RateOrDefault(config.migrate_fail_pct, 0.10);
-      large_migrate_fail_p_ = RateOrDefault(config.large_migrate_fail_pct, 0.60);
-      pressure_enter_p_ = RateOrDefault(config.pressure_pct, 0.0);
+      alloc_fail_p_ = 0.05;
+      migrate_fail_p_ = 0.10;
+      large_migrate_fail_p_ = 0.60;
       truncate_p_ = 0.25;
       break;
   }

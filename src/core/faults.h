@@ -45,18 +45,10 @@ enum class FaultProfile : std::uint8_t {
 
 std::string_view NameOf(FaultProfile profile);
 
-// Per-cell fault configuration. Rates are percentages; a negative value
-// means "use the profile's default", so profiles stay one-word knobs and
-// rate overrides remain possible (--fault-alloc-pct etc.).
+// Per-cell fault configuration: the profile alone, a one-word knob that
+// fixes every rate (FaultPlan's constructor).
 struct FaultConfig {
   FaultProfile profile = FaultProfile::kOff;
-  double alloc_fail_pct = -1.0;    // extra huge-page alloc failure, % per attempt
-  double migrate_fail_pct = -1.0;  // 4KB migration failure, % per page move
-  // 2MB+ migration failure, % per move: moving a large page needs an
-  // order-9 contiguous run on the target node, which fragmentation makes
-  // scarce, so profiles default this well above the 4KB rate.
-  double large_migrate_fail_pct = -1.0;
-  double pressure_pct = -1.0;      // pressure-episode entry, % per node per epoch
 
   bool enabled() const { return profile != FaultProfile::kOff; }
 };
@@ -129,12 +121,14 @@ class FaultPlan {
   FaultProfile profile_;
   Rng rng_;
 
-  // Effective rates (fractions, not percentages), resolved from the profile
-  // defaults and any explicit overrides at construction.
+  // The profile's rates (fractions, not percentages), set at construction.
   double pin_rate_ = 0.0;       // fraction of 2MB chunks pinned at Prepare
   double alloc_fail_p_ = 0.0;   // extra probabilistic huge-alloc failure
   double migrate_fail_p_ = 0.0; // per-page 4KB migration failure
-  double large_migrate_fail_p_ = 0.0;  // per-page 2MB+ migration failure
+  // Per-page 2MB+ migration failure: moving a large page needs an order-9
+  // contiguous run on the target node, which fragmentation makes scarce, so
+  // profiles set this well above the 4KB rate.
+  double large_migrate_fail_p_ = 0.0;
   double pressure_enter_p_ = 0.0;  // per-node per-epoch episode entry
   double truncate_p_ = 0.0;     // per-epoch plan truncation
   bool churn_ = false;          // rotate pins while running

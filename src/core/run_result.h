@@ -81,8 +81,8 @@ struct RunResult {
   std::size_t sampled_pages = 0;
   double final_thp_coverage = 0.0;
 
-  // Cell health (DESIGN.md Section 12): "ok", "deadline" (the watchdog
-  // cancelled the run) or "failed: <reason>" (the runner's stub row).
+  // Cell health (DESIGN.md Section 12.4): "ok", or "failed: <reason>" (the
+  // runner's stub row for a cell that threw).
   std::string status = "ok";
   // Fault-injection telemetry (all zero with faults off).
   std::uint64_t fault_alloc_failures = 0;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "src/common/worker_pool.h"
@@ -20,17 +20,20 @@ ExperimentRunner::ExperimentRunner(int jobs)
 
 namespace {
 
-// One per worker: the watchdog thread scans these and raises `cancel` when a
-// cell overruns its armed deadline. deadline_ns == 0 means idle.
-struct WatchdogSlot {
-  std::atomic<bool> cancel{false};
-  std::atomic<std::int64_t> deadline_ns{0};
-};
-
-std::int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+// Runs one cell in isolation: an exception becomes a stub row carrying the
+// cell's coordinates, so one bad cell does not kill the grid.
+RunResult RunCell(const RunSpec& spec) {
+  try {
+    Simulation simulation(spec.topo, spec.workload, spec.policy, spec.sim);
+    return simulation.Run();
+  } catch (const std::exception& e) {
+    RunResult failed;
+    failed.workload = spec.workload.name;
+    failed.machine = spec.topo.name();
+    failed.policy = spec.policy.kind;
+    failed.status = std::string("failed: ") + e.what();
+    return failed;
+  }
 }
 
 }  // namespace
@@ -38,119 +41,39 @@ std::int64_t NowNs() {
 std::vector<RunResult> ExperimentRunner::Run(const std::vector<RunSpec>& cells) const {
   std::vector<RunResult> results(cells.size());
   const std::size_t skip = std::min(skip_prefix_, cells.size());
-
   const int workers =
       std::max(1, std::min<int>(jobs_, static_cast<int>(cells.size() - skip)));
-  std::vector<WatchdogSlot> slots(static_cast<std::size_t>(workers));
-  std::atomic<bool> watchdog_stop{false};
-  std::thread watchdog;
-  if (cell_deadline_ms_ > 0) {
-    watchdog = std::thread([&]() {
-      while (!watchdog_stop.load(std::memory_order_relaxed)) {
-        const std::int64_t now = NowNs();
-        for (WatchdogSlot& slot : slots) {
-          const std::int64_t deadline = slot.deadline_ns.load(std::memory_order_relaxed);
-          if (deadline != 0 && now > deadline) {
-            slot.cancel.store(true, std::memory_order_relaxed);
-          }
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(25));
-      }
-    });
-  }
-
-  // Cell-failure isolation: a cell that throws or gets cancelled by the
-  // watchdog is retried up to max_cell_retries_ times (each attempt is a
-  // fresh Simulation, so a successful retry is the exact deterministic
-  // result); when the budget runs out, a stub row with the cell's
-  // coordinates and a "failed:"/"deadline" status is recorded and the grid
-  // carries on. Results are deterministic either way: the outcome of a cell
-  // never depends on other cells.
-  auto run_cell = [&](std::size_t i, WatchdogSlot& slot) {
-    const RunSpec& spec = cells[i];
-    for (int attempt = 0;; ++attempt) {
-      try {
-        Simulation simulation(spec.topo, spec.workload, spec.policy, spec.sim);
-        if (cell_deadline_ms_ > 0) {
-          slot.cancel.store(false, std::memory_order_relaxed);
-          simulation.set_cancel_flag(&slot.cancel);
-          slot.deadline_ns.store(NowNs() + cell_deadline_ms_ * 1'000'000,
-                                 std::memory_order_relaxed);
-        }
-        RunResult result = simulation.Run();
-        slot.deadline_ns.store(0, std::memory_order_relaxed);
-        if (result.status == "deadline" && attempt < max_cell_retries_) {
-          continue;
-        }
-        results[i] = std::move(result);
-        return;
-      } catch (const std::exception& e) {
-        slot.deadline_ns.store(0, std::memory_order_relaxed);
-        if (attempt < max_cell_retries_) {
-          continue;
-        }
-        RunResult failed;
-        failed.workload = spec.workload.name;
-        failed.machine = spec.topo.name();
-        failed.policy = spec.policy.kind;
-        failed.status = std::string("failed: ") + e.what();
-        results[i] = std::move(failed);
-        return;
-      }
-    }
-  };
 
   // Register this runner's worker count with the oversubscription guard for
-  // the duration of the grid: simulations created inside run_cell clamp
+  // the duration of the grid: simulations created inside RunCell clamp
   // their intra-cell shard count to the host budget divided by the active
   // jobs (src/common/worker_pool.h), so grid-level and intra-cell parallelism never
   // multiply into more threads than the host has.
-  const ScopedActiveRunnerJobs jobs_guard(std::max(1, workers));
-  if (workers <= 1 || cells.size() - skip <= 1) {
-    for (std::size_t i = skip; i < cells.size(); ++i) {
-      run_cell(i, slots[0]);
-      if (observer_) {
-        observer_(i, cells[i], results[i]);
+  const ScopedActiveRunnerJobs jobs_guard(workers);
+
+  // Workers claim cells in index order, mark them done and flush the
+  // contiguous done-prefix to the observer under the mutex, so the observer
+  // sees cells in ascending index order no matter which worker finished
+  // them. A cell's result is written by its worker before it takes the
+  // mutex, so the flusher reads it safely. At one worker the pool runs the
+  // loop inline on the calling thread.
+  std::mutex emit_mutex;
+  std::vector<char> done(cells.size(), 0);
+  std::size_t next_to_emit = skip;
+  std::atomic<std::size_t> next{skip};
+  ShardPool pool(workers);
+  pool.Run([&](int) {
+    for (std::size_t i = next.fetch_add(1); i < cells.size(); i = next.fetch_add(1)) {
+      results[i] = RunCell(cells[i]);
+      const std::lock_guard<std::mutex> lock(emit_mutex);
+      done[i] = 1;
+      for (; next_to_emit < cells.size() && done[next_to_emit]; ++next_to_emit) {
+        if (observer_) {
+          observer_(next_to_emit, cells[next_to_emit], results[next_to_emit]);
+        }
       }
     }
-  } else {
-    // Observer plumbing: workers mark completed cells and flush the
-    // contiguous done-prefix under the mutex, so the observer sees cells in
-    // ascending index order no matter which worker finished them. A cell's
-    // result is published by its worker before it takes the mutex, so the
-    // flusher reads it safely.
-    std::mutex emit_mutex;
-    std::vector<char> done(cells.size(), 0);
-    std::size_t next_to_emit = skip;
-
-    std::atomic<std::size_t> next{skip};
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w]() {
-        WatchdogSlot& slot = slots[static_cast<std::size_t>(w)];
-        for (std::size_t i = next.fetch_add(1); i < cells.size(); i = next.fetch_add(1)) {
-          run_cell(i, slot);
-          if (observer_) {
-            const std::lock_guard<std::mutex> lock(emit_mutex);
-            done[i] = 1;
-            while (next_to_emit < cells.size() && done[next_to_emit]) {
-              observer_(next_to_emit, cells[next_to_emit], results[next_to_emit]);
-              ++next_to_emit;
-            }
-          }
-        }
-      });
-    }
-    for (std::thread& worker : pool) {
-      worker.join();
-    }
-  }
-
-  if (watchdog.joinable()) {
-    watchdog_stop.store(true, std::memory_order_relaxed);
-    watchdog.join();
-  }
+  });
   return results;
 }
 

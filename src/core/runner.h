@@ -43,8 +43,8 @@ using RunObserver =
 class ExperimentRunner {
  public:
   // jobs <= 0 selects the hardware concurrency. The runner reads no
-  // environment: tools pass NUMALP_JOBS and NUMALP_CELL_* in through
-  // report::ParseToolArgs, which rejects malformed values.
+  // environment: tools pass NUMALP_JOBS in through report::ParseToolArgs,
+  // which rejects malformed values.
   explicit ExperimentRunner(int jobs = 0);
 
   int jobs() const { return jobs_; }
@@ -54,16 +54,6 @@ class ExperimentRunner {
   // calls are serialized and never concurrent.
   void set_observer(RunObserver observer) { observer_ = std::move(observer); }
 
-  // Resilience knobs (DESIGN.md Section 12). A cell that throws or overruns
-  // its soft deadline is retried up to `retries` times; when the budget is
-  // exhausted it is recorded as a stub RunResult (status "failed: <what>" or
-  // "deadline") instead of killing the grid. deadline_ms <= 0 (the default)
-  // disables the watchdog entirely — no watchdog thread is started.
-  void set_cell_deadline_ms(std::int64_t deadline_ms) { cell_deadline_ms_ = deadline_ms; }
-  void set_max_cell_retries(int retries) { max_cell_retries_ = retries < 0 ? 0 : retries; }
-  std::int64_t cell_deadline_ms() const { return cell_deadline_ms_; }
-  int max_cell_retries() const { return max_cell_retries_; }
-
   // Resume support: cells [0, skip) are treated as already recorded — they
   // are not executed and not reported to the observer (their slots in the
   // returned vector stay default-constructed). Because the observer contract
@@ -72,14 +62,16 @@ class ExperimentRunner {
   void set_skip_prefix(std::size_t skip) { skip_prefix_ = skip; }
 
   // Executes every cell and returns results positionally: results[i] belongs
-  // to cells[i] regardless of which worker ran it or in which order.
+  // to cells[i] regardless of which worker ran it or in which order. A cell
+  // that throws is recorded once as a stub RunResult carrying its
+  // coordinates and the status "failed: <what>", and the grid carries on
+  // (DESIGN.md Section 12.4): a cell's outcome depends only on its spec, so
+  // running it again would fail the same way.
   std::vector<RunResult> Run(const std::vector<RunSpec>& cells) const;
 
  private:
   int jobs_ = 1;
   RunObserver observer_;
-  std::int64_t cell_deadline_ms_ = 0;
-  int max_cell_retries_ = 1;
   std::size_t skip_prefix_ = 0;
 };
 

@@ -102,8 +102,8 @@ RunResult Simulation::Run() {
   result.policy = policy_.kind;
   result.core_totals.resize(static_cast<std::size_t>(topo_.num_cores()));
   result.node_request_totals.assign(static_cast<std::size_t>(topo_.num_nodes()), 0);
-  // A run that stops early — cancelled, or unwound by a stage's exception —
-  // may leave the next epoch's fill in flight; join it before returning.
+  // A run unwound by a stage's exception may leave the next epoch's fill in
+  // flight; join it before returning.
   struct FillJoin {
     AccessEngine& engine;
     ~FillJoin() { engine.AbandonFill(); }
@@ -113,12 +113,6 @@ RunResult Simulation::Run() {
     BeginSourceEpoch();
   }
   for (int epoch = 0; epoch < sim_.max_epochs; ++epoch) {
-    // Watchdog cancellation only at epoch boundaries keeps a cancelled run a
-    // deterministic prefix of the uncancelled one.
-    if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
-      result.status = "deadline";
-      break;
-    }
     EpochState state = BeginEpoch(epoch);
     GenerateAccesses(state, result);
     engine_->Execute(state.record.in_setup);
@@ -179,8 +173,8 @@ void Simulation::BeginSourceEpoch() {
   try {
     workload_->BeginEpoch();
   } catch (...) {
-    // Reported when the epoch would have run, so a cancellation that comes
-    // first still wins (GenerateAccesses).
+    // Reported when the epoch would have run (GenerateAccesses), so a run
+    // that ends first never sees it.
     next_.error = std::current_exception();
     return;
   }

@@ -4,7 +4,6 @@
 #ifndef NUMALP_SRC_CORE_SIMULATION_H_
 #define NUMALP_SRC_CORE_SIMULATION_H_
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -55,12 +54,6 @@ class Simulation {
   // Effective intra-cell shard count after the oversubscription clamp
   // (DESIGN.md Section 10): host threads running the speculative windows.
   int shard_count() const { return engine_->shards(); }
-
-  // Cooperative cancellation for the runner's watchdog: when the flag goes
-  // true, Run() stops at the next epoch boundary and records status
-  // "deadline". Checked only between epochs, so a cancelled run is still a
-  // deterministic prefix of the uncancelled one.
-  void set_cancel_flag(const std::atomic<bool>* cancel) { cancel_ = cancel; }
 
  private:
   // Selects the engine's pure serial loop; test-only.
@@ -152,7 +145,6 @@ class Simulation {
   // Fault injection (DESIGN.md Section 12); null with faults off, which
   // every fault branch checks.
   std::unique_ptr<FaultPlan> fault_plan_;
-  const std::atomic<bool>* cancel_ = nullptr;
   // Carrefour-plan execution stats for the LP realized-gain discount.
   std::uint64_t fault_mig_attempted_ = 0;
   std::uint64_t fault_mig_executed_ = 0;

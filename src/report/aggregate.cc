@@ -168,11 +168,16 @@ std::vector<ResultRow> LoadJsonlFile(const std::string& path,
     }
     ResultRow row;
     std::string error;
-    if (ParseJsonlLine(line, &row, &error)) {
-      rows.push_back(std::move(row));
-    } else if (issues != nullptr) {
-      issues->push_back({path, line_number, error});
+    if (!ParseJsonlLine(line, &row, &error)) {
+      if (issues != nullptr) {
+        issues->push_back({path, line_number, error});
+      }
+      continue;
     }
+    if (row.status != "ok" && issues != nullptr) {
+      issues->push_back({path, line_number, "status " + row.status, /*refused=*/true});
+    }
+    rows.push_back(std::move(row));
   }
   return rows;
 }

@@ -38,10 +38,14 @@ struct ParseIssue {
   std::string file;
   int line = 0;
   std::string message;
+  // A well-formed row that cannot be averaged: its status is not "ok", so
+  // it carries no measurement (a failed cell's stub row).
+  bool refused = false;
 };
 
 // Loads every row of one .jsonl file; blank lines are skipped. Malformed
-// lines are reported to `issues` (when non-null) and skipped.
+// lines are reported to `issues` (when non-null) and skipped; a row whose
+// status is not "ok" is loaded and also reported, as refused.
 std::vector<ResultRow> LoadJsonlFile(const std::string& path, std::vector<ParseIssue>* issues);
 
 // Loads every *.jsonl file under `path` (or `path` itself when it is a

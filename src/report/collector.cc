@@ -45,12 +45,6 @@ Sweep& Sweep::AddGrid(const ExperimentGrid& grid) {
 GridReport::GridReport(const Options& options, const ToolInfo& info)
     : tool_(info.name), bench_id_(info.bench_id), sinks_(std::make_unique<MultiSink>()),
       runner_(options.jobs) {
-  if (options.cell_deadline_ms >= 0) {
-    runner_.set_cell_deadline_ms(options.cell_deadline_ms);
-  }
-  if (options.cell_retries >= 0) {
-    runner_.set_max_cell_retries(options.cell_retries);
-  }
   sinks_->Add(MakeSink(options.format, std::cout));
   if (!options.out_dir.empty()) {
     std::error_code ec;
@@ -206,6 +200,21 @@ void GridReport::Finish() {
   sinks_->Finish();
 }
 
+int GridReport::Close() {
+  Finish();
+  for (const std::string& cell : failed_cells_) {
+    std::fprintf(stderr, "%s: %s\n", tool_.c_str(), cell.c_str());
+  }
+  return failed_cells_.empty() ? 0 : 1;
+}
+
+void GridReport::NoteIfFailed(std::size_t index, const ResultRow& row) {
+  if (row.status != "ok") {
+    failed_cells_.push_back("cell " + std::to_string(index) + " (" + row.machine + "/" +
+                            row.workload + "/" + row.policy + "): " + row.status);
+  }
+}
+
 std::vector<RunResult> GridReport::Run(const Sweep& sweep) {
   // Cells stream in index order, so each cell's baseline (a lower index) has
   // already been recorded here when the cell's row is built. On resume the
@@ -225,6 +234,7 @@ std::vector<RunResult> GridReport::Run(const Sweep& sweep) {
     if (i < skip) {
       cycles[i].total_cycles = resume_rows_[i].total_cycles;
       cycles[i].measured_cycles = resume_rows_[i].measured_cycles;
+      NoteIfFailed(i, resume_rows_[i]);
     }
     specs.push_back(sweep.cells[i].spec);
   }
@@ -234,9 +244,11 @@ std::vector<RunResult> GridReport::Run(const Sweep& sweep) {
         cycles[i].measured_cycles = result.measured_cycles;
         const Sweep::Cell& cell = sweep.cells[i];
         const auto baseline = static_cast<std::size_t>(cell.baseline);
-        sinks_->Write(MakeResultRow(bench_id_, spec, result,
-                                    baseline < i ? &cycles[baseline] : nullptr,
-                                    cell.seed_index, spec.sim.clock_ghz, cell.variant));
+        const ResultRow row =
+            MakeResultRow(bench_id_, spec, result, baseline < i ? &cycles[baseline] : nullptr,
+                          cell.seed_index, spec.sim.clock_ghz, cell.variant);
+        sinks_->Write(row);
+        NoteIfFailed(i, row);
         Checkpoint();
       });
   std::vector<RunResult> results = runner_.Run(specs);

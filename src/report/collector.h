@@ -88,6 +88,12 @@ class GridReport {
   // the destructor calls it.
   void Finish();
 
+  // Finishes, then names each failed cell (index, machine/workload/policy,
+  // status) on stderr, after every row. Returns the tool's exit status: 1
+  // when a cell of the sweep failed, recovered --resume rows included, else
+  // 0.
+  int Close();
+
  private:
   // Flushes the file sinks and rewrites the manifest (tmp + rename); no-op
   // without --out-dir.
@@ -97,12 +103,15 @@ class GridReport {
   // through RejectManifest.
   void LoadResumeState();
   [[noreturn]] void RejectManifest(const std::string& why) const;
+  // Records the cell at `index` for Close when its row is not "ok".
+  void NoteIfFailed(std::size_t index, const ResultRow& row);
 
   std::string tool_;
   std::string bench_id_;
   std::unique_ptr<MultiSink> sinks_;
   ExperimentRunner runner_;
   bool finished_ = false;
+  std::vector<std::string> failed_cells_;  // one line per failed cell, for Close
 
   // Checkpoint/resume state (--out-dir only).
   bool checkpointing_ = false;

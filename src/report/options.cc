@@ -14,18 +14,6 @@ namespace numalp::report {
 
 namespace {
 
-// The whole of `text` as a number that satisfies `valid`; anything else
-// throws std::invalid_argument naming `setting` and what was `expected`.
-double ParseReal(const std::string& setting, const char* text, const char* expected,
-                 bool (*valid)(double)) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (*text == '\0' || *end != '\0' || !valid(value)) {
-    throw std::invalid_argument(setting + ": expected " + expected + ", got '" + text + "'");
-  }
-  return value;
-}
-
 std::string ChoiceName(const std::string& choice) { return choice; }
 std::string ChoiceName(FaultProfile choice) { return std::string(NameOf(choice)); }
 
@@ -44,13 +32,6 @@ SettingValue Enum(T* field, std::vector<T> choices) {
               }
             }
             throw std::invalid_argument(setting + ": expected " + names + ", got '" + text + "'");
-          }};
-}
-
-SettingValue Percent(double* field) {
-  return {"PCT", [field](const std::string& setting, const char* text) {
-            *field = ParseReal(setting, text, "a percentage in [0, 100]",
-                               [](double value) { return value >= 0.0 && value <= 100.0; });
           }};
 }
 
@@ -126,7 +107,9 @@ void RejectUnknownEnv(const std::vector<Setting>& settings) {
 }
 
 // Applies argv to `settings`; malformed values throw std::invalid_argument.
-void ApplyArgv(int argc, char** argv, const std::string& head,
+// An unknown flag or a missing value is named, prefixed "tool: ", above the
+// usage.
+void ApplyArgv(int argc, char** argv, const char* tool, const std::string& head,
                const std::vector<Setting>& settings, std::vector<std::string>* positional) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -143,6 +126,9 @@ void ApplyArgv(int argc, char** argv, const std::string& head,
     });
     const bool takes_value = row != settings.end() && !row->value.placeholder.empty();
     if (row == settings.end() || (takes_value && i + 1 >= argc)) {
+      std::fprintf(stderr, row == settings.end() ? "%s: unknown flag '%s'\n"
+                                                 : "%s: %s: missing value\n",
+                   tool, arg.c_str());
       PrintUsage(stderr, head, settings);
       std::exit(2);
     }
@@ -170,7 +156,7 @@ Options ParseArgs(int argc, char** argv, const ToolInfo& info,
                            " (bench id: " + info.bench_id + ")\n\nusage: " +
                            (launcher != nullptr ? std::string(launcher) + " " : "") +
                            info.name + " [options]\n";
-  ApplyArgv(argc, argv, head, settings, nullptr);
+  ApplyArgv(argc, argv, info.name, head, settings, nullptr);
   return options;
 }
 
@@ -206,7 +192,6 @@ SettingValue OneOf(std::string* field, std::vector<std::string> choices) {
 
 std::vector<Setting> UniformSettings(Options* options) {
   SimConfig& sim = options->sim;
-  FaultConfig& faults = sim.faults;
   return {
       {"--format", nullptr, Enum<std::string>(&options->format, {"md", "csv", "jsonl"}),
        "stdout format (default md, an aligned table)"},
@@ -226,23 +211,11 @@ std::vector<Setting> UniformSettings(Options* options) {
       {nullptr, "NUMALP_SHARDS_FORCE", Enables(&sim.shards_force),
        "positive: spawn exactly the requested shards, bypassing the clamp"},
       {"--fault-profile", nullptr,
-       Enum(&faults.profile, {FaultProfile::kOff, FaultProfile::kFrag, FaultProfile::kPressure,
-                              FaultProfile::kChurn}),
+       Enum(&sim.faults.profile, {FaultProfile::kOff, FaultProfile::kFrag,
+                                  FaultProfile::kPressure, FaultProfile::kChurn}),
        "deterministic fault injection (default off, byte-identical to no fault support)"},
-      {"--fault-alloc-pct", nullptr, Percent(&faults.alloc_fail_pct),
-       "override the profile's large-page allocation failure %"},
-      {"--fault-migrate-pct", nullptr, Percent(&faults.migrate_fail_pct),
-       "override the profile's 4KB migration failure %"},
-      {"--fault-large-migrate-pct", nullptr, Percent(&faults.large_migrate_fail_pct),
-       "override the profile's 2MB migration failure %"},
-      {"--fault-pressure-pct", nullptr, Percent(&faults.pressure_pct),
-       "override the profile's node-pressure entry %"},
       {"--resume", nullptr, Presence(&options->resume),
        "continue a crashed --out-dir grid from its manifest, byte-identically"},
-      {"--cell-deadline-ms", nullptr, Int(&options->cell_deadline_ms, 0, LLONG_MAX),
-       "watchdog soft deadline per grid cell (default 0: off)"},
-      {"--cell-retries", nullptr, Int(&options->cell_retries, 0, INT_MAX),
-       "retry budget for failed or overrun cells (default 1)"},
   };
 }
 
@@ -259,7 +232,7 @@ Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
 void ParseFlags(int argc, char** argv, const char* tool, const std::string& head,
                 const std::vector<Setting>& settings, std::vector<std::string>* positional) {
   try {
-    ApplyArgv(argc, argv, head, settings, positional);
+    ApplyArgv(argc, argv, tool, head, settings, positional);
   } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "%s: %s\n", tool, error.what());
     std::exit(2);

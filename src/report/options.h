@@ -35,12 +35,9 @@ struct Options {
   int jobs = 0;               // NUMALP_JOBS, then --jobs; 0 = hardware concurrency
   SimConfig sim;              // environment, then flags
 
-  // Runner resilience (DESIGN.md Section 12). resume continues a crashed
-  // --out-dir grid from its manifest; -1 keeps the runner's defaults for the
-  // watchdog deadline (off) and the retry budget (1 retry).
+  // Continue a crashed --out-dir grid from its manifest (DESIGN.md
+  // Section 12.4).
   bool resume = false;
-  long long cell_deadline_ms = -1;
-  int cell_retries = -1;
 
   // Prose and explanatory text belong on stdout only in markdown mode;
   // csv/jsonl stdout must stay machine-parseable.
@@ -87,10 +84,11 @@ std::vector<Setting> UniformSettings(Options* options);
 // Applies the environment column of the table, then argv, and returns the
 // result. `extras` are the binary's own rows (pointing at its own fields);
 // --help prints every row's usage and exits 0. An unknown flag or a missing
-// value prints the usage to stderr and exits 2; a malformed value, or a
-// NUMALP_* environment variable that is not in the table, prints a message
-// naming it and exits 2. `launcher`, when set, is the command that runs
-// the binary ("numalp_bench"), shown before its name in the usage.
+// value prints a message naming it, then the usage, to stderr and exits 2;
+// a malformed value, or a NUMALP_* environment variable that is not in the
+// table, prints a message naming it and exits 2. `launcher`, when set, is
+// the command that runs the binary ("numalp_bench"), shown before its name
+// in the usage.
 Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
                       const std::vector<Setting>& extras = {}, const char* launcher = nullptr);
 

@@ -58,7 +58,7 @@ struct ResultRow {
   double est_split_lar_pct = 0.0;
 
   // Cell health and fault-injection telemetry (DESIGN.md Section 12).
-  // status: "ok", "deadline" (watchdog cancelled), or "failed: <reason>".
+  // status: "ok", or "failed: <reason>" for a cell that threw.
   // The fault_* counters are zero with faults off; the buddy_* fields are
   // filled on every run and explain fault-mode behavior (why 2MB
   // allocations failed) in numalp_report output.

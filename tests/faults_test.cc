@@ -99,18 +99,14 @@ TEST(FaultDeterminismTest, JsonlByteIdenticalAcrossJobsAndShards) {
   }
 }
 
-// faults=off is the default-constructed config and must stay inert: rate
-// overrides without a profile change nothing, every fault counter stays
-// zero, and the bytes match a run that never heard of fault injection.
+// faults=off is the default-constructed config and must stay inert: every
+// fault counter stays zero, and the bytes match a run that never heard of
+// fault injection.
 TEST(FaultDeterminismTest, OffProfileIsByteIdenticalAndInert) {
   const std::string plain =
       RenderFaultCells({FaultProfile::kOff}, /*jobs=*/1, /*shards=*/1);
 
-  SimConfig sim = TinySim();
-  sim.faults.alloc_fail_pct = 50.0;  // rates without a profile are inert
-  sim.faults.migrate_fail_pct = 50.0;
-  sim.faults.large_migrate_fail_pct = 50.0;
-  sim.faults.pressure_pct = 50.0;
+  const SimConfig sim = TinySim();
   ASSERT_FALSE(sim.faults.enabled());
   std::ostringstream out;
   std::vector<RunResult> results;
@@ -294,61 +290,6 @@ TEST(CarrefourFaultTest, SuccessResetsFailureStreak) {
   // The third consecutive one abandons.
   carrefour.NoteMigrationFailure(0x1000, 20);
   EXPECT_EQ(carrefour.abandoned_pages(), 1u);
-}
-
-// --- Watchdog + retry knobs -------------------------------------------------
-
-TEST(RunnerResilienceTest, DeadlineCancelsOverrunningCell) {
-  // A full-size cell (machine A, SSCA.20 at default epoch/access budgets)
-  // takes a few hundred milliseconds serially — far past a 30ms deadline,
-  // so the watchdog (25ms poll) reliably cancels it mid-run. A Tiny-topology
-  // cell would finish before the first poll. At forced shards 4 the cell is
-  // cancelled with the next epoch's batch fill in flight on the pool's
-  // helpers; Run must join them before it returns (the TSan leg checks).
-  const Topology topo = Topology::MachineA();
-  for (const int shards : {1, 4}) {
-    RunSpec spec;
-    spec.topo = topo;
-    spec.workload = MakeWorkloadSpec(BenchmarkId::kSSCA, topo);
-    spec.policy = MakePolicyConfig(PolicyKind::kThp);
-    spec.sim = SimConfig{};
-    spec.sim.shards = shards;
-    spec.sim.shards_force = shards > 1;
-
-    ExperimentRunner runner(1);
-    runner.set_cell_deadline_ms(30);
-    runner.set_max_cell_retries(0);
-    const std::vector<RunResult> results = runner.Run({spec});
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].status, "deadline") << "shards=" << shards;
-    EXPECT_FALSE(results[0].completed) << "shards=" << shards;
-  }
-}
-
-// The watchdog and retry settings reach the runner through the tools'
-// settings parser (report::ParseToolArgs, which rejects malformed values);
-// the runner itself reads no environment.
-TEST(RunnerResilienceTest, FlagsConfigureWatchdogAndRetries) {
-  const report::ToolInfo info{"tool", "tool", "test tool"};
-  char tool[] = "tool";
-  char deadline_flag[] = "--cell-deadline-ms";
-  char deadline[] = "1234";
-  char retries_flag[] = "--cell-retries";
-  char retries[] = "0";
-  char* argv[] = {tool, deadline_flag, deadline, retries_flag, retries};
-  {
-    const report::Options options = report::ParseToolArgs(5, argv, info);
-    EXPECT_EQ(options.cell_deadline_ms, 1234);
-    EXPECT_EQ(options.cell_retries, 0);
-    ExperimentRunner runner(1);
-    EXPECT_EQ(runner.cell_deadline_ms(), 0);
-  }
-  const report::Options unset = report::ParseToolArgs(1, argv, info);
-  EXPECT_EQ(unset.cell_deadline_ms, -1);  // keeps the runner's defaults
-  EXPECT_EQ(unset.cell_retries, -1);
-  ExperimentRunner plain(1);
-  EXPECT_EQ(plain.cell_deadline_ms(), 0);  // watchdog off by default
-  EXPECT_EQ(plain.max_cell_retries(), 1);
 }
 
 // --- Checkpoint + resume ----------------------------------------------------

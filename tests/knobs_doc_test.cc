@@ -212,7 +212,7 @@ TEST(KnobsDoc, ScannerFindsTheKnownSurface) {
   EXPECT_TRUE(source.flags.count("--jobs"));
   EXPECT_TRUE(source.flags.count("--machine"));
   EXPECT_TRUE(source.flags.count("--from-summary"));
-  EXPECT_GE(source.flags.size(), 30u);
+  EXPECT_GE(source.flags.size(), 24u);
 }
 
 TEST(KnobsDoc, EveryEnvKnobIsDocumented) {

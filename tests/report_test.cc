@@ -686,6 +686,43 @@ TEST(SummaryJsonDeathTest, MissingKeyIsRejected) {
   ExpectSummaryRejected(corrupted, "line 4: missing \"machine\"");
 }
 
+// A failed cell's row carries no measurement. numalp_report once averaged
+// such stubs into the summary (LAR 100%, improvement 0) as if they were
+// results; now one exits 2 naming its file and line, before anything is
+// written.
+TEST(LoadJsonlDeathTest, FailedRowIsRefusedBeforeTheSummary) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "numalp_report_test_failed_row";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  {
+    std::ofstream out(dir / "run.jsonl");
+    out << R"({"bench":"run","machine":"machineA","workload":"CG.D","policy":"thp",)"
+        << R"("status":"ok","lar_pct":60})" << "\n";
+    out << R"({"bench":"run","machine":"machineA","workload":"CG.D","policy":"thp",)"
+        << R"("status":"failed: trace: truncated chunk","lar_pct":100})" << "\n";
+  }
+  const std::string summary = (dir / "summary.json").string();
+  const auto run = [&] {
+    if (std::freopen("/dev/null", "w", stdout) == nullptr) {
+      std::_Exit(127);
+    }
+    std::vector<std::string> args = {NUMALP_REPORT, dir.string(), "--summary", summary};
+    std::vector<char*> argv;
+    for (std::string& arg : args) {
+      argv.push_back(arg.data());
+    }
+    argv.push_back(nullptr);
+    ::execv(argv[0], argv.data());
+    std::_Exit(127);
+  };
+  EXPECT_EXIT(run(), ::testing::ExitedWithCode(2),
+              "numalp_report: [^\n]*/run.jsonl:2: status failed: trace: truncated chunk\n");
+  EXPECT_FALSE(fs::exists(summary));
+  fs::remove_all(dir);
+}
+
 // Without --resume, --out-dir replaces the bench's own files instead of
 // appending to them, and leaves other benches' files in the directory alone.
 TEST(GridReportTest, OutDirWithoutResumeTruncates) {

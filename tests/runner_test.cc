@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -22,7 +23,10 @@
 #include "src/report/options.h"
 #include "src/report/sink.h"
 #include "src/topo/topology.h"
+#include "src/trace/tracegen.h"
 #include "src/workloads/spec.h"
+#include "src/workloads/trace_workload.h"
+#include "tests/oracles/identity.h"
 
 namespace numalp {
 namespace {
@@ -162,6 +166,66 @@ TEST(ExperimentRunnerTest, RunSpecResultsArePositional) {
   EXPECT_EQ(results[2].policy, PolicyKind::kCarrefourLp);
 }
 
+// A ckpt-churn trace for `topo` cut to 60% of its length, at `path`: its
+// header reads, and replaying it fails partway through with a truncated
+// chunk.
+void WriteTruncatedTrace(const Topology& topo, const std::string& path) {
+  trace::TracegenOptions gen;
+  gen.profile = "ckpt-churn";
+  gen.topo = topo;
+  gen.epochs = 4;
+  gen.accesses_per_thread = 512;
+  trace::GenerateTrace(gen, path);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) * 6 / 10);
+}
+
+// Cell isolation in the one cell loop: a cell that throws is recorded at its
+// own index as a "failed:" stub carrying its coordinates, its neighbours run
+// exactly as they do alone, and the observer still sees every index in
+// order — inline at one worker and on the pool at three.
+TEST(ExperimentRunnerTest, FailedCellIsIsolatedAtEveryJobCount) {
+  const Topology topo = Topology::Tiny();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "numalp_runner_test_isolated.bin").string();
+  WriteTruncatedTrace(topo, path);
+  RunSpec ok;
+  ok.topo = topo;
+  ok.workload = MakeWorkloadSpec(BenchmarkId::kWC, topo);
+  ok.policy = MakePolicyConfig(PolicyKind::kThp);
+  ok.sim = TinySim();
+  RunSpec failing = ok;
+  failing.workload = MakeTraceWorkloadSpec(path);
+  failing.sim.accesses_per_thread_per_epoch = 512;
+  RunSpec other = ok;
+  other.policy = MakePolicyConfig(PolicyKind::kCarrefourLp);
+  const std::vector<RunSpec> cells = {ok, failing, other};
+  std::vector<RunResult> solo;
+  for (const RunSpec& cell : {ok, other}) {
+    Simulation simulation(cell.topo, cell.workload, cell.policy, cell.sim);
+    solo.push_back(simulation.Run());
+  }
+
+  for (const int jobs : {1, 3}) {
+    ExperimentRunner runner(jobs);
+    std::vector<std::size_t> seen;
+    runner.set_observer(
+        [&seen](std::size_t index, const RunSpec&, const RunResult&) { seen.push_back(index); });
+    const std::vector<RunResult> results = runner.Run(cells);
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(results[1].status.rfind("failed: trace: truncated chunk", 0), 0u)
+        << "jobs " << jobs << ": " << results[1].status;
+    EXPECT_EQ(results[1].workload, failing.workload.name);
+    EXPECT_EQ(results[1].machine, topo.name());
+    EXPECT_EQ(results[1].policy, PolicyKind::kThp);
+    EXPECT_EQ(results[0].status, "ok");
+    EXPECT_EQ(results[2].status, "ok");
+    EXPECT_EQ(FirstRunDifference(results[0], solo[0]), "") << "jobs " << jobs;
+    EXPECT_EQ(FirstRunDifference(results[2], solo[1]), "") << "jobs " << jobs;
+    EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2})) << "jobs " << jobs;
+  }
+  std::filesystem::remove(path);
+}
+
 // Grid cells match standalone Simulations built from the same coordinates.
 TEST(ExperimentRunnerTest, GridCellsMatchStandaloneSimulations) {
   ExperimentGrid grid;
@@ -256,9 +320,7 @@ TEST(SettingsTest, IntegerSettingsRejectMalformedValues) {
         std::pair{"NUMALP_SHARDS", "-4"}, std::pair{"NUMALP_SHARDS", "4 "},
         std::pair{"NUMALP_SHARDS_FORCE", "yes"}, std::pair{"NUMALP_SHARDS_FORCE", "-1"},
         std::pair{"NUMALP_JOBS", "4x"}, std::pair{"NUMALP_JOBS", "abc"},
-        std::pair{"NUMALP_JOBS", "0"}, std::pair{"--cell-deadline-ms", "-5"},
-        std::pair{"--cell-deadline-ms", "30ms"}, std::pair{"--cell-retries", "one"},
-        std::pair{"--cell-retries", "-1"}}) {
+        std::pair{"NUMALP_JOBS", "0"}}) {
     const std::string message = Rejection(name, bad);
     EXPECT_EQ(message.rfind(std::string(name) + ": expected an integer in [", 0), 0u) << message;
     EXPECT_NE(message.find(std::string("got '") + bad + "'"), std::string::npos) << message;
@@ -270,39 +332,19 @@ TEST(SettingsTest, IntegerSettingsRejectMalformedValues) {
   ASSERT_EQ(unsetenv("NUMALP_SHARDS_FORCE"), 0);
 }
 
-// Malformed fault settings must not quietly change the run: an unknown
-// profile or a percentage that does not parse completely into [0, 100] is
-// rejected, naming the flag; well-formed values, 0 and 100 included, apply.
+// A malformed fault setting must not quietly change the run: an unknown
+// profile is rejected, naming the flag; a known one applies.
 TEST(SettingsTest, FaultFlagsRejectMalformedValues) {
   EXPECT_EQ(Rejection("--fault-profile", "fargm"),
             "--fault-profile: expected off|frag|pressure|churn, got 'fargm'");
   EXPECT_EQ(ParseArgs({"--fault-profile", "pressure"}).sim.faults.profile,
             FaultProfile::kPressure);
-  for (const char* flag : {"--fault-alloc-pct", "--fault-migrate-pct",
-                           "--fault-large-migrate-pct", "--fault-pressure-pct"}) {
-    for (const char* bad : {"abc", "", "5x", "-1", "100.5", "nan"}) {
-      EXPECT_EQ(Rejection(flag, bad), std::string(flag) +
-                                          ": expected a percentage in [0, 100], got '" + bad +
-                                          "'");
-    }
-    for (const char* good : {"12.5", "0", "100"}) {
-      EXPECT_EQ(Rejection(flag, good), "") << flag << " " << good;
-    }
-  }
-  EXPECT_EQ(ParseArgs({"--fault-alloc-pct", "0"}).sim.faults.alloc_fail_pct, 0.0);
-  EXPECT_EQ(ParseArgs({"--fault-alloc-pct", "100"}).sim.faults.alloc_fail_pct, 100.0);
 }
 
 // The CLI rejects malformed values from flags and from the environment
 // alike: a message naming the flag or variable, then exit 2.
 TEST(SettingsDeathTest, ToolArgsRejectMalformedSettings) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  for (const char* flag : {"--fault-alloc-pct", "--fault-migrate-pct", "--fault-large-migrate-pct",
-                           "--fault-pressure-pct"}) {
-    EXPECT_EXIT(ParseArgs({flag, "abc"}), ::testing::ExitedWithCode(2),
-                std::string(flag) + ": expected a percentage in \\[0, 100\\], got 'abc'");
-    EXPECT_EXIT(ParseArgs({flag, "101"}), ::testing::ExitedWithCode(2), flag);
-  }
   EXPECT_EXIT(ParseArgs({"--fault-profile", "bogus"}), ::testing::ExitedWithCode(2),
               "--fault-profile: expected off\\|frag\\|pressure\\|churn, got 'bogus'");
   EXPECT_EXIT(ParseArgs({"--format", "json"}), ::testing::ExitedWithCode(2),
@@ -310,14 +352,10 @@ TEST(SettingsDeathTest, ToolArgsRejectMalformedSettings) {
   // Integer flags: each once parsed a prefix, a zero or a negative count.
   for (const auto& [flag, bad] :
        {std::pair{"--epochs", "4O"}, std::pair{"--seed", "abc"}, std::pair{"--shards", "-4"},
-        std::pair{"--jobs", "0"}, std::pair{"--accesses", "2k"},
-        std::pair{"--cell-deadline-ms", "-1"}, std::pair{"--cell-retries", "one"}}) {
+        std::pair{"--jobs", "0"}, std::pair{"--accesses", "2k"}}) {
     EXPECT_EXIT(ParseArgs({flag, bad}), ::testing::ExitedWithCode(2),
                 std::string(flag) + ": expected an integer in \\[");
   }
-  const report::Options zeros = ParseArgs({"--cell-deadline-ms", "0", "--cell-retries", "0"});
-  EXPECT_EQ(zeros.cell_deadline_ms, 0);
-  EXPECT_EQ(zeros.cell_retries, 0);
   for (const auto& [name, value] :
        {std::pair{"NUMALP_MAX_EPOCHS", "x3"}, std::pair{"NUMALP_ACCESSES_PER_EPOCH", "2k"},
         std::pair{"NUMALP_SHARDS", "-4"}, std::pair{"NUMALP_SHARDS_FORCE", "yes"}}) {
@@ -326,6 +364,22 @@ TEST(SettingsDeathTest, ToolArgsRejectMalformedSettings) {
                 std::string(name) + ": expected an integer in \\[.*got '" + value + "'");
     ASSERT_EQ(unsetenv(name), 0);
   }
+}
+
+// An unknown flag is named before the usage, so a deleted flag in a script
+// says which one it is; the cell watchdog, the retry budget and the four
+// fault-rate overrides are such flags.
+TEST(SettingsDeathTest, UnknownFlagNamesItself) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* flag :
+       {"--cell-deadline-ms", "--cell-retries", "--fault-alloc-pct", "--fault-migrate-pct",
+        "--fault-large-migrate-pct", "--fault-pressure-pct"}) {
+    EXPECT_EXIT(ParseArgs({flag, "0"}), ::testing::ExitedWithCode(2),
+                std::string("tool: unknown flag '") + flag +
+                    "'\ntool [^\n]*\n\nusage: tool \\[options\\]");
+  }
+  EXPECT_EXIT(ParseArgs({"--epochs"}), ::testing::ExitedWithCode(2),
+              "tool: --epochs: missing value\n");
 }
 
 // NUMALP_JOBS once fell back silently (NUMALP_JOBS=4x ran 4 jobs); now it
@@ -381,8 +435,8 @@ TEST(SettingsDeathTest, ToolFlagsRejectMalformedValues) {
       {{NUMALP_RUN, "--policy", "lp2"}, "--policy: expected linux-4k\\|thp"},
       {{NUMALP_RUN, "--workload", "CG.Z"}, "--workload: unknown workload 'CG.Z'"},
       {{NUMALP_REPORT, "--format", "bogus"}, "--format: expected md\\|csv\\|jsonl, got 'bogus'"},
+      {{NUMALP_REPORT, "--sumary", "x"}, "numalp_report: unknown flag '--sumary'\n"},
   };
-#ifdef NUMALP_BENCH
   cases.push_back({{NUMALP_BENCH, "trace_replay", "--trace-epochs", "3x"},
                    "--trace-epochs: expected an integer in \\["});
   cases.push_back({{NUMALP_BENCH, "trace_replay", "--trace-epochs", "-1"},
@@ -392,7 +446,6 @@ TEST(SettingsDeathTest, ToolFlagsRejectMalformedValues) {
                    "usage: numalp_bench fig1_thp_vs_linux \\[options\\]"});
   cases.push_back({{NUMALP_BENCH, "fig1", "--epochs", "3"},
                    "unknown bench 'fig1'\n.*NAME is one of:\n  fig1_thp_vs_linux "});
-#endif
   for (const auto& [args, message] : cases) {
     EXPECT_EXIT(run(args), ::testing::ExitedWithCode(2), message) << args[1] << " " << args[2];
   }
@@ -400,7 +453,6 @@ TEST(SettingsDeathTest, ToolFlagsRejectMalformedValues) {
               ::testing::ExitedWithCode(0), "");
 }
 
-#ifdef NUMALP_BENCH
 // numalp_bench without a NAME runs nothing: it lists the claims table's
 // names and exits 2.
 TEST(SettingsDeathTest, BenchDriverWithoutNameListsTheBenches) {
@@ -456,7 +508,47 @@ TEST(SettingsDeathTest, TraceDirDefaultIsResolvedAfterParsing) {
   std::filesystem::remove_all(trace_dir);
   std::filesystem::remove(not_a_dir);
 }
-#endif
+
+// A sweep with a failed cell writes every row, then names each failed cell
+// on stderr and exits 1, instead of exiting 0 as if every cell had run.
+// Both of numalp_run's cells replay the cut trace, so both fail.
+TEST(ToolDeathTest, RunWithAFailedCellExitsOneAfterEveryRow) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "numalp_runner_test_failed_cell";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string trace = (dir / "cut.bin").string();
+  WriteTruncatedTrace(Topology::MachineA(), trace);
+  const auto run = [&] {
+    if (std::freopen("/dev/null", "w", stdout) == nullptr) {
+      std::_Exit(127);
+    }
+    std::vector<std::string> args = {NUMALP_RUN, "--workload", "trace:" + trace, "--machine", "A",
+                                     "--policy", "carrefour-lp", "--out-dir", dir.string(),
+                                     "--jobs", "2"};
+    std::vector<char*> argv;
+    for (std::string& arg : args) {
+      argv.push_back(arg.data());
+    }
+    argv.push_back(nullptr);
+    ::execv(argv[0], argv.data());
+    std::_Exit(127);
+  };
+  EXPECT_EXIT(run(), ::testing::ExitedWithCode(1),
+              "numalp_run: cell 0 \\(machineA/trace:ckpt-churn/Linux-4K\\): failed: trace: "
+              "truncated chunk[^\n]*\n"
+              "numalp_run: cell 1 \\(machineA/trace:ckpt-churn/Carrefour-LP\\): failed: trace: "
+              "truncated chunk");
+  std::ifstream jsonl(dir / "run.jsonl");
+  std::string line;
+  int failed_rows = 0;
+  while (std::getline(jsonl, line)) {
+    failed_rows += line.find("\"status\":\"failed: trace: truncated chunk") != std::string::npos;
+  }
+  EXPECT_EQ(failed_rows, 2);
+  fs::remove_all(dir);
+}
 
 }  // namespace
 }  // namespace numalp

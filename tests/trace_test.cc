@@ -666,7 +666,6 @@ TEST(TraceWorkloadTest, RejectsRegionMapAtAnotherBase) {
     spec.sim.shards = shards;
     spec.sim.shards_force = shards > 1;
     ExperimentRunner runner(1);
-    runner.set_max_cell_retries(0);
     const std::vector<RunResult> results = runner.Run({spec});
     ASSERT_EQ(results.size(), 1u);
     EXPECT_NE(results[0].status.find("replayed VMA base mismatch"), std::string::npos)

@@ -7,7 +7,8 @@
 // emitted as a typed ResultRow through the configured sinks (--format on
 // stdout, --out-dir files; DESIGN.md Section 6). The options are the
 // uniform settings plus the row's own; REPRODUCING.md maps each NAME to the
-// figure or table it reproduces.
+// figure or table it reproduces. A sweep with a failed cell exits 1 after
+// writing every row, naming each failed cell on stderr.
 #include <cstdio>
 #include <cstring>
 
@@ -49,5 +50,5 @@ int main(int argc, char** argv) {
   const numalp::report::Sweep sweep = claim->sweep(inputs);
   numalp::report::GridReport report(inputs.options, claim->info);
   report.Run(sweep);
-  return 0;
+  return report.Close();
 }

@@ -2,8 +2,9 @@
 // bench/example/tool sinks via --out-dir) into the paper's figures and
 // tables, an optional committable bench_summary.json, and the executable
 // qualitative reproduction checks (--check: exit 1 if any present-data
-// check fails; missing columns SKIP). The flags are the settings rows
-// below; --help prints them.
+// check fails; missing columns SKIP). A row whose status is not "ok" (a
+// failed cell) exits 2 naming its file and line, before anything is
+// written. The flags are the settings rows below; --help prints them.
 //
 // See REPRODUCING.md for the full workflow and DESIGN.md Section 6 for the
 // row schema this consumes.
@@ -93,9 +94,16 @@ int main(int argc, char** argv) {
         numalp::report::LoadResults(input, &issues);
     rows.insert(rows.end(), loaded.begin(), loaded.end());
   }
+  bool refused = false;
   for (const auto& issue : issues) {
     std::fprintf(stderr, "numalp_report: %s:%d: %s\n", issue.file.c_str(), issue.line,
                  issue.message.c_str());
+    refused = refused || issue.refused;
+  }
+  // A failed cell's row carries no measurement: averaging it would pass a
+  // stub off as a result, so the whole input is refused.
+  if (refused) {
+    return 2;
   }
   if (rows.empty()) {
     std::fprintf(stderr, "numalp_report: no rows loaded from");

@@ -9,7 +9,8 @@
 // execute concurrently on the ExperimentRunner), and with --per-epoch also
 // prints the full epoch trace including the reactive component's LAR
 // estimates, then the measured cell's speculative-window outcomes (md mode
-// only — csv/jsonl stdout stays machine-parseable).
+// only — csv/jsonl stdout stays machine-parseable). A failed cell is named
+// on stderr after the rows, and the exit status is then 1.
 //
 // Trace capture/replay (DESIGN.md Section 14): --capture-trace records the
 // measured cell's access stream; --workload trace:FILE replays a recording
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
 
   numalp::report::GridReport report(options, info);
   const std::vector<numalp::RunResult> results = report.Run(sweep);
-  report.Finish();
+  const int status = report.Close();
 
   if (per_epoch && options.human()) {
     const numalp::RunResult& run = results.back();
@@ -112,5 +113,5 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(spec.replay_rounds),
                 static_cast<unsigned long long>(spec.penalty_rounds));
   }
-  return 0;
+  return status;
 }
