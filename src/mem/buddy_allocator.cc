@@ -1,28 +1,84 @@
 #include "src/mem/buddy_allocator.h"
 
+#include <bit>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "src/common/log.h"
 
 namespace numalp {
 
+namespace {
+
+[[noreturn]] void RejectBadBlock(const char* op, Pfn pfn, int order) {
+  throw std::logic_error(std::string("BuddyAllocator::") + op + ": pfn " + std::to_string(pfn) +
+                         " is not the head of an allocated order-" + std::to_string(order) +
+                         " block");
+}
+
+}  // namespace
+
 BuddyAllocator::BuddyAllocator(Pfn base_pfn, std::uint64_t num_frames)
-    : base_pfn_(base_pfn), total_frames_(num_frames), free_lists_(kMaxOrder + 1) {
+    : base_pfn_(base_pfn), total_frames_(num_frames), heads_(num_frames, 0) {
   assert(IsAligned(base_pfn, 1ull << kMaxOrder));
+  // Only whole blocks inside the range can be free, so order o needs
+  // num_frames >> o bits.
+  for (int o = 0; o <= kMaxOrder; ++o) {
+    FreeArea& area = free_areas_[static_cast<std::size_t>(o)];
+    const std::uint64_t words = ((num_frames >> o) + 63) / 64;
+    area.bits.assign(words, 0);
+    area.summary.assign((words + 63) / 64, 0);
+  }
   // Greedily cover [base, base+num_frames) with maximal aligned free blocks.
-  Pfn cursor = base_pfn_;
+  std::uint64_t cursor = 0;
   std::uint64_t remaining = num_frames;
   while (remaining > 0) {
     int order = kMaxOrder;
-    while (order > 0 && (((cursor - base_pfn_) & ((1ull << order) - 1)) != 0 ||
-                         (1ull << order) > remaining)) {
+    while (order > 0 && ((cursor & ((1ull << order) - 1)) != 0 || (1ull << order) > remaining)) {
       --order;
     }
-    free_lists_[static_cast<std::size_t>(order)].insert(cursor);
+    PushFree(cursor, order);
     cursor += 1ull << order;
     remaining -= 1ull << order;
   }
   free_frames_ = num_frames;
+}
+
+void BuddyAllocator::PushFree(std::uint64_t index, int order) {
+  FreeArea& area = free_areas_[static_cast<std::size_t>(order)];
+  const std::uint64_t block = index >> order;
+  area.bits[block >> 6] |= 1ull << (block & 63);
+  area.summary[block >> 12] |= 1ull << ((block >> 6) & 63);
+  ++area.count;
+  heads_[index] = static_cast<std::uint8_t>(kHeadFree | order);
+}
+
+void BuddyAllocator::RemoveFree(std::uint64_t index, int order) {
+  FreeArea& area = free_areas_[static_cast<std::size_t>(order)];
+  const std::uint64_t block = index >> order;
+  std::uint64_t& word = area.bits[block >> 6];
+  word &= ~(1ull << (block & 63));
+  if (word == 0) {
+    area.summary[block >> 12] &= ~(1ull << ((block >> 6) & 63));
+  }
+  --area.count;
+}
+
+std::uint64_t BuddyAllocator::LowestFree(int order) const {
+  const FreeArea& area = free_areas_[static_cast<std::size_t>(order)];
+  std::size_t s = 0;
+  while (area.summary[s] == 0) {
+    ++s;
+  }
+  const std::uint64_t w = (s << 6) + static_cast<std::uint64_t>(std::countr_zero(area.summary[s]));
+  const std::uint64_t block = (w << 6) + static_cast<std::uint64_t>(std::countr_zero(area.bits[w]));
+  return block << order;
+}
+
+bool BuddyAllocator::IsAllocatedHead(std::uint64_t index, int order) const {
+  return order >= 0 && order <= kMaxOrder && index < total_frames_ &&
+         heads_[index] == (kHeadAllocated | order);
 }
 
 std::optional<Pfn> BuddyAllocator::Alloc(int order) {
@@ -30,7 +86,7 @@ std::optional<Pfn> BuddyAllocator::Alloc(int order) {
   // Find the smallest free order >= requested.
   int found = -1;
   for (int o = order; o <= kMaxOrder; ++o) {
-    if (!free_lists_[static_cast<std::size_t>(o)].empty()) {
+    if (free_areas_[static_cast<std::size_t>(o)].count != 0) {
       found = o;
       break;
     }
@@ -39,43 +95,41 @@ std::optional<Pfn> BuddyAllocator::Alloc(int order) {
     ++alloc_failures_;
     return std::nullopt;
   }
-  auto& list = free_lists_[static_cast<std::size_t>(found)];
-  const Pfn block = *list.begin();
-  list.erase(list.begin());
+  // The lowest set bit is the lowest-address block of that order.
+  const std::uint64_t block = LowestFree(found);
+  RemoveFree(block, found);
   // Split down to the requested order, returning the low half each time.
   for (int o = found; o > order; --o) {
-    const Pfn upper_half = block + (1ull << (o - 1));
-    free_lists_[static_cast<std::size_t>(o - 1)].insert(upper_half);
+    PushFree(block + (1ull << (o - 1)), o - 1);
   }
-  allocated_[block] = order;
+  heads_[block] = static_cast<std::uint8_t>(kHeadAllocated | order);
   free_frames_ -= 1ull << order;
-  return block;
+  return base_pfn_ + block;
 }
 
 bool BuddyAllocator::AllocSpecific(Pfn pfn, int order) {
   assert(order >= 0 && order <= kMaxOrder);
   assert(((pfn - base_pfn_) & ((1ull << order) - 1)) == 0);
+  const std::uint64_t target = pfn - base_pfn_;
   // Find the free ancestor block containing the target, smallest first.
   for (int o = order; o <= kMaxOrder; ++o) {
-    const Pfn ancestor = ((pfn - base_pfn_) & ~((1ull << o) - 1)) + base_pfn_;
-    auto& list = free_lists_[static_cast<std::size_t>(o)];
-    const auto it = list.find(ancestor);
-    if (it == list.end()) {
+    const std::uint64_t ancestor = target & ~((1ull << o) - 1);
+    if (ancestor >= total_frames_ || heads_[ancestor] != (kHeadFree | o)) {
       continue;
     }
-    list.erase(it);
+    RemoveFree(ancestor, o);
     // Split down toward the target, freeing the half that doesn't contain it.
-    Pfn block = ancestor;
+    std::uint64_t block = ancestor;
     for (int oo = o; oo > order; --oo) {
-      const Pfn upper_half = block + (1ull << (oo - 1));
-      if (pfn >= upper_half) {
-        free_lists_[static_cast<std::size_t>(oo - 1)].insert(block);
+      const std::uint64_t upper_half = block + (1ull << (oo - 1));
+      if (target >= upper_half) {
+        PushFree(block, oo - 1);
         block = upper_half;
       } else {
-        free_lists_[static_cast<std::size_t>(oo - 1)].insert(upper_half);
+        PushFree(upper_half, oo - 1);
       }
     }
-    allocated_[block] = order;
+    heads_[block] = static_cast<std::uint8_t>(kHeadAllocated | order);
     free_frames_ -= 1ull << order;
     return true;
   }
@@ -84,41 +138,41 @@ bool BuddyAllocator::AllocSpecific(Pfn pfn, int order) {
 }
 
 void BuddyAllocator::Free(Pfn pfn, int order) {
-  const auto it = allocated_.find(pfn);
-  assert(it != allocated_.end() && it->second == order);
-  allocated_.erase(it);
+  std::uint64_t block = pfn - base_pfn_;
+  if (!IsAllocatedHead(block, order)) {
+    RejectBadBlock("Free", pfn, order);
+  }
+  heads_[block] = 0;
   free_frames_ += 1ull << order;
-  // Coalesce upward while the buddy is free.
-  Pfn block = pfn;
+  // Coalesce upward while the buddy heads a free block of the same order.
   int o = order;
   while (o < kMaxOrder) {
-    const Pfn buddy = BuddyOf(block, o);
-    auto& list = free_lists_[static_cast<std::size_t>(o)];
-    const auto buddy_it = list.find(buddy);
-    if (buddy_it == list.end()) {
+    const std::uint64_t buddy = block ^ (1ull << o);
+    if (buddy >= total_frames_ || heads_[buddy] != (kHeadFree | o)) {
       break;
     }
-    list.erase(buddy_it);
-    block = block < buddy ? block : buddy;
+    RemoveFree(buddy, o);
+    heads_[buddy] = 0;
+    block &= buddy;
     ++o;
   }
-  free_lists_[static_cast<std::size_t>(o)].insert(block);
+  PushFree(block, o);
 }
 
 void BuddyAllocator::SplitAllocated(Pfn pfn, int from_order, int to_order) {
-  assert(to_order < from_order);
-  const auto it = allocated_.find(pfn);
-  assert(it != allocated_.end() && it->second == from_order);
-  allocated_.erase(it);
+  const std::uint64_t index = pfn - base_pfn_;
+  if (to_order < 0 || to_order >= from_order || !IsAllocatedHead(index, from_order)) {
+    RejectBadBlock("SplitAllocated", pfn, from_order);
+  }
   const std::uint64_t step = 1ull << to_order;
-  for (Pfn p = pfn; p < pfn + (1ull << from_order); p += step) {
-    allocated_[p] = to_order;
+  for (std::uint64_t p = index; p < index + (1ull << from_order); p += step) {
+    heads_[p] = static_cast<std::uint8_t>(kHeadAllocated | to_order);
   }
 }
 
 bool BuddyAllocator::CanAlloc(int order) const {
   for (int o = order; o <= kMaxOrder; ++o) {
-    if (!free_lists_[static_cast<std::size_t>(o)].empty()) {
+    if (free_areas_[static_cast<std::size_t>(o)].count != 0) {
       return true;
     }
   }
@@ -126,19 +180,23 @@ bool BuddyAllocator::CanAlloc(int order) const {
 }
 
 bool BuddyAllocator::IsAllocated(Pfn pfn) const {
-  // Exact block starts only; constituent frames of a larger block are covered
-  // by searching the predecessor entry.
-  auto it = allocated_.upper_bound(pfn);
-  if (it == allocated_.begin()) {
+  // Blocks are aligned to their order, so a block covering pfn starts at pfn
+  // aligned down to that order.
+  const std::uint64_t index = pfn - base_pfn_;
+  if (index >= total_frames_) {
     return false;
   }
-  --it;
-  return pfn < it->first + (1ull << it->second);
+  for (int o = 0; o <= kMaxOrder; ++o) {
+    if (heads_[index & ~((1ull << o) - 1)] == (kHeadAllocated | o)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 int BuddyAllocator::LargestFreeOrder() const {
   for (int o = kMaxOrder; o >= 0; --o) {
-    if (!free_lists_[static_cast<std::size_t>(o)].empty()) {
+    if (free_areas_[static_cast<std::size_t>(o)].count != 0) {
       return o;
     }
   }
@@ -155,26 +213,57 @@ double BuddyAllocator::FragmentationIndex() const {
 }
 
 bool BuddyAllocator::CheckInvariants() const {
+  std::array<std::uint64_t, kMaxOrder + 1> free_heads{};
   std::uint64_t counted_free = 0;
+  std::uint64_t index = 0;
+  while (index < total_frames_) {
+    const std::uint8_t head = heads_[index];
+    const int order = head & kOrderMask;
+    const int flags = head & ~kOrderMask;
+    if (order > kMaxOrder || (flags != kHeadFree && flags != kHeadAllocated)) {
+      return false;
+    }
+    const std::uint64_t size = 1ull << order;
+    if ((index & (size - 1)) != 0 || index + size > total_frames_) {
+      return false;
+    }
+    for (std::uint64_t i = index + 1; i < index + size; ++i) {
+      if (heads_[i] != 0) {
+        return false;
+      }
+    }
+    const FreeArea& area = free_areas_[static_cast<std::size_t>(order)];
+    const std::uint64_t block = index >> order;
+    const bool bit = ((area.bits[block >> 6] >> (block & 63)) & 1) != 0;
+    if (bit != (flags == kHeadFree)) {
+      return false;
+    }
+    if (bit) {
+      ++free_heads[static_cast<std::size_t>(order)];
+      counted_free += size;
+    }
+    index += size;
+  }
+  if (counted_free != free_frames_) {
+    return false;
+  }
+  // Every free head has its bit; no other bit may be set, and the summary
+  // must mark exactly the non-empty words.
   for (int o = 0; o <= kMaxOrder; ++o) {
-    for (Pfn pfn : free_lists_[static_cast<std::size_t>(o)]) {
-      if (pfn < base_pfn_ || pfn + (1ull << o) > end_pfn()) {
+    const FreeArea& area = free_areas_[static_cast<std::size_t>(o)];
+    std::uint64_t bits_set = 0;
+    for (std::size_t w = 0; w < area.bits.size(); ++w) {
+      bits_set += static_cast<std::uint64_t>(std::popcount(area.bits[w]));
+      const bool marked = ((area.summary[w >> 6] >> (w & 63)) & 1) != 0;
+      if (marked != (area.bits[w] != 0)) {
         return false;
       }
-      if (((pfn - base_pfn_) & ((1ull << o) - 1)) != 0) {
-        return false;
-      }
-      if (IsAllocated(pfn)) {
-        return false;
-      }
-      counted_free += 1ull << o;
+    }
+    if (bits_set != area.count || area.count != free_heads[static_cast<std::size_t>(o)]) {
+      return false;
     }
   }
-  std::uint64_t counted_alloc = 0;
-  for (const auto& [pfn, order] : allocated_) {
-    counted_alloc += 1ull << order;
-  }
-  return counted_free == free_frames_ && counted_free + counted_alloc == total_frames_;
+  return true;
 }
 
 }  // namespace numalp

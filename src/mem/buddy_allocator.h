@@ -6,13 +6,18 @@
 // demoted to 4KB pages, the physical block stays where it is but its
 // bookkeeping becomes 512 order-0 allocations so the constituent frames can
 // later be migrated and freed independently.
+//
+// Bookkeeping is flat, like the kernel it models (a `struct page` per frame
+// plus a `free_area` per order): one head byte per frame and, per order, a
+// bitmap of free blocks with a summary word level and a count. That is
+// ~1.25 bytes per managed frame whatever the allocation pattern, instead of
+// a heap node per block.
 #ifndef NUMALP_SRC_MEM_BUDDY_ALLOCATOR_H_
 #define NUMALP_SRC_MEM_BUDDY_ALLOCATOR_H_
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "src/common/units.h"
@@ -45,12 +50,17 @@ class BuddyAllocator {
   bool AllocSpecific(Pfn pfn, int order);
 
   // Frees a block previously returned by Alloc (or produced by
-  // SplitAllocated). Coalesces with free buddies.
+  // SplitAllocated). Coalesces with free buddies. Throws std::logic_error,
+  // changing nothing, when `pfn` is not the first frame of an allocated
+  // block of exactly `order` (a double free, a wrong order, an interior
+  // frame).
   void Free(Pfn pfn, int order);
 
   // Rewrites the bookkeeping of an allocated block of `from_order` at `pfn`
   // into 2^(from_order - to_order) allocated blocks of `to_order`. No frames
-  // move; this models THP demotion (2MB -> 512 x 4KB).
+  // move; this models THP demotion (2MB -> 512 x 4KB). Throws
+  // std::logic_error like Free on a bad block, or when `to_order` is not in
+  // [0, from_order).
   void SplitAllocated(Pfn pfn, int from_order, int to_order);
 
   // True if a block of at least `order` is free (used by the THP fault path
@@ -70,7 +80,7 @@ class BuddyAllocator {
   // Fragmentation telemetry for fault-run explainability: free blocks of one
   // order, and how many Alloc calls have failed over the allocator's life.
   std::uint64_t FreeBlocksOfOrder(int order) const {
-    return free_lists_[static_cast<std::size_t>(order)].size();
+    return free_areas_[static_cast<std::size_t>(order)].count;
   }
   std::uint64_t alloc_failures() const { return alloc_failures_; }
 
@@ -78,22 +88,42 @@ class BuddyAllocator {
   // blocks. Defined as 1 - largest_free_block_frames / free_frames.
   double FragmentationIndex() const;
 
-  // Internal-consistency check used by the property tests: free lists are
-  // disjoint, aligned, inside the range, and disjoint from allocations.
+  // Internal-consistency check used by the property tests: the head bytes
+  // tile the range with aligned blocks, the free ones add up to
+  // free_frames(), and every order's bitmap, summary and count agree with
+  // the free heads.
   bool CheckInvariants() const;
 
  private:
-  Pfn BuddyOf(Pfn pfn, int order) const { return ((pfn - base_pfn_) ^ (1ull << order)) + base_pfn_; }
+  // heads_[i] describes frame base_pfn_ + i: 0 when it is not the first
+  // frame of a block, else the block's order plus one of these flags.
+  static constexpr std::uint8_t kHeadAllocated = 0x40;
+  static constexpr std::uint8_t kHeadFree = 0x80;
+  static constexpr std::uint8_t kOrderMask = 0x1f;
+
+  // The free blocks of one order. Bit b of `bits` is set when the block of
+  // index b (frames [b << order, (b + 1) << order) of the range) is free;
+  // bit w of `summary` is set when bits[w] != 0.
+  struct FreeArea {
+    std::vector<std::uint64_t> bits;
+    std::vector<std::uint64_t> summary;
+    std::uint64_t count = 0;
+  };
+
+  // Marks the block at frame index `index` free at `order` (head byte, bit).
+  void PushFree(std::uint64_t index, int order);
+  // Clears the block's free bit; the caller rewrites its head byte.
+  void RemoveFree(std::uint64_t index, int order);
+  // Frame index of the lowest-address free block of `order` (count > 0).
+  std::uint64_t LowestFree(int order) const;
+  bool IsAllocatedHead(std::uint64_t index, int order) const;
 
   Pfn base_pfn_;
   std::uint64_t total_frames_;
   std::uint64_t free_frames_ = 0;
   std::uint64_t alloc_failures_ = 0;
-  // Free blocks per order, keyed by first PFN (ordered: deterministic,
-  // lowest-address-first allocation like Linux's free lists).
-  std::vector<std::set<Pfn>> free_lists_;
-  // Allocated blocks: first PFN -> order. Kept for validation and splits.
-  std::map<Pfn, int> allocated_;
+  std::vector<std::uint8_t> heads_;
+  std::array<FreeArea, kMaxOrder + 1> free_areas_;
 };
 
 }  // namespace numalp

@@ -170,7 +170,7 @@ std::vector<ResultRow> LoadJsonlFile(const std::string& path,
     std::string error;
     if (!ParseJsonlLine(line, &row, &error)) {
       if (issues != nullptr) {
-        issues->push_back({path, line_number, error});
+        issues->push_back({path, line_number, error, /*refused=*/true});
       }
       continue;
     }

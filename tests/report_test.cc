@@ -791,6 +791,7 @@ TEST(LoadJsonlTest, SkipsMalformedLinesWithIssues) {
   EXPECT_EQ(rows[1].epochs, 4);
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].line, 2);
+  EXPECT_TRUE(issues[0].refused);
 }
 
 }  // namespace

@@ -550,5 +550,53 @@ TEST(ToolDeathTest, RunWithAFailedCellExitsOneAfterEveryRow) {
   fs::remove_all(dir);
 }
 
+// A line cut mid-row (the torn tail a killed --out-dir run leaves when it
+// is not resumed) is refused like a failed row: numalp_report exits 2 naming
+// the file and line before it writes anything, instead of warning and
+// summarising the rows before the tear as if the sweep had finished.
+TEST(ToolDeathTest, ReportRefusesATornJsonlLine) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "numalp_runner_test_torn_line";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  ExperimentGrid grid;
+  grid.machines = {Topology::Tiny()};
+  grid.workloads = {BenchmarkId::kWC};
+  grid.policies = {PolicyKind::kLinux4K, PolicyKind::kThp, PolicyKind::kCarrefourLp};
+  grid.sim = TinySim();
+  std::ostringstream rows;
+  {
+    report::GridReport report(std::make_unique<report::JsonlSink>(rows), "torn", 1);
+    report.Run(report::Sweep().AddGrid(grid));
+  }
+  const std::string text = rows.str();
+  const std::size_t second_end = text.find('\n', text.find('\n') + 1);
+  ASSERT_NE(second_end, std::string::npos);
+  const std::size_t third_end = text.find('\n', second_end + 1);
+  ASSERT_NE(third_end, std::string::npos);
+  {
+    std::ofstream out(dir / "torn.jsonl", std::ios::binary);
+    out << text.substr(0, second_end + 1 + (third_end - second_end) / 2);
+  }
+  const std::string summary = (dir / "summary.json").string();
+  const auto run = [&] {
+    if (std::freopen("/dev/null", "w", stdout) == nullptr) {
+      std::_Exit(127);
+    }
+    std::vector<std::string> args = {NUMALP_REPORT, dir.string(), "--summary", summary};
+    std::vector<char*> argv;
+    for (std::string& arg : args) {
+      argv.push_back(arg.data());
+    }
+    argv.push_back(nullptr);
+    ::execv(argv[0], argv.data());
+    std::_Exit(127);
+  };
+  EXPECT_EXIT(run(), ::testing::ExitedWithCode(2), "numalp_report: [^\n]*/torn.jsonl:3: ");
+  EXPECT_FALSE(fs::exists(summary));
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace numalp

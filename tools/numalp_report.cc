@@ -100,8 +100,9 @@ int main(int argc, char** argv) {
                  issue.message.c_str());
     refused = refused || issue.refused;
   }
-  // A failed cell's row carries no measurement: averaging it would pass a
-  // stub off as a result, so the whole input is refused.
+  // A failed cell's row carries no measurement, and a torn line is part of
+  // a sweep that did not finish: averaging around either would pass a stub
+  // or a partial sweep off as a result, so the whole input is refused.
   if (refused) {
     return 2;
   }
