@@ -3,7 +3,7 @@
 // application instead of the paper's suite. The workload below is a small
 // key-value store: a Zipf-hot shared table plus per-connection scratch.
 // All six policy runs are declared as RunSpec cells, executed in parallel
-// by the ExperimentRunner (--jobs / NUMALP_JOBS), and emitted as ResultRows
+// by the ExperimentRunner (--jobs), and emitted as ResultRows
 // against the Linux-4K cell (--format / --out-dir select the sinks).
 //
 //   ./policy_comparison [standard flags; --help lists them]

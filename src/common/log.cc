@@ -1,13 +1,10 @@
 #include "src/common/log.h"
 
-#include <atomic>
 #include <cstdio>
 
 namespace numalp {
 
 namespace {
-
-std::atomic<LogLevel> g_level{LogLevel::kWarning};
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -25,14 +22,7 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
-
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
-
 void LogMessage(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(g_level.load(std::memory_order_relaxed))) {
-    return;
-  }
   std::fprintf(stderr, "[numalp %s] %s\n", LevelName(level), message.c_str());
 }
 

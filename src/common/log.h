@@ -1,9 +1,6 @@
-// Minimal leveled logging to stderr. The simulator is a library, so logging
-// defaults to warnings only; the experiment harness raises the level with
-// --verbose. Each Simulation is single-threaded (it *models* a parallel
-// machine deterministically), but the ExperimentRunner executes independent
-// simulations concurrently, so the level itself is atomic and messages are
-// written with one fprintf call per line.
+// Minimal logging to stderr: every message is written, prefixed with its
+// level. The ExperimentRunner executes independent simulations concurrently,
+// so each message is written with one fprintf call per line.
 #ifndef NUMALP_SRC_COMMON_LOG_H_
 #define NUMALP_SRC_COMMON_LOG_H_
 
@@ -19,8 +16,6 @@ enum class LogLevel : int {
   kError = 3,
 };
 
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 void LogMessage(LogLevel level, const std::string& message);
 
 // Stream-style helper: LogStream(LogLevel::kInfo) << "epoch " << i;

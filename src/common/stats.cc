@@ -1,84 +1,26 @@
 #include "src/common/stats.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace numalp {
 
-void RunningStat::Add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStat::variance() const {
-  if (count_ == 0) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(count_);
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-double ImbalancePct(std::span<const double> values) {
-  RunningStat stat;
-  for (double v : values) {
-    stat.Add(v);
-  }
-  if (stat.count() == 0 || stat.mean() == 0.0) {
-    return 0.0;
-  }
-  return 100.0 * stat.stddev() / stat.mean();
-}
-
 double ImbalancePct(std::span<const std::uint64_t> values) {
-  RunningStat stat;
+  // Welford's online mean and variance. Rows carry the result, so this
+  // order of floating-point operations is part of their bytes.
+  std::uint64_t count = 0;
+  double mean = 0.0;
+  double m2 = 0.0;
   for (std::uint64_t v : values) {
-    stat.Add(static_cast<double>(v));
+    const double x = static_cast<double>(v);
+    ++count;
+    const double delta = x - mean;
+    mean += delta / static_cast<double>(count);
+    m2 += delta * (x - mean);
   }
-  if (stat.count() == 0 || stat.mean() == 0.0) {
+  if (count == 0 || mean == 0.0) {
     return 0.0;
   }
-  return 100.0 * stat.stddev() / stat.mean();
+  return 100.0 * std::sqrt(m2 / static_cast<double>(count)) / mean;
 }
-
-double Percentile(std::span<const double> values, double p) {
-  if (values.empty()) {
-    return 0.0;
-  }
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double clamped = std::clamp(p, 0.0, 100.0);
-  const double rank = clamped / 100.0 * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, int buckets)
-    : lo_(lo),
-      width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(static_cast<std::size_t>(buckets), 0) {}
-
-void Histogram::Add(double x) {
-  int index = static_cast<int>((x - lo_) / width_);
-  index = std::clamp(index, 0, num_buckets() - 1);
-  ++counts_[static_cast<std::size_t>(index)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(int i) const { return lo_ + width_ * i; }
-
-double Histogram::bucket_hi(int i) const { return lo_ + width_ * (i + 1); }
 
 }  // namespace numalp

@@ -1,65 +1,16 @@
-// Small statistics helpers used by the metrics module and the test suite.
+// The traffic-imbalance statistic the metrics module and run results share.
 #ifndef NUMALP_SRC_COMMON_STATS_H_
 #define NUMALP_SRC_COMMON_STATS_H_
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace numalp {
 
-// Welford online mean / variance accumulator.
-class RunningStat {
- public:
-  void Add(double x);
-
-  std::uint64_t count() const { return count_; }
-  double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  // Population variance / standard deviation (the paper's "imbalance" metric
-  // uses the standard deviation of controller request rates).
-  double variance() const;
-  double stddev() const;
-  double min() const { return count_ > 0 ? min_ : 0.0; }
-  double max() const { return count_ > 0 ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
- private:
-  std::uint64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
-// Standard deviation of `values` expressed as a percentage of their mean —
-// the paper's definition of memory-controller traffic imbalance (Section 2.1).
-// Returns 0 for empty input or zero mean.
-double ImbalancePct(std::span<const double> values);
+// Population standard deviation of `values` expressed as a percentage of
+// their mean — the paper's definition of memory-controller traffic imbalance
+// (Section 2.1). Returns 0 for empty input or zero mean.
 double ImbalancePct(std::span<const std::uint64_t> values);
-
-// Exact p-th percentile (0..100) by sorting a copy; fine for metric vectors.
-double Percentile(std::span<const double> values, double p);
-
-// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-// first / last bucket. Used by diagnostics and the examples.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int buckets);
-
-  void Add(double x);
-  std::uint64_t bucket_count(int i) const { return counts_[static_cast<std::size_t>(i)]; }
-  int num_buckets() const { return static_cast<int>(counts_.size()); }
-  std::uint64_t total() const { return total_; }
-  double bucket_lo(int i) const;
-  double bucket_hi(int i) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 }  // namespace numalp
 

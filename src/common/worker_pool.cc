@@ -1,34 +1,9 @@
 #include "src/common/worker_pool.h"
 
 #include <algorithm>
-#include <atomic>
+#include <utility>
 
 namespace numalp {
-
-namespace {
-std::atomic<int> g_active_runner_jobs{0};
-}  // namespace
-
-int ActiveRunnerJobs() { return g_active_runner_jobs.load(std::memory_order_relaxed); }
-
-ScopedActiveRunnerJobs::ScopedActiveRunnerJobs(int jobs) : jobs_(std::max(0, jobs)) {
-  g_active_runner_jobs.fetch_add(jobs_, std::memory_order_relaxed);
-}
-
-ScopedActiveRunnerJobs::~ScopedActiveRunnerJobs() {
-  g_active_runner_jobs.fetch_sub(jobs_, std::memory_order_relaxed);
-}
-
-int ResolveShardCount(int requested, bool force, int num_cores) {
-  int shards = std::min(std::max(1, requested), std::max(1, num_cores));
-  if (force || shards <= 1) {
-    return shards;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int host = hw > 0 ? static_cast<int>(hw) : 1;
-  const int jobs = std::max(1, ActiveRunnerJobs());
-  return std::min(shards, std::max(1, host / jobs));
-}
 
 ShardPool::ShardPool(int shards) : shards_(std::max(1, shards)) {
   threads_.reserve(static_cast<std::size_t>(shards_ - 1));
@@ -113,9 +88,12 @@ void ShardPool::WorkerLoop(int worker) {
       // Keep the lowest-numbered helper's exception, so which one the
       // caller sees does not depend on scheduling.
       if (error != nullptr && (helper_error_ == nullptr || worker < helper_error_worker_)) {
-        helper_error_ = error;
+        helper_error_ = std::move(error);
         helper_error_worker_ = worker;
       }
+      // Drop this helper's reference under the mutex too, so its release of
+      // the exception is ordered before the caller's rethrow reads it.
+      error = nullptr;
       --outstanding_;
     }
     done_cv_.notify_one();

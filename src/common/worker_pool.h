@@ -1,9 +1,7 @@
-// The persistent worker pool and the process-global oversubscription guard
-// (DESIGN.md Section 10). The access engine runs its speculative windows and
-// batch fills on a ShardPool, and trace synthesis fills and encodes its
-// per-thread batches on one; the guard keeps grid-level parallelism
-// (ExperimentRunner jobs) and either of those from multiplying into more
-// threads than the host has.
+// The persistent worker pool (DESIGN.md Section 10). The ExperimentRunner
+// runs its grid workers on a ShardPool, the access engine its speculative
+// windows and batch fills, and trace synthesis its per-thread batch fills
+// and encodes.
 #ifndef NUMALP_SRC_COMMON_WORKER_POOL_H_
 #define NUMALP_SRC_COMMON_WORKER_POOL_H_
 
@@ -16,35 +14,6 @@
 #include <vector>
 
 namespace numalp {
-
-// --- Oversubscription guard -------------------------------------------------
-
-// Worker threads the ExperimentRunner currently has running, process-wide.
-// Simulations consult it when resolving their effective shard count so
-// NUMALP_JOBS=8 with 4 shards does not become 32 threads.
-int ActiveRunnerJobs();
-
-// RAII registration of a runner's worker count for the guard's lifetime.
-class ScopedActiveRunnerJobs {
- public:
-  explicit ScopedActiveRunnerJobs(int jobs);
-  ~ScopedActiveRunnerJobs();
-
-  ScopedActiveRunnerJobs(const ScopedActiveRunnerJobs&) = delete;
-  ScopedActiveRunnerJobs& operator=(const ScopedActiveRunnerJobs&) = delete;
-
- private:
-  int jobs_;
-};
-
-// Effective shard count for one Simulation: `requested` clamped to the
-// simulated core count and — unless `force` — to the host thread budget
-// (hardware concurrency divided by the active runner jobs). Shards never
-// change results, so clamping is always safe; `force` exists for scaling
-// measurements and determinism tests that must spawn real workers anyway.
-int ResolveShardCount(int requested, bool force, int num_cores);
-
-// --- Worker pool -------------------------------------------------------------
 
 // A persistent pool of `shards - 1` helper threads plus the calling thread,
 // dispatching one job per parallel window. Condvar-parked between windows

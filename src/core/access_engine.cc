@@ -33,8 +33,8 @@ AccessEngine::AccessEngine(const Topology& topo, const SimConfig& sim, AddressSp
       workload_->FillBatch(t, accesses, batch);
     }
   };
-  shard_pool_ = std::make_unique<ShardPool>(
-      ResolveShardCount(sim_.shards, sim_.shards_force, topo_.num_cores()));
+  // More shards than simulated cores could never get work.
+  shard_pool_ = std::make_unique<ShardPool>(std::clamp(sim_.shards, 1, topo_.num_cores()));
 }
 
 void AccessEngine::Execute(bool epoch_in_setup) {

@@ -76,18 +76,13 @@ struct SimConfig {
   // Section 10): the epoch's access rounds execute as speculative windows
   // over per-core shard contexts, committed only when provably equal to the
   // serial interleaving. Results are bit-identical at any value; only host
-  // wall-clock changes. <= 1 runs the windows on the calling thread. The
-  // effective count is clamped to the host budget (hardware concurrency
-  // divided by active ExperimentRunner jobs) so grid parallelism and shard
-  // parallelism cannot multiply into oversubscription.
+  // wall-clock changes. <= 1 runs the windows on the calling thread; the
+  // engine runs exactly this many workers, at most the machine's core count
+  // (DESIGN.md Section 10.4).
   int shards = 1;
-  // Bypass the oversubscription clamp and spawn exactly `shards` workers —
-  // for scaling measurements and the determinism tests, which must exercise
-  // real cross-thread windows even on small or busy hosts.
-  bool shards_force = false;
-  // Deterministic fault injection (DESIGN.md Section 12; --fault-profile
-  // and the --fault-*-pct rate overrides). Off by default: no FaultPlan is
-  // constructed and runs are byte-identical to fault-free builds.
+  // Deterministic fault injection (DESIGN.md Section 12; --fault-profile).
+  // Off by default: no FaultPlan is constructed and runs are byte-identical
+  // to fault-free builds.
   FaultConfig faults;
 
   TlbConfig tlb;

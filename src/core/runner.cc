@@ -44,13 +44,6 @@ std::vector<RunResult> ExperimentRunner::Run(const std::vector<RunSpec>& cells) 
   const int workers =
       std::max(1, std::min<int>(jobs_, static_cast<int>(cells.size() - skip)));
 
-  // Register this runner's worker count with the oversubscription guard for
-  // the duration of the grid: simulations created inside RunCell clamp
-  // their intra-cell shard count to the host budget divided by the active
-  // jobs (src/common/worker_pool.h), so grid-level and intra-cell parallelism never
-  // multiply into more threads than the host has.
-  const ScopedActiveRunnerJobs jobs_guard(workers);
-
   // Workers claim cells in index order, mark them done and flush the
   // contiguous done-prefix to the observer under the mutex, so the observer
   // sees cells in ascending index order no matter which worker finished

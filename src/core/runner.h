@@ -42,9 +42,8 @@ using RunObserver =
 
 class ExperimentRunner {
  public:
-  // jobs <= 0 selects the hardware concurrency. The runner reads no
-  // environment: tools pass NUMALP_JOBS in through report::ParseToolArgs,
-  // which rejects malformed values.
+  // jobs <= 0 selects the hardware concurrency. Tools pass --jobs in
+  // through report::ParseToolArgs, which rejects malformed values.
   explicit ExperimentRunner(int jobs = 0);
 
   int jobs() const { return jobs_; }

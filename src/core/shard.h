@@ -1,7 +1,7 @@
 // Intra-cell core sharding (DESIGN.md Section 10): the per-core execution
 // context owning all slice-local simulation state. The worker pool that runs
-// speculative parallel windows over those contexts, and the oversubscription
-// guard that sizes it, are in src/common/worker_pool.h.
+// speculative parallel windows over those contexts is in
+// src/common/worker_pool.h.
 #ifndef NUMALP_SRC_CORE_SHARD_H_
 #define NUMALP_SRC_CORE_SHARD_H_
 

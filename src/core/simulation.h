@@ -51,7 +51,7 @@ class Simulation {
   // the per-page listing reads it here.
   const PageAggMap& cumulative_pages() const { return cumulative_pages_; }
 
-  // Effective intra-cell shard count after the oversubscription clamp
+  // Intra-cell shard count, SimConfig::shards clamped to [1, cores]
   // (DESIGN.md Section 10): host threads running the speculative windows.
   int shard_count() const { return engine_->shards(); }
 

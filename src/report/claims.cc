@@ -105,9 +105,9 @@ Sweep TraceReplay(const BenchInputs& in) {
 }
 
 std::vector<Setting> TraceSettings(BenchInputs* in) {
-  return {{"--trace-dir", nullptr, Text(&in->trace_dir, "DIR"),
+  return {{"--trace-dir", Text(&in->trace_dir, "DIR"),
            "where generated traces are written (default: system temp dir)"},
-          {"--trace-epochs", nullptr, Int(&in->trace_epochs, 0, INT_MAX),
+          {"--trace-epochs", Int(&in->trace_epochs, 0, INT_MAX),
            "steady epochs per generated trace (0 = each profile's default)"}};
 }
 

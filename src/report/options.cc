@@ -5,8 +5,10 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 
 extern char** environ;
 
@@ -35,17 +37,10 @@ SettingValue Enum(T* field, std::vector<T> choices) {
           }};
 }
 
-// An integer >= 0 read as a switch: positive enables, 0 leaves it off.
-SettingValue Enables(bool* field) {
-  return {"N", [field](const std::string& setting, const char* text) {
-            *field = ParseInt(setting, text, 0, INT_MAX) > 0;
-          }};
-}
-
 // A name parser's result, or a message naming the setting and `names`.
 template <typename T, typename Parse>
 Setting NameFlag(const char* flag, T* out, Parse parse, const char* names, std::string help) {
-  return {flag, nullptr,
+  return {flag,
           {names,
            [out, parse, names](const std::string& setting, const char* text) {
              const auto parsed = parse(text);
@@ -66,43 +61,39 @@ void PrintUsage(std::FILE* out, const std::string& head, const std::vector<Setti
     }
     std::fprintf(out, "  %-24s %s\n", left.c_str(), help.c_str());
   };
-  bool any_env = false;
   for (const Setting& setting : settings) {
     const std::string& placeholder = setting.value.placeholder;
-    any_env = any_env || setting.env != nullptr;
-    if (setting.flag == nullptr) {
-      line(std::string(setting.env) + "=" + placeholder, setting.help);
-    } else {
-      line(placeholder.empty() ? setting.flag : std::string(setting.flag) + " " + placeholder,
-           setting.env == nullptr ? setting.help : setting.help + " [" + setting.env + "]");
-    }
+    line(placeholder.empty() ? setting.flag : std::string(setting.flag) + " " + placeholder,
+         setting.help);
   }
   line("--help", "this message");
-  if (any_env) {
-    std::fprintf(out, "[VAR]: the environment variable that also sets it; the flag wins\n");
-  }
 }
 
-// A NUMALP_* variable outside the table's env column is a typo or a deleted
-// knob; either way it would be silently ignored, so it is refused instead.
-void RejectUnknownEnv(const std::vector<Setting>& settings) {
-  std::string known;
-  for (const Setting& setting : settings) {
-    if (setting.env != nullptr) {
-      known += std::string(known.empty() ? "" : ", ") + setting.env;
-    }
-  }
+// The environment sets nothing, so a NUMALP_* variable is a leftover knob or
+// a typo that would be silently ignored; it is refused instead, naming the
+// flag that replaced it when there is one.
+void RejectNumalpEnv(const char* tool) {
+  static constexpr std::pair<std::string_view, const char*> kReplaced[] = {
+      {"NUMALP_JOBS", "--jobs"},
+      {"NUMALP_MAX_EPOCHS", "--epochs"},
+      {"NUMALP_ACCESSES_PER_EPOCH", "--accesses"},
+      {"NUMALP_SHARDS", "--shards"},
+      {"NUMALP_SHARDS_FORCE", "--shards"},
+  };
   for (char** entry = environ; *entry != nullptr; ++entry) {
     const std::string_view variable(*entry);
     if (variable.rfind("NUMALP_", 0) != 0) {
       continue;
     }
     const std::string name(variable.substr(0, variable.find('=')));
-    if (std::none_of(settings.begin(), settings.end(), [&](const Setting& setting) {
-          return setting.env != nullptr && name == setting.env;
-        })) {
-      throw std::invalid_argument(name + ": not a setting; the environment sets only " + known);
-    }
+    const auto replaced = std::find_if(std::begin(kReplaced), std::end(kReplaced),
+                                       [&](const auto& knob) { return knob.first == name; });
+    const std::string hint = replaced != std::end(kReplaced)
+                                 ? std::string("use ") + replaced->second
+                                 : "settings are flags (see --help)";
+    std::fprintf(stderr, "%s: %s: the environment sets nothing; %s\n", tool, name.c_str(),
+                 hint.c_str());
+    std::exit(2);
   }
 }
 
@@ -121,9 +112,8 @@ void ApplyArgv(int argc, char** argv, const char* tool, const std::string& head,
       positional->push_back(arg);
       continue;
     }
-    const auto row = std::find_if(settings.begin(), settings.end(), [&](const Setting& setting) {
-      return setting.flag != nullptr && arg == setting.flag;
-    });
+    const auto row = std::find_if(settings.begin(), settings.end(),
+                                  [&](const Setting& setting) { return arg == setting.flag; });
     const bool takes_value = row != settings.end() && !row->value.placeholder.empty();
     if (row == settings.end() || (takes_value && i + 1 >= argc)) {
       std::fprintf(stderr, row == settings.end() ? "%s: unknown flag '%s'\n"
@@ -134,30 +124,6 @@ void ApplyArgv(int argc, char** argv, const char* tool, const std::string& head,
     }
     row->value.store(arg, takes_value ? argv[++i] : nullptr);
   }
-}
-
-// ParseToolArgs without the handling of malformed settings, which throw
-// std::invalid_argument.
-Options ParseArgs(int argc, char** argv, const ToolInfo& info,
-                  const std::vector<Setting>& extras, const char* launcher) {
-  Options options;
-  std::vector<Setting> settings = UniformSettings(&options);
-  settings.insert(settings.end(), extras.begin(), extras.end());
-  RejectUnknownEnv(settings);
-  for (const Setting& setting : settings) {
-    if (setting.env == nullptr) {
-      continue;
-    }
-    if (const char* text = std::getenv(setting.env); text != nullptr) {
-      setting.value.store(setting.env, text);
-    }
-  }
-  const std::string head = std::string(info.name) + " — " + info.description +
-                           " (bench id: " + info.bench_id + ")\n\nusage: " +
-                           (launcher != nullptr ? std::string(launcher) + " " : "") +
-                           info.name + " [options]\n";
-  ApplyArgv(argc, argv, info.name, head, settings, nullptr);
-  return options;
 }
 
 }  // namespace
@@ -193,40 +159,41 @@ SettingValue OneOf(std::string* field, std::vector<std::string> choices) {
 std::vector<Setting> UniformSettings(Options* options) {
   SimConfig& sim = options->sim;
   return {
-      {"--format", nullptr, Enum<std::string>(&options->format, {"md", "csv", "jsonl"}),
+      {"--format", Enum<std::string>(&options->format, {"md", "csv", "jsonl"}),
        "stdout format (default md, an aligned table)"},
-      {"--out-dir", nullptr, Text(&options->out_dir, "DIR"),
+      {"--out-dir", Text(&options->out_dir, "DIR"),
        "also write the rows to DIR/<bench id>.{csv,jsonl}"},
-      {"--jobs", "NUMALP_JOBS", Int(&options->jobs, 1, INT_MAX),
+      {"--jobs", Int(&options->jobs, 1, INT_MAX),
        "grid worker threads (default: the host's cores)"},
-      {"--seed", nullptr, Int(&sim.seed, 1, LLONG_MAX),
+      {"--seed", Int(&sim.seed, 1, LLONG_MAX),
        "base seed of the sweep's seed axis (default 42)"},
-      {"--epochs", "NUMALP_MAX_EPOCHS", Int(&sim.max_epochs, 1, INT_MAX),
+      {"--epochs", Int(&sim.max_epochs, 1, INT_MAX),
        "cap epochs per run (default 600)"},
-      {"--accesses", "NUMALP_ACCESSES_PER_EPOCH",
-       Int(&sim.accesses_per_thread_per_epoch, 1, LLONG_MAX),
+      {"--accesses", Int(&sim.accesses_per_thread_per_epoch, 1, LLONG_MAX),
        "accesses per thread per epoch (default 4096)"},
-      {"--shards", "NUMALP_SHARDS", Int(&sim.shards, 1, INT_MAX),
-       "intra-cell shard threads, clamped to the host budget; never changes results"},
-      {nullptr, "NUMALP_SHARDS_FORCE", Enables(&sim.shards_force),
-       "positive: spawn exactly the requested shards, bypassing the clamp"},
-      {"--fault-profile", nullptr,
+      {"--shards", Int(&sim.shards, 1, INT_MAX),
+       "intra-cell shard threads, at most the machine's cores; never changes results"},
+      {"--fault-profile",
        Enum(&sim.faults.profile, {FaultProfile::kOff, FaultProfile::kFrag,
                                   FaultProfile::kPressure, FaultProfile::kChurn}),
        "deterministic fault injection (default off, byte-identical to no fault support)"},
-      {"--resume", nullptr, Presence(&options->resume),
+      {"--resume", Presence(&options->resume),
        "continue a crashed --out-dir grid from its manifest, byte-identically"},
   };
 }
 
 Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
                       const std::vector<Setting>& extras, const char* launcher) {
-  try {
-    return ParseArgs(argc, argv, info, extras, launcher);
-  } catch (const std::invalid_argument& error) {
-    std::fprintf(stderr, "%s: %s\n", info.name, error.what());
-    std::exit(2);
-  }
+  RejectNumalpEnv(info.name);
+  Options options;
+  std::vector<Setting> settings = UniformSettings(&options);
+  settings.insert(settings.end(), extras.begin(), extras.end());
+  const std::string head = std::string(info.name) + " — " + info.description +
+                           " (bench id: " + info.bench_id + ")\n\nusage: " +
+                           (launcher != nullptr ? std::string(launcher) + " " : "") +
+                           info.name + " [options]\n";
+  ParseFlags(argc, argv, info.name, head, settings);
+  return options;
 }
 
 void ParseFlags(int argc, char** argv, const char* tool, const std::string& head,
@@ -310,7 +277,6 @@ std::optional<Topology> ParseMachineName(const std::string& name) {
 Setting WorkloadFlag(BenchmarkId* out, std::string* trace_file) {
   const std::string names = KnownWorkloadNames();
   return {"--workload",
-          nullptr,
           {trace_file != nullptr ? "NAME|trace:FILE" : "NAME",
            [out, trace_file, names](const std::string& setting, const char* text) {
              const std::string name = text;

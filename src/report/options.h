@@ -1,10 +1,10 @@
 // The one settings parser shared by every bench, example and tool, so
 // --help output and the results-pipeline flags (--format, --out-dir, --jobs,
 // --seed, --epochs, --accesses, --shards) are uniform across all binaries
-// (DESIGN.md Section 6). Every setting is one row of a table: its flag, the
-// environment variable that also sets it, its value's kind and range, where
-// the value goes, and its --help line. UniformSettings is the shared table;
-// binaries pass their own rows to ParseToolArgs. The workload/machine/policy
+// (DESIGN.md Section 6). Every setting is one row of a table: its flag, its
+// value's kind and range, where the value goes, and its --help line; the
+// environment sets nothing. UniformSettings is the shared table; binaries
+// pass their own rows to ParseToolArgs. The workload/machine/policy
 // name parsers that numalp_run and quickstart historically each hand-rolled
 // live here too.
 #ifndef NUMALP_SRC_REPORT_OPTIONS_H_
@@ -32,8 +32,8 @@ struct ToolInfo {
 struct Options {
   std::string format = "md";  // stdout format: md | csv | jsonl
   std::string out_dir;        // also write <out_dir>/<bench_id>.{csv,jsonl}
-  int jobs = 0;               // NUMALP_JOBS, then --jobs; 0 = hardware concurrency
-  SimConfig sim;              // environment, then flags
+  int jobs = 0;               // --jobs; 0 = hardware concurrency
+  SimConfig sim;              // the simulation flags
 
   // Continue a crashed --out-dir grid from its manifest (DESIGN.md
   // Section 12.4).
@@ -53,11 +53,9 @@ struct SettingValue {
   std::function<void(const std::string& setting, const char* text)> store;
 };
 
-// One row of the settings table. `flag` is nullptr for a setting only the
-// environment sets, `env` is nullptr for one only a flag sets.
+// One row of the settings table.
 struct Setting {
   const char* flag;
-  const char* env;
   SettingValue value;
   std::string help;  // one line for --help
 };
@@ -78,25 +76,25 @@ SettingValue Presence(bool* field);  // takes no value; sets *field
 SettingValue OneOf(std::string* field, std::vector<std::string> choices);  // one of `choices`
 
 // The settings every ParseToolArgs binary shares, storing into *options.
-// The env column is the only environment the simulator reads.
 std::vector<Setting> UniformSettings(Options* options);
 
-// Applies the environment column of the table, then argv, and returns the
-// result. `extras` are the binary's own rows (pointing at its own fields);
-// --help prints every row's usage and exits 0. An unknown flag or a missing
-// value prints a message naming it, then the usage, to stderr and exits 2;
-// a malformed value, or a NUMALP_* environment variable that is not in the
-// table, prints a message naming it and exits 2. `launcher`, when set, is
-// the command that runs the binary ("numalp_bench"), shown before its name
-// in the usage.
+// Parses argv against UniformSettings plus `extras` (the binary's own rows,
+// pointing at its own fields) through ParseFlags, and returns the result.
+// Before that, any NUMALP_* environment variable prints a message naming it
+// (and, for a former environment knob, the flag that replaced it) and exits
+// 2: the environment sets nothing, and an ignored NUMALP_MAX_EPOCHS=3 would
+// quietly run the default length. `launcher`, when set, is the command that
+// runs the binary ("numalp_bench"), shown before its name in the usage.
 Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
                       const std::vector<Setting>& extras = {}, const char* launcher = nullptr);
 
-// The same table parser for a tool that takes no uniform setting and reads
-// no environment (numalp_report, numalp_tracegen): argv against `settings`
-// only, --help printing `head` (title and usage line) above the rows, errors
-// prefixed "tool: ". Arguments that are not flags go to *positional, or are
-// rejected like an unknown flag when it is null.
+// The table parser: argv against `settings`, --help printing `head` (title
+// and usage line) above the rows and exiting 0. An unknown flag or a missing
+// value prints a message naming it, prefixed "tool: ", then the usage, to
+// stderr and exits 2; a malformed value prints a message naming the setting
+// and exits 2. Arguments that are not flags go to *positional, or are
+// rejected like an unknown flag when it is null. numalp_report and
+// numalp_tracegen, which take no uniform setting, call it directly.
 void ParseFlags(int argc, char** argv, const char* tool, const std::string& head,
                 const std::vector<Setting>& settings,
                 std::vector<std::string>* positional = nullptr);

@@ -4,9 +4,9 @@
 // framed as [u32 payload_len][u64 fnv1a(payload)][payload]. Chunk 0 is the
 // header (machine/workload/seed provenance + the initial region table); every
 // later chunk is one epoch (or the final trace-end marker). The per-chunk
-// length prefix is what lets TraceReader bulk-ingest with large sequential
-// reads and double-buffer chunks ahead of the epoch loop; the checksum makes
-// truncation and corruption loud instead of silently replaying garbage.
+// length prefix is what lets TraceReader bulk-ingest with one large
+// sequential read per chunk; the checksum makes truncation and corruption
+// loud instead of silently replaying garbage.
 //
 // Epoch payloads are event sequences:
 //   kEpochBegin  u8 in_setup

@@ -24,11 +24,6 @@ void DecodeHeader(const std::vector<std::uint8_t>& payload, TraceHeader* out) {
   }
 }
 
-bool IsTraceEnd(const std::vector<std::uint8_t>& payload) {
-  return !payload.empty() &&
-         payload[0] == static_cast<std::uint8_t>(EventKind::kTraceEnd);
-}
-
 }  // namespace
 
 TraceReader::TraceReader(const std::string& path) : path_(path) {
@@ -48,12 +43,6 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
   std::vector<std::uint8_t> header_chunk;
   ReadChunkInto(&header_chunk);
   DecodeHeader(header_chunk, &header_);
-  // Prime the double buffer: the chunk the first NextEpoch will decode, plus
-  // — unless that chunk is already the end marker — the one after it.
-  ReadChunkInto(&front_);
-  if (!IsTraceEnd(front_)) {
-    ReadChunkInto(&back_);
-  }
 }
 
 TraceReader::~TraceReader() {
@@ -70,7 +59,8 @@ bool TraceReader::NextEpoch(TraceEpoch* out) {
     out->completed = completed_;
     return false;
   }
-  DecodeEpoch(front_, out);
+  ReadChunkInto(&chunk_);
+  DecodeEpoch(chunk_, out);
   if (out->trace_end) {
     end_seen_ = true;
     completed_ = out->completed;
@@ -79,13 +69,6 @@ bool TraceReader::NextEpoch(TraceEpoch* out) {
       file_ = nullptr;
     }
     return false;
-  }
-  // Rotate the double buffer: the prefetched back chunk becomes current, and
-  // unless it is the end marker the next chunk is read behind it.
-  std::swap(front_, back_);
-  back_.clear();
-  if (!IsTraceEnd(front_)) {
-    ReadChunkInto(&back_);
   }
   return true;
 }

@@ -1,12 +1,10 @@
 // Bulk-ingesting reader for the binary trace format (trace_format.h).
 //
 // Chunks carry explicit lengths, so the reader never scans for record
-// boundaries: it issues one large sequential read per chunk (the bulk-scan
-// ingest idiom) and keeps two chunk buffers — while the epoch loop consumes
-// the decoded front chunk, the next one has already been read into the back
-// buffer. The swap is synchronous (no background thread: deterministic, and
-// clean under TSan); the win is that file I/O happens in chunk-sized slabs
-// off the per-access path, not that it overlaps compute.
+// boundaries: NextEpoch issues one large sequential read per chunk (the
+// bulk-scan ingest idiom) into a single reused buffer and decodes it, so file
+// I/O happens in chunk-sized slabs off the per-access path. Reading ahead is
+// left to the caller: TraceWorkload decodes one epoch ahead.
 //
 // Corruption handling is strict: a bad magic/version, a checksum mismatch, an
 // oversized length prefix, or a truncated chunk all throw std::runtime_error.
@@ -23,9 +21,8 @@ namespace numalp::trace {
 
 class TraceReader {
  public:
-  // Opens `path`, validates magic/version, decodes the header chunk and
-  // prefetches the first epoch chunk. Throws std::runtime_error on any
-  // I/O or format error.
+  // Opens `path`, validates magic/version and decodes the header chunk.
+  // Throws std::runtime_error on any I/O or format error.
   explicit TraceReader(const std::string& path);
   ~TraceReader();
 
@@ -34,9 +31,10 @@ class TraceReader {
 
   const TraceHeader& header() const { return header_; }
 
-  // Decodes the next chunk into *out and prefetches the one after it.
-  // Returns false (with out->trace_end set) once the trace-end marker is
-  // reached; after that every call returns false.
+  // Reads and decodes the next chunk into *out; a corrupt or truncated
+  // chunk throws std::runtime_error. Returns false (with out->trace_end
+  // set) once the trace-end marker is reached; after that every call
+  // returns false.
   bool NextEpoch(TraceEpoch* out);
 
   // Valid once NextEpoch returned false: did the recorded run complete?
@@ -50,8 +48,7 @@ class TraceReader {
   std::string path_;
   TraceHeader header_;
   std::FILE* file_ = nullptr;
-  std::vector<std::uint8_t> front_;
-  std::vector<std::uint8_t> back_;
+  std::vector<std::uint8_t> chunk_;
   bool end_seen_ = false;
   bool completed_ = false;
 };

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "src/common/rng.h"
@@ -503,9 +504,8 @@ const std::vector<std::string>& TracegenProfiles() {
 }
 
 void GenerateTrace(const TracegenOptions& options, const std::string& out_path) {
-  const int threads = options.topo.num_cores();
-  detail::GenerateTrace(options, out_path,
-                        ResolveShardCount(threads, /*force=*/false, threads));
+  const int host = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  detail::GenerateTrace(options, out_path, std::min(options.topo.num_cores(), host));
 }
 
 namespace detail {

@@ -37,13 +37,13 @@ const std::vector<std::string>& TracegenProfiles();
 
 // Synthesizes the trace into `out_path`. The recorded workload name is
 // "trace:<profile>" and the recorded machine/threads are the preset's.
-// Batches are filled and encoded on a worker pool sized by the
-// oversubscription guard (ResolveShardCount); the bytes do not depend on it.
+// Batches are filled and encoded on a worker pool of one worker per thread,
+// at most the host's hardware concurrency; the bytes do not depend on it.
 // Throws std::runtime_error on unknown profile or I/O failure.
 void GenerateTrace(const TracegenOptions& options, const std::string& out_path);
 
 namespace detail {
-// GenerateTrace on exactly `workers` pool workers, past the guard's clamp:
+// GenerateTrace on exactly `workers` pool workers, past the host clamp:
 // tests use it to show that the bytes do not depend on the worker count.
 void GenerateTrace(const TracegenOptions& options, const std::string& out_path, int workers);
 }  // namespace detail

@@ -64,7 +64,6 @@ std::string RenderFaultCells(const std::vector<FaultProfile>& profiles, int jobs
                              int shards) {
   SimConfig sim = TinySim();
   sim.shards = shards;
-  sim.shards_force = true;  // real worker threads even on a busy host
   std::ostringstream out;
   {
     report::GridReport report(std::make_unique<report::JsonlSink>(out), "faults_test",

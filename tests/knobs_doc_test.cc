@@ -1,27 +1,22 @@
-// Drift gate for docs/KNOBS.md: re-extracts the knob surface from the source
-// tree and fails when the document and the code disagree in either direction.
+// Drift gate for docs/KNOBS.md: every flag a binary accepts is documented
+// there, and every flag documented there is still accepted.
 //
-// Extraction rules (mirrors the documented contract in docs/KNOBS.md):
-//   - An environment knob is a NUMALP_[A-Z0-9_]+ token appearing inside a
-//     string literal anywhere under src/ or tools/. Unquoted uses
-//     (the NUMALP_LOG macro, NUMALP_SRC_* header guards, CMake options) are
-//     not env vars and are deliberately invisible to this scan.
-//   - A CLI flag is a string literal whose *entire* content is --[a-z0-9-]+.
-//     Flags mentioned inside longer help-text strings don't count; the
-//     parser's exact-match literal is the source of truth.
-//
-// The reverse direction keeps the doc honest too: every `NUMALP_*` or
-// `--flag` token in backticks in docs/KNOBS.md must still exist in code.
-#include <cctype>
+// The flag set is read from the binaries themselves: every --help text is
+// printed from the binary's settings rows (src/report/options.h), one
+// "  --flag ..." line per row, so running each binary's --help yields its
+// whole surface with no second list to keep in step. The binaries are
+// numalp_run, numalp_bench (one ordinary bench plus trace_replay, the row
+// with its own settings), numalp_report, numalp_tracegen and the examples.
+// The document side is every `--flag` token in backticks in docs/KNOBS.md.
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
-
-#include "src/report/options.h"
 
 #ifndef NUMALP_SOURCE_DIR
 #error "CMake must define NUMALP_SOURCE_DIR for knobs_doc_test"
@@ -31,11 +26,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-bool IsEnvChar(char c) {
-  return (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c == '_';
-}
-
-bool IsFlagLiteral(const std::string& text) {
+bool IsFlag(const std::string& text) {
   if (text.size() < 3 || text[0] != '-' || text[1] != '-') {
     return false;
   }
@@ -48,111 +39,69 @@ bool IsFlagLiteral(const std::string& text) {
   return true;
 }
 
-void HarvestEnvTokens(const std::string& text, std::set<std::string>* out) {
-  const std::string needle = "NUMALP_";
-  std::size_t pos = 0;
-  while ((pos = text.find(needle, pos)) != std::string::npos) {
-    std::size_t end = pos + needle.size();
-    while (end < text.size() && IsEnvChar(text[end])) {
-      ++end;
-    }
-    if (end > pos + needle.size()) {
-      out->insert(text.substr(pos, end - pos));
-    }
-    pos = end;
-  }
-}
+std::string Quote(const std::string& path) { return "'" + path + "'"; }
 
-// One file's worth of string literals, honoring // and /* */ comments and
-// char literals (sink.cc uses '"'). String literals never span lines in this
-// codebase (no raw strings), so block-comment state is the only carry-over.
-void ScanSourceFile(const fs::path& path, std::set<std::string>* env_knobs,
-                    std::set<std::string>* flags) {
-  std::ifstream in(path);
-  ASSERT_TRUE(in.is_open()) << "cannot open " << path;
-  std::string line;
-  bool in_block_comment = false;
-  while (std::getline(in, line)) {
-    for (std::size_t i = 0; i < line.size(); ++i) {
-      if (in_block_comment) {
-        if (line.compare(i, 2, "*/") == 0) {
-          in_block_comment = false;
-          ++i;
-        }
-        continue;
-      }
-      const char c = line[i];
-      if (c == '/' && i + 1 < line.size() && line[i + 1] == '/') {
-        break;  // line comment: rest of line is dead
-      }
-      if (c == '/' && i + 1 < line.size() && line[i + 1] == '*') {
-        in_block_comment = true;
-        ++i;
-        continue;
-      }
-      if (c == '\'') {  // char literal: skip to its close, honoring escapes
-        ++i;
-        while (i < line.size() && line[i] != '\'') {
-          if (line[i] == '\\') {
-            ++i;
-          }
-          ++i;
-        }
-        continue;
-      }
-      if (c != '"') {
-        continue;
-      }
-      std::string content;
-      ++i;
-      while (i < line.size() && line[i] != '"') {
-        if (line[i] == '\\' && i + 1 < line.size()) {
-          content += line[i + 1];
-          i += 2;
-        } else {
-          content += line[i];
-          ++i;
-        }
-      }
-      HarvestEnvTokens(content, env_knobs);
-      if (IsFlagLiteral(content)) {
-        flags->insert(content);
-      }
+// The commands whose --help lists every settings row in the tree.
+std::vector<std::string> HelpCommands() {
+  std::vector<std::string> commands = {
+      Quote(NUMALP_RUN),
+      Quote(NUMALP_BENCH) + " fig1_thp_vs_linux",
+      Quote(NUMALP_BENCH) + " trace_replay",
+      Quote(NUMALP_REPORT),
+      Quote(NUMALP_TRACEGEN),
+  };
+  std::stringstream examples(NUMALP_EXAMPLES);  // comma-separated paths
+  for (std::string example; std::getline(examples, example, ',');) {
+    if (!example.empty()) {
+      commands.push_back(Quote(example));
     }
   }
+  return commands;
 }
 
-struct KnobSurface {
-  std::set<std::string> env_knobs;
+// The flags of the rows `command --help` prints: lines "  --flag ...".
+std::set<std::string> HelpFlags(const std::string& command) {
   std::set<std::string> flags;
-};
-
-KnobSurface ScanSourceTree() {
-  KnobSurface surface;
-  const fs::path root(NUMALP_SOURCE_DIR);
-  for (const char* dir : {"src", "tools"}) {
-    for (const auto& entry : fs::recursive_directory_iterator(root / dir)) {
-      if (!entry.is_regular_file()) {
-        continue;
-      }
-      const std::string ext = entry.path().extension().string();
-      if (ext != ".cc" && ext != ".h") {
-        continue;
-      }
-      ScanSourceFile(entry.path(), &surface.env_knobs, &surface.flags);
+  std::FILE* pipe = ::popen((command + " --help").c_str(), "r");
+  EXPECT_NE(pipe, nullptr) << command;
+  if (pipe == nullptr) {
+    return flags;
+  }
+  std::string output;
+  char buffer[4096];
+  for (std::size_t n; (n = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0;) {
+    output.append(buffer, n);
+  }
+  EXPECT_EQ(::pclose(pipe), 0) << command << " --help failed:\n" << output;
+  std::istringstream lines(output);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  --", 0) == 0) {
+      const std::string flag = line.substr(2, line.find(' ', 2) - 2);
+      EXPECT_TRUE(IsFlag(flag)) << command << ": " << line;
+      flags.insert(flag);
     }
   }
-  return surface;
+  EXPECT_FALSE(flags.empty()) << command << " --help printed no settings rows:\n" << output;
+  return flags;
 }
 
-// Backtick-delimited tokens in docs/KNOBS.md that look like knobs.
-KnobSurface ScanKnobsDoc(const fs::path& doc) {
-  KnobSurface surface;
+std::set<std::string> ToolFlags() {
+  std::set<std::string> flags;
+  for (const std::string& command : HelpCommands()) {
+    flags.merge(HelpFlags(command));
+  }
+  return flags;
+}
+
+// Backtick-delimited flags in docs/KNOBS.md.
+std::set<std::string> DocFlags() {
+  const fs::path doc = fs::path(NUMALP_SOURCE_DIR) / "docs" / "KNOBS.md";
   std::ifstream in(doc);
   EXPECT_TRUE(in.is_open()) << "cannot open " << doc;
   std::stringstream buffer;
   buffer << in.rdbuf();
   const std::string text = buffer.str();
+  std::set<std::string> flags;
   std::size_t pos = 0;
   while ((pos = text.find('`', pos)) != std::string::npos) {
     const std::size_t close = text.find('`', pos + 1);
@@ -160,113 +109,54 @@ KnobSurface ScanKnobsDoc(const fs::path& doc) {
       break;
     }
     const std::string token = text.substr(pos + 1, close - pos - 1);
-    if (token.rfind("NUMALP_", 0) == 0) {
-      std::set<std::string> exact;
-      HarvestEnvTokens(token, &exact);
-      // Only whole-token matches (`NUMALP_*` wildcard prose doesn't count).
-      if (exact.size() == 1 && *exact.begin() == token) {
-        surface.env_knobs.insert(token);
-      }
-    } else if (IsFlagLiteral(token)) {
-      surface.flags.insert(token);
+    if (IsFlag(token)) {
+      flags.insert(token);
     }
     pos = close + 1;
   }
-  return surface;
+  return flags;
 }
-
-fs::path DocPath() { return fs::path(NUMALP_SOURCE_DIR) / "docs" / "KNOBS.md"; }
 
 std::string Join(const std::set<std::string>& items) {
   std::string out;
   for (const auto& item : items) {
-    if (!out.empty()) {
-      out += ", ";
-    }
-    out += item;
+    out += (out.empty() ? "" : ", ") + item;
   }
   return out;
 }
 
-TEST(KnobsDoc, DocumentExists) {
-  ASSERT_TRUE(fs::exists(DocPath()))
-      << "docs/KNOBS.md is missing; every runtime knob must be documented "
-         "there (see the file header for the extraction contract)";
-}
-
-TEST(KnobsDoc, ScannerFindsTheKnownSurface) {
-  // Canary against a silently broken scanner: the environment it finds must
-  // be exactly the settings table's env column (the only environment the
-  // tools read), and these flags have existed since the surfaces were
-  // introduced.
-  const KnobSurface source = ScanSourceTree();
-  numalp::report::Options options;
-  std::set<std::string> table_env;
-  for (const numalp::report::Setting& setting : numalp::report::UniformSettings(&options)) {
-    if (setting.env != nullptr) {
-      table_env.insert(setting.env);
-    }
+TEST(KnobsDoc, HelpListsTheKnownSurface) {
+  // Canary against a broken --help reader: flags from each kind of binary.
+  const std::set<std::string> flags = ToolFlags();
+  for (const char* flag : {"--jobs", "--shards", "--machine", "--ibs-interval", "--trace-epochs",
+                           "--from-summary", "--list-profiles", "--help"}) {
+    EXPECT_TRUE(flags.count(flag)) << flag << " missing from: " << Join(flags);
   }
-  EXPECT_EQ(source.env_knobs, table_env) << "scanned: " << Join(source.env_knobs)
-                                         << "; table: " << Join(table_env);
-  EXPECT_TRUE(source.flags.count("--jobs"));
-  EXPECT_TRUE(source.flags.count("--machine"));
-  EXPECT_TRUE(source.flags.count("--from-summary"));
-  EXPECT_GE(source.flags.size(), 24u);
-}
-
-TEST(KnobsDoc, EveryEnvKnobIsDocumented) {
-  const KnobSurface source = ScanSourceTree();
-  const KnobSurface doc = ScanKnobsDoc(DocPath());
-  std::set<std::string> missing;
-  for (const auto& knob : source.env_knobs) {
-    if (!doc.env_knobs.count(knob)) {
-      missing.insert(knob);
-    }
-  }
-  EXPECT_TRUE(missing.empty())
-      << "env knobs in source but not in docs/KNOBS.md: " << Join(missing);
+  EXPECT_GE(flags.size(), 24u) << Join(flags);
 }
 
 TEST(KnobsDoc, EveryFlagIsDocumented) {
-  const KnobSurface source = ScanSourceTree();
-  const KnobSurface doc = ScanKnobsDoc(DocPath());
+  const std::set<std::string> doc = DocFlags();
   std::set<std::string> missing;
-  for (const auto& flag : source.flags) {
-    if (!doc.flags.count(flag)) {
+  for (const auto& flag : ToolFlags()) {
+    if (!doc.count(flag)) {
       missing.insert(flag);
     }
   }
-  EXPECT_TRUE(missing.empty())
-      << "CLI flags in source but not in docs/KNOBS.md: " << Join(missing);
-}
-
-TEST(KnobsDoc, NoStaleEnvKnobsInDoc) {
-  const KnobSurface source = ScanSourceTree();
-  const KnobSurface doc = ScanKnobsDoc(DocPath());
-  std::set<std::string> stale;
-  for (const auto& knob : doc.env_knobs) {
-    if (!source.env_knobs.count(knob)) {
-      stale.insert(knob);
-    }
-  }
-  EXPECT_TRUE(stale.empty())
-      << "docs/KNOBS.md documents env knobs that no longer exist: "
-      << Join(stale);
+  EXPECT_TRUE(missing.empty()) << "flags the binaries accept but docs/KNOBS.md lacks: "
+                               << Join(missing);
 }
 
 TEST(KnobsDoc, NoStaleFlagsInDoc) {
-  const KnobSurface source = ScanSourceTree();
-  const KnobSurface doc = ScanKnobsDoc(DocPath());
+  const std::set<std::string> tools = ToolFlags();
   std::set<std::string> stale;
-  for (const auto& flag : doc.flags) {
-    if (!source.flags.count(flag)) {
+  for (const auto& flag : DocFlags()) {
+    if (!tools.count(flag)) {
       stale.insert(flag);
     }
   }
-  EXPECT_TRUE(stale.empty())
-      << "docs/KNOBS.md documents CLI flags that no longer exist: "
-      << Join(stale);
+  EXPECT_TRUE(stale.empty()) << "docs/KNOBS.md documents flags no binary accepts: "
+                             << Join(stale);
 }
 
 }  // namespace

@@ -686,8 +686,8 @@ TEST(EngineIdentityTest, WindowedEngineMatchesSerialOracle) {
 // same speculative windows on one host thread, so this pins window
 // execution against window execution; WindowedEngineMatchesSerialOracle,
 // the datacenter cells below and WindowedShardsOneMatchesPureSerial pin it
-// against the pure serial loop. shards_force bypasses the oversubscription clamp so real worker
-// threads run even on a saturated (or single-core) test host.
+// against the pure serial loop. The engine spawns exactly the requested
+// shards, so real worker threads run even on a single-core test host.
 TEST(EngineIdentityTest, ShardCountsAreBitIdentical) {
   const Topology topo = Topology::MachineA();
   for (const BenchmarkId bench : {BenchmarkId::kCG_D, BenchmarkId::kUA_B}) {
@@ -703,7 +703,6 @@ TEST(EngineIdentityTest, ShardCountsAreBitIdentical) {
       for (const int shards : {2, 4, 8}) {
         SimConfig sharded_sim = sim;
         sharded_sim.shards = shards;
-        sharded_sim.shards_force = true;
         Simulation sharded(topo, spec, MakePolicyConfig(kind), sharded_sim);
         EXPECT_EQ(sharded.shard_count(), shards);
         ExpectIdenticalRuns(serial_result, sharded.Run());
@@ -753,7 +752,6 @@ TEST(EngineIdentityTest, DatacenterAndOneGigCellsAreBitIdentical) {
 
     SimConfig shard_sim = sim;
     shard_sim.shards = 4;
-    shard_sim.shards_force = true;
     Simulation sharded(cell.topo, spec, policy, shard_sim);
     EXPECT_EQ(sharded.shard_count(), 4);
     ExpectIdenticalRuns(golden_result, sharded.Run());
@@ -779,7 +777,6 @@ TEST(EngineIdentityTest, JobsAndShardsAxesAreBitIdentical) {
     for (const int shards : {1, 4}) {
       ExperimentGrid g = grid;
       g.sim.shards = shards;
-      g.sim.shards_force = true;
       const ExperimentRunner runner(jobs);
       all.push_back(RunGrid(g, runner));
     }
@@ -862,7 +859,6 @@ TEST(EngineIdentityTest, WindowedShardsOneMatchesPureSerial) {
     const auto run = [&](bool serial, int shards) {
       RunSpec spec = cell.spec;
       spec.sim.shards = shards;
-      spec.sim.shards_force = true;
       Simulation simulation(spec.topo, spec.workload, spec.policy, spec.sim);
       const RunResult result = serial ? SerialEngine::Run(simulation) : simulation.Run();
       return std::make_pair(SerializeRow(spec, result), result.speculation);

@@ -1,7 +1,7 @@
 // ExperimentRunner regression tests: the parallel grid must be a pure
 // function of its declaration — identical RunResults at any jobs value, and
 // grid indexing that matches standalone Simulations. The settings table
-// every tool parses its flags and environment with is tested here too.
+// every tool parses its flags with is tested here too.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -13,6 +13,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -127,7 +128,6 @@ TEST(ExperimentRunnerTest, GridJsonlIsByteIdenticalAcrossJobsAndShards) {
     ExperimentGrid grid = TestGrid();
     grid.workloads.push_back(BenchmarkId::kUA_B);
     grid.sim.shards = shards;
-    grid.sim.shards_force = true;  // real worker threads even on a busy host
     std::ostringstream out;
     {
       report::GridReport report(std::make_unique<report::JsonlSink>(out), "runner_test", jobs);
@@ -271,65 +271,41 @@ report::Options ParseArgs(std::vector<std::string> args) {
   return report::ParseToolArgs(static_cast<int>(argv.size()), argv.data(), info);
 }
 
-// The message the settings table rejects `text` for the setting `name` (a
-// flag or an environment variable) with, or "" when it accepts it.
-std::string Rejection(const std::string& name, const char* text) {
+// The message the settings table rejects `text` for the flag `flag` with, or
+// "" when it accepts it.
+std::string Rejection(const std::string& flag, const char* text) {
   report::Options options;
   for (const report::Setting& setting : report::UniformSettings(&options)) {
-    if ((setting.flag != nullptr && name == setting.flag) ||
-        (setting.env != nullptr && name == setting.env)) {
+    if (flag == setting.flag) {
       try {
-        setting.value.store(name, text);
+        setting.value.store(flag, text);
       } catch (const std::invalid_argument& error) {
         return error.what();
       }
       return "";
     }
   }
-  ADD_FAILURE() << name << " is not in the settings table";
+  ADD_FAILURE() << flag << " is not in the settings table";
   return "";
-}
-
-TEST(SettingsTest, EnvKnobsApplyBeforeFlags) {
-  const int default_epochs = SimConfig{}.max_epochs;
-  ASSERT_EQ(unsetenv("NUMALP_MAX_EPOCHS"), 0);
-  EXPECT_EQ(ParseArgs({}).sim.max_epochs, default_epochs);
-  ASSERT_EQ(setenv("NUMALP_MAX_EPOCHS", "7", 1), 0);
-  ASSERT_EQ(setenv("NUMALP_ACCESSES_PER_EPOCH", "512", 1), 0);
-  const report::Options from_env = ParseArgs({"--seed", "123"});
-  EXPECT_EQ(from_env.sim.max_epochs, 7);
-  EXPECT_EQ(from_env.sim.accesses_per_thread_per_epoch, 512u);
-  EXPECT_EQ(from_env.sim.seed, 123u);
-  EXPECT_EQ(ParseArgs({"--epochs", "5"}).sim.max_epochs, 5);
-  ASSERT_EQ(unsetenv("NUMALP_MAX_EPOCHS"), 0);
-  ASSERT_EQ(unsetenv("NUMALP_ACCESSES_PER_EPOCH"), 0);
-  EXPECT_EQ(Rejection("NUMALP_MAX_EPOCHS", "-3"),
-            "NUMALP_MAX_EPOCHS: expected an integer in [1, 2147483647], got '-3'");
 }
 
 // Malformed integer settings must not quietly change the run: a value that
 // does not parse completely, or falls outside the setting's range, is
-// rejected naming the flag or variable. NUMALP_SHARDS_FORCE is a boolean, so
-// 0 stays "off".
+// rejected naming the flag.
 TEST(SettingsTest, IntegerSettingsRejectMalformedValues) {
-  for (const auto& [name, bad] :
-       {std::pair{"NUMALP_MAX_EPOCHS", "x3"}, std::pair{"NUMALP_MAX_EPOCHS", "4O"},
-        std::pair{"NUMALP_MAX_EPOCHS", "0"}, std::pair{"NUMALP_MAX_EPOCHS", "99999999999"},
-        std::pair{"NUMALP_ACCESSES_PER_EPOCH", ""}, std::pair{"NUMALP_ACCESSES_PER_EPOCH", "1e3"},
-        std::pair{"--seed", "abc"}, std::pair{"--seed", "99999999999999999999"},
-        std::pair{"NUMALP_SHARDS", "-4"}, std::pair{"NUMALP_SHARDS", "4 "},
-        std::pair{"NUMALP_SHARDS_FORCE", "yes"}, std::pair{"NUMALP_SHARDS_FORCE", "-1"},
-        std::pair{"NUMALP_JOBS", "4x"}, std::pair{"NUMALP_JOBS", "abc"},
-        std::pair{"NUMALP_JOBS", "0"}}) {
-    const std::string message = Rejection(name, bad);
-    EXPECT_EQ(message.rfind(std::string(name) + ": expected an integer in [", 0), 0u) << message;
+  for (const auto& [flag, bad] :
+       {std::pair{"--epochs", "x3"}, std::pair{"--epochs", "4O"}, std::pair{"--epochs", "0"},
+        std::pair{"--epochs", "99999999999"}, std::pair{"--accesses", ""},
+        std::pair{"--accesses", "1e3"}, std::pair{"--seed", "abc"},
+        std::pair{"--seed", "99999999999999999999"}, std::pair{"--shards", "-4"},
+        std::pair{"--shards", "4 "}, std::pair{"--jobs", "4x"}, std::pair{"--jobs", "abc"},
+        std::pair{"--jobs", "0"}}) {
+    const std::string message = Rejection(flag, bad);
+    EXPECT_EQ(message.rfind(std::string(flag) + ": expected an integer in [", 0), 0u) << message;
     EXPECT_NE(message.find(std::string("got '") + bad + "'"), std::string::npos) << message;
   }
-  ASSERT_EQ(setenv("NUMALP_SHARDS_FORCE", "0", 1), 0);
-  EXPECT_FALSE(ParseArgs({}).sim.shards_force);
-  ASSERT_EQ(setenv("NUMALP_SHARDS_FORCE", "1", 1), 0);
-  EXPECT_TRUE(ParseArgs({}).sim.shards_force);
-  ASSERT_EQ(unsetenv("NUMALP_SHARDS_FORCE"), 0);
+  EXPECT_EQ(Rejection("--epochs", "-3"),
+            "--epochs: expected an integer in [1, 2147483647], got '-3'");
 }
 
 // A malformed fault setting must not quietly change the run: an unknown
@@ -341,8 +317,8 @@ TEST(SettingsTest, FaultFlagsRejectMalformedValues) {
             FaultProfile::kPressure);
 }
 
-// The CLI rejects malformed values from flags and from the environment
-// alike: a message naming the flag or variable, then exit 2.
+// The CLI rejects malformed values with a message naming the flag, then
+// exit 2.
 TEST(SettingsDeathTest, ToolArgsRejectMalformedSettings) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_EXIT(ParseArgs({"--fault-profile", "bogus"}), ::testing::ExitedWithCode(2),
@@ -351,18 +327,11 @@ TEST(SettingsDeathTest, ToolArgsRejectMalformedSettings) {
               "--format: expected md\\|csv\\|jsonl, got 'json'");
   // Integer flags: each once parsed a prefix, a zero or a negative count.
   for (const auto& [flag, bad] :
-       {std::pair{"--epochs", "4O"}, std::pair{"--seed", "abc"}, std::pair{"--shards", "-4"},
-        std::pair{"--jobs", "0"}, std::pair{"--accesses", "2k"}}) {
+       {std::pair{"--epochs", "4O"}, std::pair{"--epochs", "x3"}, std::pair{"--seed", "abc"},
+        std::pair{"--shards", "-4"}, std::pair{"--jobs", "0"}, std::pair{"--jobs", "4x"},
+        std::pair{"--jobs", "abc"}, std::pair{"--accesses", "2k"}}) {
     EXPECT_EXIT(ParseArgs({flag, bad}), ::testing::ExitedWithCode(2),
-                std::string(flag) + ": expected an integer in \\[");
-  }
-  for (const auto& [name, value] :
-       {std::pair{"NUMALP_MAX_EPOCHS", "x3"}, std::pair{"NUMALP_ACCESSES_PER_EPOCH", "2k"},
-        std::pair{"NUMALP_SHARDS", "-4"}, std::pair{"NUMALP_SHARDS_FORCE", "yes"}}) {
-    ASSERT_EQ(setenv(name, value, 1), 0);
-    EXPECT_EXIT(ParseArgs({}), ::testing::ExitedWithCode(2),
-                std::string(name) + ": expected an integer in \\[.*got '" + value + "'");
-    ASSERT_EQ(unsetenv(name), 0);
+                std::string(flag) + ": expected an integer in \\[.*got '" + bad + "'");
   }
 }
 
@@ -382,32 +351,54 @@ TEST(SettingsDeathTest, UnknownFlagNamesItself) {
               "tool: --epochs: missing value\n");
 }
 
-// NUMALP_JOBS once fell back silently (NUMALP_JOBS=4x ran 4 jobs); now it
-// is read with the other settings, and the flag overrides it.
-TEST(SettingsDeathTest, JobsEnvIsStrictAndTheFlagWins) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  for (const char* bad : {"4x", "abc", "0"}) {
-    ASSERT_EQ(setenv("NUMALP_JOBS", bad, 1), 0);
-    EXPECT_EXIT(ParseArgs({}), ::testing::ExitedWithCode(2),
-                std::string("NUMALP_JOBS: expected an integer in \\[.*got '") + bad + "'");
-  }
-  ASSERT_EQ(setenv("NUMALP_JOBS", "3", 1), 0);
-  EXPECT_EQ(ParseArgs({}).jobs, 3);
-  EXPECT_EQ(ParseArgs({"--jobs", "2"}).jobs, 2);
-  ASSERT_EQ(unsetenv("NUMALP_JOBS"), 0);
-}
-
-// A NUMALP_* variable the table does not read (a typo, or a knob that only
-// a flag sets now) would otherwise be ignored without a word.
+// The environment sets nothing. A NUMALP_* variable (a former knob, a typo,
+// or a knob that only a flag sets now) would otherwise be ignored without a
+// word, so it is refused, naming the flag that replaced a former knob.
 TEST(SettingsDeathTest, UnknownNumalpEnvIsRejected) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  for (const auto& [name, value] :
-       {std::pair{"NUMALP_MAX_EPOCH", "3"}, std::pair{"NUMALP_FAULT_PROFILE", "frag"},
-        std::pair{"NUMALP_FAULT_PRESSURE_PCT", "abc"}, std::pair{"NUMALP_SEED", "7"},
-        std::pair{"NUMALP_CELL_RETRIES", "0"}}) {
+  for (const auto& [name, value, hint] :
+       {std::tuple{"NUMALP_JOBS", "8", "use --jobs"},
+        std::tuple{"NUMALP_MAX_EPOCHS", "3", "use --epochs"},
+        std::tuple{"NUMALP_ACCESSES_PER_EPOCH", "512", "use --accesses"},
+        std::tuple{"NUMALP_SHARDS", "4", "use --shards"},
+        std::tuple{"NUMALP_SHARDS_FORCE", "1", "use --shards"},
+        std::tuple{"NUMALP_MAX_EPOCH", "3", "settings are flags"},
+        std::tuple{"NUMALP_FAULT_PROFILE", "frag", "settings are flags"},
+        std::tuple{"NUMALP_FAULT_PRESSURE_PCT", "abc", "settings are flags"},
+        std::tuple{"NUMALP_SEED", "7", "settings are flags"},
+        std::tuple{"NUMALP_CELL_RETRIES", "0", "settings are flags"}}) {
     ASSERT_EQ(setenv(name, value, 1), 0);
-    EXPECT_EXIT(ParseArgs({}), ::testing::ExitedWithCode(2),
-                std::string(name) + ": not a setting; the environment sets only NUMALP_");
+    EXPECT_EXIT(ParseArgs({"--epochs", "3"}), ::testing::ExitedWithCode(2),
+                std::string("tool: ") + name + ": the environment sets nothing; " + hint);
+    ASSERT_EQ(unsetenv(name), 0);
+  }
+}
+
+// Replaces the process with the binary args[0] run on args plus --help.
+void ExecWithHelp(std::vector<std::string> args) {
+  args.push_back("--help");
+  std::vector<char*> argv;
+  for (std::string& arg : args) {
+    argv.push_back(arg.data());
+  }
+  argv.push_back(nullptr);
+  ::execv(argv[0], argv.data());
+  std::_Exit(127);
+}
+
+// The binaries refuse the former knobs before anything else, --help included.
+TEST(SettingsDeathTest, ToolsRefuseTheFormerEnvKnobs) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const auto& [name, flag] :
+       {std::pair{"NUMALP_JOBS", "--jobs"}, std::pair{"NUMALP_MAX_EPOCHS", "--epochs"},
+        std::pair{"NUMALP_ACCESSES_PER_EPOCH", "--accesses"},
+        std::pair{"NUMALP_SHARDS", "--shards"}, std::pair{"NUMALP_SHARDS_FORCE", "--shards"}}) {
+    ASSERT_EQ(setenv(name, "1", 1), 0);
+    EXPECT_EXIT(ExecWithHelp({NUMALP_RUN}), ::testing::ExitedWithCode(2),
+                std::string("numalp_run: ") + name + ": the environment sets nothing; use " + flag);
+    EXPECT_EXIT(ExecWithHelp({NUMALP_BENCH, "table3_numa_metrics"}), ::testing::ExitedWithCode(2),
+                std::string("table3_numa_metrics: ") + name +
+                    ": the environment sets nothing; use " + flag);
     ASSERT_EQ(unsetenv(name), 0);
   }
 }
@@ -417,16 +408,6 @@ TEST(SettingsDeathTest, UnknownNumalpEnvIsRejected) {
 // reached; a lenient parser would print the usage and exit 0 instead.
 TEST(SettingsDeathTest, ToolFlagsRejectMalformedValues) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const auto run = [](std::vector<std::string> args) {
-    args.push_back("--help");
-    std::vector<char*> argv;
-    for (std::string& arg : args) {
-      argv.push_back(arg.data());
-    }
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    std::_Exit(127);
-  };
   std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
       {{NUMALP_RUN, "--ibs-interval", "5x"}, "--ibs-interval: expected an integer in \\["},
       {{NUMALP_RUN, "--ibs-interval", "-1"}, "--ibs-interval: expected an integer in \\["},
@@ -447,9 +428,10 @@ TEST(SettingsDeathTest, ToolFlagsRejectMalformedValues) {
   cases.push_back({{NUMALP_BENCH, "fig1", "--epochs", "3"},
                    "unknown bench 'fig1'\n.*NAME is one of:\n  fig1_thp_vs_linux "});
   for (const auto& [args, message] : cases) {
-    EXPECT_EXIT(run(args), ::testing::ExitedWithCode(2), message) << args[1] << " " << args[2];
+    EXPECT_EXIT(ExecWithHelp(args), ::testing::ExitedWithCode(2), message)
+        << args[1] << " " << args[2];
   }
-  EXPECT_EXIT(run({NUMALP_RUN, "--ibs-interval", "5", "--policy", "thp"}),
+  EXPECT_EXIT(ExecWithHelp({NUMALP_RUN, "--ibs-interval", "5", "--policy", "thp"}),
               ::testing::ExitedWithCode(0), "");
 }
 

@@ -1,7 +1,6 @@
 // Unit tests for the intra-cell sharding plumbing (DESIGN.md Section 10):
-// the oversubscription guard that keeps runner jobs x shards bounded by the
-// host, the NUMALP_SHARDS / --shards configuration surface, the worker
-// pool's dispatch protocol and exception safety, and the AccessSource
+// the --shards setting and the worker count it gives, the worker pool's
+// dispatch protocol and exception safety, and the AccessSource
 // FillBatch concurrency contract the pool-parallel batch fill relies on.
 // Whole-engine bit-identity across shard counts lives in
 // perf_structures_test.cc and runner_test.cc.
@@ -10,7 +9,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -35,74 +33,31 @@
 namespace numalp {
 namespace {
 
-TEST(ResolveShardCountTest, ClampsToSimulatedCores) {
-  // Force bypasses the host-budget clamp, so the only bound left is the
-  // simulated core count (more shards than cores could never get work).
-  EXPECT_EQ(ResolveShardCount(8, /*force=*/true, /*num_cores=*/4), 4);
-  EXPECT_EQ(ResolveShardCount(3, /*force=*/true, /*num_cores=*/16), 3);
-  EXPECT_EQ(ResolveShardCount(0, /*force=*/true, /*num_cores=*/16), 1);
-  EXPECT_EQ(ResolveShardCount(-5, /*force=*/true, /*num_cores=*/16), 1);
-}
-
-TEST(ResolveShardCountTest, GuardDividesHostBudgetByActiveJobs) {
-  // With at least hardware_concurrency runner jobs registered, the per-cell
-  // budget is one thread: shards clamp to 1 no matter what was requested.
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int saturating = static_cast<int>(hw > 0 ? hw : 1);
-  {
-    const ScopedActiveRunnerJobs guard(saturating);
-    EXPECT_EQ(ResolveShardCount(8, /*force=*/false, /*num_cores=*/16), 1);
-    // force still bypasses the clamp under the same saturation.
-    EXPECT_EQ(ResolveShardCount(8, /*force=*/true, /*num_cores=*/16), 8);
-  }
-  // Guard registration is scoped: after the destructor the budget is back.
-  EXPECT_EQ(ActiveRunnerJobs(), 0);
-}
-
-TEST(ResolveShardCountTest, ScopedJobsNest) {
-  EXPECT_EQ(ActiveRunnerJobs(), 0);
-  {
-    const ScopedActiveRunnerJobs outer(3);
-    EXPECT_EQ(ActiveRunnerJobs(), 3);
-    {
-      const ScopedActiveRunnerJobs inner(2);
-      EXPECT_EQ(ActiveRunnerJobs(), 5);
-    }
-    EXPECT_EQ(ActiveRunnerJobs(), 3);
-  }
-  EXPECT_EQ(ActiveRunnerJobs(), 0);
-}
-
-TEST(ShardConfigTest, EnvOverridesParseShardKnobs) {
+// --shards is the worker count, whatever the host: the engine spawns exactly
+// the requested workers, clamped only to the simulated core count (more
+// shards than cores could never get work).
+TEST(ShardConfigTest, ShardsFlagSpawnsExactlyTheRequestedWorkers) {
   const report::ToolInfo info{"tool", "tool", "test tool"};
   char tool[] = "tool";
-  char* argv[] = {tool};
-  ::setenv("NUMALP_SHARDS", "4", 1);
-  ::setenv("NUMALP_SHARDS_FORCE", "1", 1);
-  const SimConfig sim = report::ParseToolArgs(1, argv, info).sim;
-  EXPECT_EQ(sim.shards, 4);
-  EXPECT_TRUE(sim.shards_force);
-  ::unsetenv("NUMALP_SHARDS");
-  ::unsetenv("NUMALP_SHARDS_FORCE");
-  const SimConfig plain = report::ParseToolArgs(1, argv, info).sim;
-  EXPECT_EQ(plain.shards, 1);
-  EXPECT_FALSE(plain.shards_force);
-}
-
-TEST(ShardConfigTest, SimulationReportsEffectiveShardCount) {
-  const Topology topo = Topology::Tiny();
-  const WorkloadSpec spec = MakeWorkloadSpec(BenchmarkId::kWC, topo);
-  SimConfig sim;
+  char flag[] = "--shards";
+  char eight[] = "8";
+  char* argv[] = {tool, flag, eight};
+  SimConfig sim = report::ParseToolArgs(3, argv, info).sim;
+  EXPECT_EQ(sim.shards, 8);
   sim.max_epochs = 1;
   sim.accesses_per_thread_per_epoch = 64;
 
-  Simulation serial(topo, spec, MakePolicyConfig(PolicyKind::kLinux4K), sim);
-  EXPECT_EQ(serial.shard_count(), 1);
+  const Topology epyc8 = Topology::Epyc8();
+  ASSERT_GE(epyc8.num_cores(), 8);
+  Simulation sharded(epyc8, MakeWorkloadSpec(BenchmarkId::kWC, epyc8),
+                     MakePolicyConfig(PolicyKind::kLinux4K), sim);
+  EXPECT_EQ(sharded.shard_count(), 8);
 
-  sim.shards = topo.num_cores() + 7;  // over-ask: clamps to the core count
-  sim.shards_force = true;
-  Simulation sharded(topo, spec, MakePolicyConfig(PolicyKind::kLinux4K), sim);
-  EXPECT_EQ(sharded.shard_count(), topo.num_cores());
+  const Topology tiny = Topology::Tiny();
+  sim.shards = tiny.num_cores() + 7;
+  Simulation clamped(tiny, MakeWorkloadSpec(BenchmarkId::kWC, tiny),
+                     MakePolicyConfig(PolicyKind::kLinux4K), sim);
+  EXPECT_EQ(clamped.shard_count(), tiny.num_cores());
 }
 
 TEST(ShardPoolTest, RunInvokesEveryWorkerExactlyOnce) {

@@ -273,7 +273,6 @@ TEST(TraceCaptureReplayTest, ReplayReproducesCaptureRowAcrossShardsAndEngines) {
     replay.policy = MakePolicyConfig(PolicyKind::kThp);
     replay.sim = sim;
     replay.sim.shards = v.shards;
-    replay.sim.shards_force = v.shards > 1;
     Simulation replay_sim(topo, replay.workload, replay.policy, replay.sim);
     const RunResult replay_run = v.serial ? SerialEngine::Run(replay_sim) : replay_sim.Run();
     EXPECT_EQ(golden, SerializeRow(replay, replay_run))
@@ -297,7 +296,6 @@ TEST(TraceCaptureReplayTest, CaptureIsByteIdenticalAcrossShards) {
     spec.capture_file = path;
     SimConfig config = sim;
     config.shards = shards;
-    config.shards_force = shards > 1;
     Simulation s(topo, spec, MakePolicyConfig(PolicyKind::kThp), config);
     EXPECT_EQ(s.shard_count(), shards);
     s.Run();
@@ -351,7 +349,6 @@ TEST(TraceCaptureReplayTest, CaptureIsByteIdenticalAcrossShards) {
     RunSpec spec = churn;
     spec.workload.capture_file = path;
     spec.sim.shards = shards;
-    spec.sim.shards_force = shards > 1;
     Simulation s(topo, spec.workload, spec.policy, spec.sim);
     EXPECT_EQ(s.shard_count(), shards);
     const RunResult run = s.Run();
@@ -473,8 +470,8 @@ TEST(TracegenTest, PinnedDigestsForEveryProfile) {
   }
 }
 
-// The pool's worker count is the host's (the oversubscription guard), so it
-// must not reach the bytes: one worker and several real ones, each claiming
+// The pool's worker count is the host's hardware concurrency, so it must not
+// reach the bytes: one worker and several real ones, each claiming
 // threads in whatever order the scheduler allows, write the same file. The
 // storm and growth slices and the pipelined chunk writes are all in range.
 TEST(TracegenTest, BytesDoNotDependOnWorkerCount) {
@@ -664,7 +661,6 @@ TEST(TraceWorkloadTest, RejectsRegionMapAtAnotherBase) {
     spec.sim.max_epochs = 4;
     spec.sim.accesses_per_thread_per_epoch = 8;
     spec.sim.shards = shards;
-    spec.sim.shards_force = shards > 1;
     ExperimentRunner runner(1);
     const std::vector<RunResult> results = runner.Run({spec});
     ASSERT_EQ(results.size(), 1u);

@@ -2,8 +2,8 @@
 //
 //   numalp_bench NAME [options]     (numalp_bench --help lists the names)
 //
-// NAME's sweep runs on one ExperimentRunner pool (--jobs / NUMALP_JOBS;
-// results identical at any value, DESIGN.md Section 5) and every cell is
+// NAME's sweep runs on one ExperimentRunner pool (--jobs; results
+// identical at any value, DESIGN.md Section 5) and every cell is
 // emitted as a typed ResultRow through the configured sinks (--format on
 // stdout, --out-dir files; DESIGN.md Section 6). The options are the
 // uniform settings plus the row's own; REPRODUCING.md maps each NAME to the

@@ -30,14 +30,14 @@ int main(int argc, char** argv) {
       "numalp_report — aggregate JSONL results into figures, a summary JSON and qualitative "
       "checks\n\nusage: numalp_report [dir|file.jsonl ...] [options]   (default input: "
       "./results)\n",
-      {{"--format", nullptr, numalp::report::OneOf(&format, {"md", "csv", "jsonl"}),
+      {{"--format", numalp::report::OneOf(&format, {"md", "csv", "jsonl"}),
         "aggregate output format (default: md figures/tables)"},
-       {"--summary", nullptr, numalp::report::Text(&summary_path, "FILE"),
+       {"--summary", numalp::report::Text(&summary_path, "FILE"),
         "also write the aggregates as a bench_summary.json"},
-       {"--from-summary", nullptr, numalp::report::Text(&from_summary_path, "FILE"),
+       {"--from-summary", numalp::report::Text(&from_summary_path, "FILE"),
         "load a committed bench_summary.json instead of JSONL rows (e.g. --from-summary "
         "BENCH_fig2_fig3.json --check asserts the committed baseline)"},
-       {"--check", nullptr, numalp::report::Presence(&check),
+       {"--check", numalp::report::Presence(&check),
         "evaluate the paper's qualitative expectations; exit 1 when present data "
         "contradicts the paper"}},
       &inputs);

@@ -46,11 +46,11 @@ int main(int argc, char** argv) {
       numalp::report::WorkloadFlag(&bench, &trace_file),
       numalp::report::MachineFlag(&topo),
       numalp::report::PolicyFlag(&policy),
-      {"--ibs-interval", nullptr, numalp::report::Int(&ibs_interval, 1, LLONG_MAX),
+      {"--ibs-interval", numalp::report::Int(&ibs_interval, 1, LLONG_MAX),
        "one IBS sample per N accesses per core"},
-      {"--per-epoch", nullptr, numalp::report::Presence(&per_epoch),
+      {"--per-epoch", numalp::report::Presence(&per_epoch),
        "print the epoch trace and window outcomes (md mode only)"},
-      {"--capture-trace", nullptr, numalp::report::Text(&capture_file, "FILE"),
+      {"--capture-trace", numalp::report::Text(&capture_file, "FILE"),
        "record the measured cell's access stream into FILE"},
   };
   numalp::report::Options options = numalp::report::ParseToolArgs(argc, argv, info, extras);

@@ -29,17 +29,17 @@ int main(int argc, char** argv) {
       "numalp_tracegen — synthesize a phase-structured access trace\n\n"
       "usage: numalp_tracegen --profile NAME --out FILE [options]\n";
   const std::vector<numalp::report::Setting> settings = {
-      {"--profile", nullptr, numalp::report::Text(&options.profile, "NAME"),
+      {"--profile", numalp::report::Text(&options.profile, "NAME"),
        "embedded phase profile (see --list-profiles)"},
-      {"--out", nullptr, numalp::report::Text(&out_path, "FILE"), "output trace path"},
+      {"--out", numalp::report::Text(&out_path, "FILE"), "output trace path"},
       numalp::report::MachineFlag(&options.topo),
-      {"--seed", nullptr, numalp::report::Int(&options.seed, 0, LLONG_MAX),
+      {"--seed", numalp::report::Int(&options.seed, 0, LLONG_MAX),
        "generator seed (default 42)"},
-      {"--epochs", nullptr, numalp::report::Int(&options.epochs, 0, INT_MAX),
+      {"--epochs", numalp::report::Int(&options.epochs, 0, INT_MAX),
        "steady epochs; 0 = profile default, shorter runs compress the phase schedule"},
-      {"--accesses", nullptr, numalp::report::Int(&options.accesses_per_thread, 4, UINT32_MAX),
+      {"--accesses", numalp::report::Int(&options.accesses_per_thread, 4, UINT32_MAX),
        "accesses per thread per epoch (default 4096)"},
-      {"--list-profiles", nullptr, numalp::report::Presence(&list_profiles),
+      {"--list-profiles", numalp::report::Presence(&list_profiles),
        "print the embedded profile names and exit"},
   };
   // Malformed values exit 2 naming the flag, like every other tool's.
